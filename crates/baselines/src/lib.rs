@@ -14,10 +14,11 @@
 //!   and for-loop construction), but exposes runtime calls and names
 //!   everything `uVar<N>`/`dVar<N>`/`lVar<N>`.
 
-use splendid_cfront::ast::{print_program, CProgram, CType};
+use splendid_cfront::ast::{print_program, CProgram};
+use splendid_core::cmap::ctype_of_mem;
 use splendid_core::naming::{NameOrigin, Naming};
 use splendid_core::structure::{structure_function, StructureOptions};
-use splendid_ir::{InstKind, MemType, Module, Type};
+use splendid_ir::{InstKind, Module, Type};
 
 /// Output of a baseline decompiler.
 #[derive(Debug, Clone)]
@@ -26,21 +27,6 @@ pub struct BaselineOutput {
     pub program: CProgram,
     /// Pretty-printed source.
     pub source: String,
-}
-
-fn ctype_of_mem(mem: &MemType) -> CType {
-    let scalar = |t: Type| match t {
-        Type::F64 => CType::Double,
-        Type::Ptr => CType::Ptr(Box::new(CType::Double)),
-        _ => CType::Long,
-    };
-    match mem {
-        MemType::Scalar(t) => scalar(*t),
-        MemType::Array { elem, dims } => CType::Array(
-            Box::new(scalar(*elem)),
-            dims.iter().map(|d| *d as usize).collect(),
-        ),
-    }
 }
 
 /// Assign `val0, val1, ...` style names to every value (Rellic style), or

@@ -310,15 +310,7 @@ fn bad(what: &str) -> io::Error {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn temp_dir(tag: &str) -> PathBuf {
-        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let dir =
-            std::env::temp_dir().join(format!("splendid-idx-{}-{}-{}", std::process::id(), tag, n));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
+    use crate::temp_dir;
 
     fn rec(key: u64, seg: u64, offset: u64, len: u32) -> RecordRef {
         RecordRef {

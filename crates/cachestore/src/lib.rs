@@ -7,7 +7,8 @@
 //! `(fingerprint, options)` hashes) to opaque byte payloads. It knows
 //! nothing about decompilation — encoding of `FunctionOutput` /
 //! `DecompileOutput` blobs lives in `splendid-serve` — which keeps this
-//! crate std-only with zero dependencies.
+//! crate std-only. Its one dependency is `splendid-ir`, for the shared
+//! FNV-64 hash ([`splendid_ir::hash`]).
 //!
 //! Architecture (see DESIGN.md "Persistent cache & tiering"):
 //!
@@ -37,12 +38,21 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod crc;
-pub mod hash;
 pub mod index;
 pub mod mmap;
 pub mod segment;
 pub mod store;
 
 pub use crc::crc32;
-pub use hash::fnv64;
 pub use store::{CacheStore, CompactStats, StoreConfig, StoreCounters, StoreStats, VerifyReport};
+
+/// A fresh, empty directory unique to this test process and call.
+#[cfg(test)]
+pub(crate) fn temp_dir(tag: &str) -> std::path::PathBuf {
+    static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("splendid-{tag}-{}-{n}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}

@@ -300,15 +300,7 @@ fn corrupt(what: &str) -> io::Error {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn temp_dir(tag: &str) -> PathBuf {
-        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let dir =
-            std::env::temp_dir().join(format!("splendid-seg-{}-{}-{}", std::process::id(), tag, n));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
+    use crate::temp_dir;
 
     #[test]
     fn append_read_roundtrip() {

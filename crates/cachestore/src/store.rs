@@ -18,9 +18,9 @@
 //!   segments to reclaim superseded records, collapsing byte-identical
 //!   payloads stored under several keys into one shared record.
 
-use crate::hash::Fnv64;
 use crate::index::Index;
 use crate::segment::{parse_segment_file_name, read_record, RecordRef, Segment, REC_HEADER_LEN};
+use splendid_ir::hash::Fnv64;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io;
@@ -624,19 +624,7 @@ fn acquire_dir_lock(dir: &Path) -> io::Result<File> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn temp_dir(tag: &str) -> PathBuf {
-        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!(
-            "splendid-store-{}-{}-{}",
-            std::process::id(),
-            tag,
-            n
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
+    use crate::temp_dir;
 
     fn small_config() -> StoreConfig {
         StoreConfig {

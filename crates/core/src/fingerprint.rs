@@ -2,10 +2,10 @@
 //!
 //! The serve function cache, and the daemon's incremental dirty tracking,
 //! both need to decide "is this function's IR the same bytes as before?"
-//! across processes and releases. `DefaultHasher` is explicitly unstable,
-//! so identity is defined here once: FNV-1a 64 over the canonical printed
-//! form of the function (the printer is deterministic), producing digests
-//! that are reproducible, loggable, and comparable over the wire.
+//! across processes and releases. Identity is FNV-1a 64
+//! ([`splendid_ir::hash`]) over the canonical printed form of the
+//! function (the printer is deterministic), producing digests that are
+//! reproducible, loggable, and comparable over the wire.
 //!
 //! Two granularities are provided:
 //!
@@ -21,21 +21,9 @@
 //!   and re-parses nothing until a DECOMPILE actually needs the IR.
 
 use crate::pipeline::PreparedModule;
-use splendid_ir::{printer::function_str, FuncId, Module, ModuleSpans};
+use splendid_ir::{hash::Fnv64, printer::function_str, FuncId, Module, ModuleSpans};
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a 64 over a byte string (the same constants as the serve layer's
-/// incremental hasher; kept in core so fingerprints don't depend on the
-/// service being linked in).
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    h
-}
+pub use splendid_ir::hash::fnv64;
 
 /// Content fingerprint of one function: FNV-1a 64 of its canonical
 /// printed IR. Two functions fingerprint equal iff the printer emits
@@ -61,30 +49,22 @@ pub fn module_fingerprints(module: &Module) -> Vec<(String, u64)> {
         .collect()
 }
 
-/// Fold more bytes into a running FNV-1a 64 state.
-fn mix(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 /// Fingerprint of everything outside a function's own body that its
 /// decompilation can read: global declarations and the debug-variable
 /// arena (naming resolves `dbg !N` through it).
 pub fn module_context_fingerprint(m: &Module) -> u64 {
-    let mut h = FNV_OFFSET;
+    let mut h = Fnv64::new();
     for g in &m.globals {
-        h = mix(h, m.name_of(g.name).as_bytes());
-        h = mix(h, format!("{}|{:?};", g.mem, g.init).as_bytes());
+        h.write(m.name_of(g.name).as_bytes());
+        h.write(format!("{}|{:?};", g.mem, g.init).as_bytes());
     }
     for dv in &m.di_vars {
-        h = mix(h, m.name_of(dv.name).as_bytes());
-        h = mix(h, b"@");
-        h = mix(h, m.name_of(dv.scope).as_bytes());
-        h = mix(h, b";");
+        h.write(m.name_of(dv.name).as_bytes())
+            .write(b"@")
+            .write(m.name_of(dv.scope).as_bytes())
+            .write(b";");
     }
-    h
+    h.finish()
 }
 
 /// Span fingerprint of one `func` definition in module *text*: the hash of
@@ -130,11 +110,11 @@ impl SpanFingerprints {
 pub fn span_fingerprints_into(text: &str, spans: &mut ModuleSpans, out: &mut SpanFingerprints) {
     splendid_ir::scan_spans_into(text, spans);
     out.clear();
-    let mut pre = FNV_OFFSET;
+    let mut pre = Fnv64::new();
     for &(a, b) in &spans.preamble {
-        pre = mix(pre, &text.as_bytes()[a..b]);
+        pre.write(&text.as_bytes()[a..b]);
     }
-    out.preamble = pre;
+    out.preamble = pre.finish();
     for f in &spans.funcs {
         out.funcs.push(SpanFingerprint {
             name_hash: fnv64(f.name_str(text).as_bytes()),
@@ -181,24 +161,11 @@ impl PreparedModule {
     pub fn function_fingerprint(&self, fid: FuncId) -> u64 {
         self.digests().functions[fid.0 as usize].1
     }
-
-    /// Stable per-function content fingerprints of the *prepared* module
-    /// (post-detransform): the identity the serve function cache keys on.
-    pub fn function_fingerprints(&self) -> Vec<(String, u64)> {
-        self.digests().functions.clone()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv64_known_vectors() {
-        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv64(b"foobar"), 0x8594_4171_f739_67e8);
-    }
 
     #[test]
     fn fingerprints_detect_single_function_edits() {

@@ -36,6 +36,7 @@
 //!   always-available statement-per-instruction emitter.
 
 pub mod analyzer;
+pub mod cmap;
 pub mod detransform;
 pub mod devectorize;
 pub mod error;

@@ -15,13 +15,14 @@
 //! materialized; they fold into `A[i][j]` index expressions at each use,
 //! mirroring the structurer's lvalue rules.
 
+use crate::cmap::{self, ctype_of};
 use crate::detransform::decode_marker;
 use crate::devectorize::decode_simd_marker;
 use crate::error::{SplendidError, Stage};
 use splendid_cfront::ast::{CBinOp, CExpr, CFunc, CStmt, CType};
 use splendid_ir::{
-    BinOp, BlockId, Callee, CastOp, FPred, Function, IPred, InstId, InstKind, MemType, Module,
-    ReduceOp, Type, Value,
+    BinOp, BlockId, Callee, CastOp, Function, InstId, InstKind, MemType, Module, ReduceOp, Type,
+    Value,
 };
 use std::collections::{HashMap, HashSet};
 
@@ -34,17 +35,6 @@ pub struct LiteralFunc {
     pub gotos: usize,
     /// Local variables declared.
     pub vars: usize,
-}
-
-/// C scalar type used when declaring a value of IR type `t`.
-fn ctype_of(t: Type) -> CType {
-    match t {
-        Type::Void => CType::Void,
-        Type::F64 => CType::Double,
-        Type::Ptr => CType::Ptr(Box::new(CType::Double)),
-        Type::I1 => CType::Int,
-        _ => CType::Long,
-    }
 }
 
 fn scalar_ctype(t: Type) -> CType {
@@ -468,72 +458,23 @@ impl<'a> LiteralEmitter<'a> {
     fn rvalue(&self, id: InstId) -> Result<CExpr, SplendidError> {
         let inst = self.f.inst(id);
         match &inst.kind {
-            InstKind::Bin { op, lhs, rhs } => {
-                let cop = match op {
-                    BinOp::Add | BinOp::FAdd => CBinOp::Add,
-                    BinOp::Sub | BinOp::FSub => CBinOp::Sub,
-                    BinOp::Mul | BinOp::FMul => CBinOp::Mul,
-                    BinOp::SDiv | BinOp::FDiv => CBinOp::Div,
-                    BinOp::SRem => CBinOp::Rem,
-                    BinOp::And => {
-                        if inst.ty == Type::I1 {
-                            CBinOp::LAnd
-                        } else {
-                            CBinOp::BAnd
-                        }
-                    }
-                    BinOp::Or => {
-                        if inst.ty == Type::I1 {
-                            CBinOp::LOr
-                        } else {
-                            CBinOp::BOr
-                        }
-                    }
-                    BinOp::Xor => CBinOp::BXor,
-                    BinOp::Shl => CBinOp::Shl,
-                    BinOp::AShr => CBinOp::Shr,
-                };
-                Ok(CExpr::bin(cop, self.operand(*lhs)?, self.operand(*rhs)?))
-            }
-            InstKind::ICmp { pred, lhs, rhs } => {
-                let cop = match pred {
-                    IPred::Eq => CBinOp::Eq,
-                    IPred::Ne => CBinOp::Ne,
-                    IPred::Slt => CBinOp::Lt,
-                    IPred::Sle => CBinOp::Le,
-                    IPred::Sgt => CBinOp::Gt,
-                    IPred::Sge => CBinOp::Ge,
-                };
-                Ok(CExpr::bin(cop, self.operand(*lhs)?, self.operand(*rhs)?))
-            }
-            InstKind::FCmp { pred, lhs, rhs } => {
-                let cop = match pred {
-                    FPred::Oeq => CBinOp::Eq,
-                    FPred::One => CBinOp::Ne,
-                    FPred::Olt => CBinOp::Lt,
-                    FPred::Ole => CBinOp::Le,
-                    FPred::Ogt => CBinOp::Gt,
-                    FPred::Oge => CBinOp::Ge,
-                };
-                Ok(CExpr::bin(cop, self.operand(*lhs)?, self.operand(*rhs)?))
-            }
+            InstKind::Bin { op, lhs, rhs } => Ok(CExpr::bin(
+                cmap::binop(*op, inst.ty),
+                self.operand(*lhs)?,
+                self.operand(*rhs)?,
+            )),
+            InstKind::ICmp { pred, lhs, rhs } => Ok(CExpr::bin(
+                cmap::ipred(*pred),
+                self.operand(*lhs)?,
+                self.operand(*rhs)?,
+            )),
+            InstKind::FCmp { pred, lhs, rhs } => Ok(CExpr::bin(
+                cmap::fpred(*pred),
+                self.operand(*lhs)?,
+                self.operand(*rhs)?,
+            )),
             InstKind::Load { ptr } => self.lvalue(*ptr),
-            InstKind::Cast { op, val } => {
-                let e = self.operand(*val)?;
-                Ok(match op {
-                    CastOp::SiToFp => CExpr::Cast {
-                        ty: CType::Double,
-                        expr: Box::new(e),
-                    },
-                    CastOp::FpToSi => CExpr::Cast {
-                        ty: CType::Long,
-                        expr: Box::new(e),
-                    },
-                    // Width-only conversions are invisible in the 64-bit
-                    // C subset.
-                    _ => e,
-                })
-            }
+            InstKind::Cast { op, val } => Ok(cmap::cast(*op, self.operand(*val)?)),
             InstKind::Call { callee, args } => {
                 let name = match callee {
                     Callee::Func(fid) => {
@@ -785,7 +726,7 @@ impl<'a> LiteralEmitter<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use splendid_ir::Inst;
+    use splendid_ir::{IPred, Inst};
 
     fn simple_loop_module() -> Module {
         // long f(long n) { s = 0; for (i = 0; i < n; i++) s += i; return s; }

@@ -7,6 +7,7 @@
 //! and the bottom tier (statement-per-instruction emission) is always
 //! available, so a module-level answer is always produced.
 
+use crate::cmap::ctype_of_mem;
 use crate::detransform::{detransform_and_inline, RegionReport};
 use crate::devectorize::{devectorize_module, DevecReport};
 use crate::error::{panic_message, SplendidError, Stage};
@@ -15,22 +16,24 @@ use crate::literal::emit_literal;
 use crate::naming::{assign_names, assign_register_names, NameOrigin};
 use crate::structure::{structure_function, StructureOptions};
 use splendid_cfront::ast::{print_program, CFunc, CProgram, CStmt, CType};
-use splendid_ir::{FuncId, MemType, Module, Type};
+use splendid_ir::{FuncId, Module};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The paper's evaluation variants (§5.3.1).
+/// The paper's evaluation variants (§5.3.1). The discriminant is the
+/// variant's byte on the daemon wire and in cache-key option fingerprints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum Variant {
     /// SPLENDID v1: natural control-flow construction only (for-loop
     /// reconstruction, loop-rotate de-transformation). Runtime calls stay.
-    V1,
+    V1 = 1,
     /// Portable SPLENDID (v2): v1 + explicit parallelism translation
     /// (region detransformation, inlining, OpenMP pragmas).
-    Portable,
+    Portable = 2,
     /// Full SPLENDID: v2 + source variable renaming.
-    Full,
+    Full = 3,
 }
 
 /// Fidelity tiers of the per-function degradation ladder, best first.
@@ -463,21 +466,6 @@ pub fn assemble_output(
         naming: naming_stats,
         regions: prepared.regions.clone(),
         gotos,
-    }
-}
-
-fn ctype_of_mem(mem: &MemType) -> CType {
-    let scalar = |t: Type| match t {
-        Type::F64 => CType::Double,
-        Type::Ptr => CType::Ptr(Box::new(CType::Double)),
-        _ => CType::Long,
-    };
-    match mem {
-        MemType::Scalar(t) => scalar(*t),
-        MemType::Array { elem, dims } => CType::Array(
-            Box::new(scalar(*elem)),
-            dims.iter().map(|d| *d as usize).collect(),
-        ),
     }
 }
 

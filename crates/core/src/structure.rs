@@ -9,6 +9,7 @@
 //! and loop-carried variables materialize as named C variables using the
 //! names chosen by [`crate::naming`].
 
+use crate::cmap::{self, ctype_of};
 use crate::detransform::{decode_marker, MarkerInfo};
 use crate::devectorize::{decode_simd_marker, SimdMarkerInfo};
 use crate::error::{SplendidError, Stage};
@@ -17,9 +18,7 @@ use splendid_analysis::domtree::{ipostdoms, DomTree};
 use splendid_analysis::indvar::{recognize_counted_loop, CountedLoop};
 use splendid_analysis::loops::{LoopId, LoopInfo};
 use splendid_cfront::ast::*;
-use splendid_ir::{
-    BinOp, BlockId, Callee, CastOp, FPred, Function, IPred, InstId, InstKind, Module, Type, Value,
-};
+use splendid_ir::{BlockId, Callee, Function, InstId, InstKind, Module, Value};
 use std::collections::{HashMap, HashSet};
 
 /// Options controlling the structurer (wired to the paper's variants and
@@ -65,17 +64,6 @@ pub struct StructuredFunc {
     pub variables: Vec<(String, NameOrigin)>,
     /// Number of `goto` statements the structurer had to emit.
     pub gotos: usize,
-}
-
-/// C scalar type used when declaring a value of IR type `t`.
-fn ctype_of(t: Type) -> CType {
-    match t {
-        Type::Void => CType::Void,
-        Type::F64 => CType::Double,
-        Type::Ptr => CType::Ptr(Box::new(CType::Double)),
-        Type::I1 => CType::Int,
-        _ => CType::Long,
-    }
 }
 
 struct Structurer<'a> {
@@ -337,73 +325,24 @@ impl<'a> Structurer<'a> {
     fn expr_of_inst(&self, id: InstId) -> CExpr {
         let inst = self.f.inst(id);
         match &inst.kind {
-            InstKind::Bin { op, lhs, rhs } => {
-                let cop = match op {
-                    BinOp::Add | BinOp::FAdd => CBinOp::Add,
-                    BinOp::Sub | BinOp::FSub => CBinOp::Sub,
-                    BinOp::Mul | BinOp::FMul => CBinOp::Mul,
-                    BinOp::SDiv | BinOp::FDiv => CBinOp::Div,
-                    BinOp::SRem => CBinOp::Rem,
-                    BinOp::And => {
-                        if inst.ty == Type::I1 {
-                            CBinOp::LAnd
-                        } else {
-                            CBinOp::BAnd
-                        }
-                    }
-                    BinOp::Or => {
-                        if inst.ty == Type::I1 {
-                            CBinOp::LOr
-                        } else {
-                            CBinOp::BOr
-                        }
-                    }
-                    BinOp::Xor => CBinOp::BXor,
-                    BinOp::Shl => CBinOp::Shl,
-                    BinOp::AShr => CBinOp::Shr,
-                };
-                CExpr::bin(cop, self.expr_of_value(*lhs), self.expr_of_value(*rhs))
-            }
-            InstKind::ICmp { pred, lhs, rhs } => {
-                let cop = match pred {
-                    IPred::Eq => CBinOp::Eq,
-                    IPred::Ne => CBinOp::Ne,
-                    IPred::Slt => CBinOp::Lt,
-                    IPred::Sle => CBinOp::Le,
-                    IPred::Sgt => CBinOp::Gt,
-                    IPred::Sge => CBinOp::Ge,
-                };
-                CExpr::bin(cop, self.expr_of_value(*lhs), self.expr_of_value(*rhs))
-            }
-            InstKind::FCmp { pred, lhs, rhs } => {
-                let cop = match pred {
-                    FPred::Oeq => CBinOp::Eq,
-                    FPred::One => CBinOp::Ne,
-                    FPred::Olt => CBinOp::Lt,
-                    FPred::Ole => CBinOp::Le,
-                    FPred::Ogt => CBinOp::Gt,
-                    FPred::Oge => CBinOp::Ge,
-                };
-                CExpr::bin(cop, self.expr_of_value(*lhs), self.expr_of_value(*rhs))
-            }
+            InstKind::Bin { op, lhs, rhs } => CExpr::bin(
+                cmap::binop(*op, inst.ty),
+                self.expr_of_value(*lhs),
+                self.expr_of_value(*rhs),
+            ),
+            InstKind::ICmp { pred, lhs, rhs } => CExpr::bin(
+                cmap::ipred(*pred),
+                self.expr_of_value(*lhs),
+                self.expr_of_value(*rhs),
+            ),
+            InstKind::FCmp { pred, lhs, rhs } => CExpr::bin(
+                cmap::fpred(*pred),
+                self.expr_of_value(*lhs),
+                self.expr_of_value(*rhs),
+            ),
             InstKind::Load { ptr } => self.lvalue_of(*ptr),
             InstKind::Gep { .. } => self.lvalue_of(Value::Inst(id)),
-            InstKind::Cast { op, val } => {
-                let e = self.expr_of_value(*val);
-                match op {
-                    CastOp::SiToFp => CExpr::Cast {
-                        ty: CType::Double,
-                        expr: Box::new(e),
-                    },
-                    CastOp::FpToSi => CExpr::Cast {
-                        ty: CType::Long,
-                        expr: Box::new(e),
-                    },
-                    // Width-only conversions are invisible in the 64-bit C
-                    // subset.
-                    _ => e,
-                }
-            }
+            InstKind::Cast { op, val } => cmap::cast(*op, self.expr_of_value(*val)),
             InstKind::Select {
                 cond,
                 then_val,
@@ -915,14 +854,7 @@ impl<'a> Structurer<'a> {
         } else {
             cl.pred.negated()
         };
-        let cmp_op = match cont_pred {
-            IPred::Slt => CBinOp::Lt,
-            IPred::Sle => CBinOp::Le,
-            IPred::Sgt => CBinOp::Gt,
-            IPred::Sge => CBinOp::Ge,
-            IPred::Ne => CBinOp::Ne,
-            IPred::Eq => CBinOp::Eq,
-        };
+        let cmp_op = cmap::ipred(cont_pred);
         let init_expr = self.expr_of_value(cl.init);
         let bound_expr = self.expr_of_value(cl.bound);
         let declare_in_header = !self.declared.contains(&iv_name);
@@ -1134,14 +1066,7 @@ impl<'a> Structurer<'a> {
         } else {
             cl.pred.negated()
         };
-        let cmp_op = match cont_pred {
-            IPred::Slt => CBinOp::Lt,
-            IPred::Sle => CBinOp::Le,
-            IPred::Sgt => CBinOp::Gt,
-            IPred::Sge => CBinOp::Ge,
-            IPred::Ne => CBinOp::Ne,
-            IPred::Eq => CBinOp::Eq,
-        };
+        let cmp_op = cmap::ipred(cont_pred);
         let tested = if cl.cmp_uses_next {
             CExpr::ident(iv_name.clone())
         } else {

@@ -37,5 +37,5 @@ pub use client::DaemonClient;
 pub use overload::{run_overload_bench, OverloadConfig, OverloadReport};
 pub use peer::{PeerTier, DEFAULT_PEER_TIMEOUT};
 pub use protocol::{ErrorCode, FrameAssembler, FrameEvent, Request, Response};
-pub use server::{Daemon, DaemonConfig, DaemonStats};
+pub use server::{cache_tiers, Daemon, DaemonConfig, DaemonStats};
 pub use session::{DecompileReply, Session, SessionError};

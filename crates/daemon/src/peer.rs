@@ -28,7 +28,7 @@
 
 use crate::client::DaemonClient;
 use splendid_core::FaultRng;
-use splendid_serve::hash::Fnv64;
+use splendid_ir::hash::fnv64;
 use splendid_serve::{CacheTier, TierCounters};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -69,13 +69,11 @@ struct Breaker {
 
 impl Breaker {
     fn new(addr: &str) -> Breaker {
-        let mut h = Fnv64::new();
-        h.write(addr.as_bytes());
         Breaker {
             state: BreakerState::Closed,
             consecutive_failures: 0,
             backoff: BREAKER_BACKOFF_BASE,
-            rng: FaultRng::new(h.finish()),
+            rng: FaultRng::new(fnv64(addr.as_bytes())),
         }
     }
 

@@ -25,7 +25,7 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
@@ -79,6 +79,30 @@ impl Default for DaemonConfig {
             peer_timeout: DEFAULT_PEER_TIMEOUT,
         }
     }
+}
+
+/// The blob-tier chain under the serve LRU: the disk store at `cache_dir`
+/// (budgeted to `budget_bytes`, default 256 MiB), then the peer daemon at
+/// `peer`, each only when given. Opening the disk store is the one step
+/// that can fail; the peer tier dials lazily and degrades to misses.
+pub fn cache_tiers(
+    cache_dir: Option<&Path>,
+    budget_bytes: Option<u64>,
+    peer: Option<&str>,
+    peer_timeout: Duration,
+) -> std::io::Result<BlobTiers> {
+    let mut tiers: Vec<Arc<dyn CacheTier>> = Vec::new();
+    if let Some(dir) = cache_dir {
+        let mut store = StoreConfig::default();
+        if let Some(budget) = budget_bytes {
+            store.budget_bytes = budget;
+        }
+        tiers.push(Arc::new(DiskTier::open(dir, store)?));
+    }
+    if let Some(peer) = peer {
+        tiers.push(Arc::new(PeerTier::with_timeout(peer, peer_timeout)));
+    }
+    Ok(BlobTiers::new(tiers))
 }
 
 /// Daemon-wide counters (relaxed atomics; diagnostic, not transactional).
@@ -215,26 +239,14 @@ impl Daemon {
             None => None,
         };
 
-        // Tier chain: local LRU (inside the scheduler) → disk → peer.
-        // The disk tier failing to open is a startup error; the peer
-        // tier never is (it dials lazily and degrades to misses).
-        let mut tiers: Vec<Arc<dyn CacheTier>> = Vec::new();
-        if let Some(dir) = &config.cache_dir {
-            let mut store_config = StoreConfig::default();
-            if let Some(budget) = config.cache_budget_bytes {
-                store_config.budget_bytes = budget;
-            }
-            tiers.push(Arc::new(DiskTier::open(dir, store_config)?));
-        }
-        if let Some(peer) = &config.peer {
-            tiers.push(Arc::new(PeerTier::with_timeout(
-                peer.clone(),
-                config.peer_timeout,
-            )));
-        }
-
+        let tiers = cache_tiers(
+            config.cache_dir.as_deref(),
+            config.cache_budget_bytes,
+            config.peer.as_deref(),
+            config.peer_timeout,
+        )?;
         let shared = Arc::new(Shared {
-            scheduler: Scheduler::new_with_tiers(config.serve.clone(), BlobTiers::new(tiers)),
+            scheduler: Scheduler::new_with_tiers(config.serve.clone(), tiers),
             config,
             stats: DaemonStats::default(),
             draining: AtomicBool::new(false),

@@ -3,13 +3,12 @@
 //! daemons via CACHE_GET, and the CACHE_GET/CACHE_PUT request surface
 //! (validation, NoCache on tier-less daemons, byte fidelity).
 
-use splendid_cfront::{lower_program, parse_program, LowerOptions};
+mod common;
+
+use common::{connect, module_text, test_module};
 use splendid_core::{decompile, SplendidOptions};
 use splendid_daemon::{Daemon, DaemonClient, DaemonConfig, ErrorCode, Request, Response};
-use splendid_ir::Module;
-use splendid_parallel::{parallelize_module, ParallelizeOptions};
 use splendid_serve::codec;
-use splendid_transforms::{optimize_module, O2Options};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -24,28 +23,6 @@ fn temp_dir(tag: &str) -> PathBuf {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
-}
-
-/// A small parallelized module, one kernel per constant (same shape the
-/// daemon tests use).
-fn test_module(consts: &[f64]) -> Module {
-    let mut src = String::new();
-    for (i, c) in consts.iter().enumerate() {
-        src.push_str(&format!("double A{i}[64];\ndouble B{i}[64];\n"));
-        src.push_str(&format!(
-            "void kernel{i}() {{ int j; for (j = 1; j < 63; j++) {{ \
-             B{i}[j] = (A{i}[j-1] + A{i}[j+1]) * {c:?}; }} }}\n"
-        ));
-    }
-    let prog = parse_program(&src).unwrap();
-    let mut m = lower_program(&prog, "ctest", &LowerOptions::default()).unwrap();
-    optimize_module(&mut m, &O2Options::default());
-    parallelize_module(&mut m, &ParallelizeOptions::default());
-    m
-}
-
-fn module_text(consts: &[f64]) -> String {
-    splendid_ir::printer::module_str(&test_module(consts))
 }
 
 /// Start a daemon, retrying briefly: a just-drained predecessor may
@@ -63,14 +40,6 @@ fn start_with_retry(config: DaemonConfig) -> Daemon {
             Err(e) => panic!("daemon failed to start: {e}"),
         }
     }
-}
-
-fn connect(daemon: &Daemon) -> DaemonClient {
-    let client = DaemonClient::connect_tcp(daemon.local_addr()).unwrap();
-    client
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    client
 }
 
 fn decompile_counts(client: &mut DaemonClient) -> (u32, u32) {

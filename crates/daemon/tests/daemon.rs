@@ -2,32 +2,13 @@
 //! stats frames, drain semantics, disconnect hygiene, the connection
 //! cap, idle eviction, and the Unix-socket listener.
 
-use splendid_cfront::{lower_program, parse_program, LowerOptions};
+mod common;
+
+use common::{connect, module_text};
 use splendid_daemon::protocol::{frame_bytes, kind};
 use splendid_daemon::{Daemon, DaemonClient, DaemonConfig, ErrorCode, Response};
-use splendid_ir::printer::module_str;
-use splendid_parallel::{parallelize_module, ParallelizeOptions};
 use splendid_serve::ServeConfig;
-use splendid_transforms::{optimize_module, O2Options};
 use std::time::Duration;
-
-/// A small parallelized module with one kernel per constant; editing one
-/// constant dirties exactly one prepared function.
-fn module_text(consts: &[f64]) -> String {
-    let mut src = String::new();
-    for (i, c) in consts.iter().enumerate() {
-        src.push_str(&format!("double A{i}[64];\ndouble B{i}[64];\n"));
-        src.push_str(&format!(
-            "void kernel{i}() {{ int j; for (j = 1; j < 63; j++) {{ \
-             B{i}[j] = (A{i}[j-1] + A{i}[j+1]) * {c:?}; }} }}\n"
-        ));
-    }
-    let prog = parse_program(&src).unwrap();
-    let mut m = lower_program(&prog, "itest", &LowerOptions::default()).unwrap();
-    optimize_module(&mut m, &O2Options::default());
-    parallelize_module(&mut m, &ParallelizeOptions::default());
-    module_str(&m)
-}
 
 fn start(config: DaemonConfig) -> Daemon {
     Daemon::start(config).expect("daemon binds on a loopback port")
@@ -36,14 +17,6 @@ fn start(config: DaemonConfig) -> Daemon {
 /// Fire a DECOMPILE frame without waiting for its response.
 fn send_decompile(client: &mut DaemonClient) -> std::io::Result<()> {
     client.send_raw(&frame_bytes(kind::DECOMPILE, &[]))
-}
-
-fn connect(daemon: &Daemon) -> DaemonClient {
-    let client = DaemonClient::connect_tcp(daemon.local_addr()).unwrap();
-    client
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    client
 }
 
 #[test]

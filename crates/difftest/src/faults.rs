@@ -21,13 +21,13 @@
 //! would break the Nth-invocation determinism of the injection counters.
 
 use crate::gen::{generate, GenConfig};
-use crate::rng::fnv1a64;
 use splendid_cfront::OmpRuntime;
 use splendid_core::{
     assemble_output, decompile_function, prepare_module, FaultKind, FaultPlan, FaultRng,
     SplendidOptions, Stage, StageTimings,
 };
 use splendid_interp::{CompilerProfile, MachineConfig};
+use splendid_ir::hash::fnv64;
 use splendid_parallel::{parallelize_module, ParallelizeOptions};
 use splendid_polybench::Harness;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -226,7 +226,7 @@ pub fn run_fault_campaign(cfg: &FaultCampaignConfig) -> FaultCampaignReport {
         let Some(case) = pool.get((index % pool.len().max(1) as u64) as usize) else {
             break; // pool construction failed entirely; already reported
         };
-        let mut rng = FaultRng::new(fnv1a64(format!("fault:{:#x}:{index}", cfg.seed).as_bytes()));
+        let mut rng = FaultRng::new(fnv64(format!("fault:{:#x}:{index}", cfg.seed).as_bytes()));
         // Module-wide detransformation cannot degrade per function, so it
         // only receives transient kinds (absorbed by retry); per-function
         // sites get the full kind mix.

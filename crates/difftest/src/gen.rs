@@ -24,7 +24,7 @@
 //! checksums exactly comparable across routes.
 
 use crate::prog::{Array, BinOp, Cond, Expr, Helper, Index, Stmt, TestProgram};
-use crate::rng::Rng;
+use splendid_ir::rng::Rng;
 
 /// Floating constants the generator draws from (all exactly
 /// representable; divisors nonzero).

@@ -26,7 +26,6 @@ pub mod faults;
 pub mod gen;
 pub mod oracle;
 pub mod prog;
-pub mod rng;
 pub mod runner;
 pub mod shrink;
 
@@ -34,9 +33,8 @@ pub use faults::{run_fault_campaign, FaultCampaignConfig, FaultCampaignReport, F
 pub use gen::{generate, GenConfig};
 pub use oracle::{CaseFailure, CaseReport, Decompiler, FailureKind, InProcessDecompiler, Oracle};
 pub use prog::TestProgram;
-pub use rng::{parse_seed, Rng};
 pub use runner::{
-    replay_command, replay_corpus_source, run_difftest, validate_source, DifftestConfig,
-    DifftestReport, ValidationReport,
+    parse_seed, replay_command, replay_corpus_source, run_difftest, validate_source,
+    DifftestConfig, DifftestReport, ValidationReport,
 };
 pub use shrink::{shrink, ShrinkResult};

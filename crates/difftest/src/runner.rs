@@ -10,9 +10,9 @@
 
 use crate::gen::{generate, GenConfig};
 use crate::oracle::{CaseFailure, Decompiler, InProcessDecompiler, Oracle};
-use crate::rng::fnv1a64;
 use crate::shrink::shrink;
 use splendid_core::SplendidOptions;
+use splendid_ir::hash::{fnv64, Fnv64};
 use splendid_parallel::{parallelize_module, ParallelizeOptions};
 use splendid_polybench::Harness;
 
@@ -214,7 +214,7 @@ pub fn run_difftest(oracle: &Oracle, cfg: &DifftestConfig) -> DifftestReport {
     let mut failed = Vec::new();
     let mut parallelized = 0usize;
     let mut vectorized = 0usize;
-    let mut digest: u64 = 0xCBF2_9CE4_8422_2325;
+    let mut digest = Fnv64::new();
     let mut validation = cfg.validate.then(ValidationReport::default);
 
     for &case in &case_indices {
@@ -230,7 +230,7 @@ pub fn run_difftest(oracle: &Oracle, cfg: &DifftestConfig) -> DifftestReport {
                 passed += 1;
                 parallelized += report.parallelized_loops;
                 vectorized += report.vectorized_loops;
-                digest = fnv1a64_fold(digest, report.checksum.to_bits());
+                digest.write_u64(report.checksum.to_bits());
             }
             Err(failure) => {
                 let original_lines = src.lines().count();
@@ -259,7 +259,7 @@ pub fn run_difftest(oracle: &Oracle, cfg: &DifftestConfig) -> DifftestReport {
         parallelized_loops: parallelized,
         vectorized_loops: vectorized,
         simd_routes: oracle.vectorize,
-        checksum_digest: digest,
+        checksum_digest: digest.finish(),
         validation,
     }
 }
@@ -341,15 +341,6 @@ pub fn validate_source(
     ))
 }
 
-/// Fold one value into a running FNV-1a digest.
-fn fnv1a64_fold(mut h: u64, value: u64) -> u64 {
-    for b in value.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 /// Top-level `double` array declarations in a corpus source file, in
 /// declaration order — the checksum list for corpus replay. Matches the
 /// generator's rendering (`double A[N];` / `double A[N][M];` at column 0).
@@ -376,15 +367,40 @@ pub fn replay_corpus_source(
     oracle.check_source(src, &arrays_in_source(src))
 }
 
+/// Parse a seed argument: `0x`-prefixed hex, then decimal, then — for any
+/// other spelling (`--seed 0xSPLENDID`) — the FNV-1a hash of the text
+/// itself.
+pub fn parse_seed(text: &str) -> u64 {
+    if let Some(hex) = text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")) {
+        if let Ok(v) = u64::from_str_radix(hex, 16) {
+            return v;
+        }
+    }
+    if let Ok(v) = text.parse::<u64>() {
+        return v;
+    }
+    fnv64(text.as_bytes())
+}
+
 /// Digest of a campaign for determinism checks: the report text itself.
 pub fn report_fingerprint(report: &DifftestReport) -> u64 {
-    fnv1a64(report.to_string().as_bytes())
+    fnv64(report.to_string().as_bytes())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::oracle::InProcessDecompiler;
+
+    #[test]
+    fn seed_parsing_accepts_hex_decimal_and_words() {
+        assert_eq!(parse_seed("0x10"), 16);
+        assert_eq!(parse_seed("123"), 123);
+        // Not valid hex (S, P, L, N, I): falls back to the FNV hash, and
+        // does so stably.
+        assert_eq!(parse_seed("0xSPLENDID"), parse_seed("0xSPLENDID"));
+        assert_ne!(parse_seed("0xSPLENDID"), parse_seed("0xSPLENDIE"));
+    }
 
     #[test]
     fn small_campaign_passes_and_is_deterministic() {

@@ -8,10 +8,12 @@
 //! per-identifier allocations from the parse and print hot paths.
 //!
 //! The table is a single contiguous byte arena plus a span list; lookup
-//! uses an open-addressing FNV-64 index (std-only, no external hashers).
+//! uses an open-addressing index over [`crate::hash::fnv64`].
 //! Symbols are stable for the lifetime of the table and assigned densely in
 //! first-intern order, so re-parsing identical text yields identical
 //! symbols.
+
+use crate::hash::fnv64;
 
 /// Interned string handle, valid within the [`SymbolTable`] that produced
 /// it. Equality of symbols from the *same* table is equality of strings.
@@ -30,18 +32,6 @@ impl std::fmt::Display for Symbol {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "sym{}", self.0)
     }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
 }
 
 /// Deduplicating string arena. All interned bytes live in one contiguous
@@ -258,18 +248,11 @@ mod tests {
     /// modules.
     #[test]
     fn seeded_stress_stability() {
-        let mut seed = 0x5EED_0BADu64;
-        let mut rng = move || {
-            // xorshift64*
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            seed.wrapping_mul(0x2545_F491_4F6C_DD1D)
-        };
+        let mut rng = crate::rng::Rng::from_state(0x5EED_0BAD);
         let mut t = SymbolTable::new();
         let mut names: Vec<String> = Vec::new();
         for _ in 0..2000 {
-            let r = rng();
+            let r = rng.next_u64();
             let name = match r % 4 {
                 0 => format!("v{}", r % 97),
                 1 => format!("block.{}", r % 53),

@@ -38,11 +38,13 @@
 //! ```
 
 pub mod builder;
+pub mod hash;
 pub mod inst;
 pub mod intern;
 pub mod module;
 pub mod parser;
 pub mod printer;
+pub mod rng;
 pub mod span;
 pub mod types;
 pub mod value;

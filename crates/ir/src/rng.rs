@@ -1,9 +1,11 @@
-//! Seeded, dependency-free PRNG for deterministic case generation.
+//! The seeded, dependency-free generator behind every deterministic test
+//! stream: difftest case generation and the translation validator's
+//! probe values.
 //!
 //! xorshift64* (Vigna 2016): tiny state, good equidistribution for the
-//! bounded draws the generator needs, and — critically — the same stream
-//! on every platform and every run. Nothing here reads clocks or OS
-//! entropy; a `(seed, case index)` pair fully determines a test case.
+//! bounded draws these generators need, and — critically — the same
+//! stream on every platform and every run. Nothing here reads clocks or OS
+//! entropy; a seed fully determines the stream.
 
 /// xorshift64* generator.
 #[derive(Debug, Clone)]
@@ -22,14 +24,21 @@ pub fn splitmix64(x: u64) -> u64 {
 }
 
 impl Rng {
+    /// Generator starting from a raw state, which must be nonzero.
+    pub fn from_state(state: u64) -> Rng {
+        debug_assert_ne!(state, 0, "xorshift state must be nonzero");
+        Rng { state }
+    }
+
     /// Generator seeded for one `(run seed, case index)` pair.
     pub fn for_case(seed: u64, case: u64) -> Rng {
         // Mix the two halves so neighbouring cases share no prefix.
-        let mut state = splitmix64(seed ^ splitmix64(case));
-        if state == 0 {
-            state = 0x9E37_79B9_7F4A_7C15; // xorshift state must be nonzero
-        }
-        Rng { state }
+        let state = splitmix64(seed ^ splitmix64(case));
+        Rng::from_state(if state == 0 {
+            0x9E37_79B9_7F4A_7C15
+        } else {
+            state
+        })
     }
 
     /// Next raw 64-bit draw.
@@ -66,34 +75,30 @@ impl Rng {
     }
 }
 
-/// FNV-1a over a byte string: lets the CLI accept arbitrary seed spellings
-/// (`--seed 0xSPLENDID`) by hashing anything that isn't a number.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-/// Parse a seed argument: `0x`-prefixed hex, then decimal, then — for any
-/// other spelling — the FNV-1a hash of the text itself.
-pub fn parse_seed(text: &str) -> u64 {
-    if let Some(hex) = text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")) {
-        if let Ok(v) = u64::from_str_radix(hex, 16) {
-            return v;
-        }
-    }
-    if let Ok(v) = text.parse::<u64>() {
-        return v;
-    }
-    fnv1a64(text.as_bytes())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The stream difftest campaigns are generated from: pinned so a
+    /// fixed `--seed` keeps producing the same programs.
+    #[test]
+    fn for_case_stream_is_pinned() {
+        let mut r = Rng::for_case(0x5EED, 3);
+        let draws: Vec<u64> = (0..8).map(|_| r.next_u64()).collect();
+        assert_eq!(
+            draws,
+            [
+                0xafd8_6551_ea4f_760a,
+                0x1afb_6fea_04df_c14b,
+                0x2852_99ea_ed98_3c97,
+                0xef16_75a4_1944_4f8a,
+                0x9099_86b9_62a1_b222,
+                0xe359_1774_448b_ea74,
+                0xc6e2_4b37_1e6a_a7a8,
+                0x40bc_bbcb_d406_108a,
+            ]
+        );
+    }
 
     #[test]
     fn deterministic_across_instances() {
@@ -119,16 +124,6 @@ mod tests {
             assert!((-3..=9).contains(&v));
             assert!(r.below(5) < 5);
         }
-    }
-
-    #[test]
-    fn seed_parsing_accepts_hex_decimal_and_words() {
-        assert_eq!(parse_seed("0x10"), 16);
-        assert_eq!(parse_seed("123"), 123);
-        // Not valid hex (S, P, L, N, I): falls back to the FNV hash, and
-        // does so stably.
-        assert_eq!(parse_seed("0xSPLENDID"), parse_seed("0xSPLENDID"));
-        assert_ne!(parse_seed("0xSPLENDID"), parse_seed("0xSPLENDIE"));
     }
 
     #[test]

@@ -29,16 +29,11 @@
 //! in-flight count when the job completes (or when the ticket is
 //! dropped unsubmitted), so the gauge can never leak on an error path.
 
+use crate::lock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// Poison-recovering lock (same rationale as the scheduler's: bucket
-/// state is valid at every instruction boundary).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Why a request was shed at admission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

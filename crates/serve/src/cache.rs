@@ -1,15 +1,17 @@
-//! Content-addressed per-function result cache.
+//! Content-addressed in-memory caches and the blob tiers beneath them.
 //!
 //! Keys are stable 64-bit FNV-1a digests of `(module context fingerprint,
 //! canonically printed function IR, options fingerprint)` — see
-//! [`crate::scheduler`] for the exact key construction. Values are the
-//! decompiled [`FunctionOutput`]s, shared via `Arc` so a hit costs one
-//! clone of a pointer, not of a C AST.
+//! [`crate::scheduler`] for the exact key construction. One bounded LRU
+//! type, [`LruCache`], holds both kinds of value: the decompiled
+//! [`FunctionOutput`]s ([`FunctionCache`], shared via `Arc` so a hit
+//! costs one clone of a pointer, not of a C AST) and the validation
+//! [`Certificate`](crate::validate::Certificate)s.
 //!
-//! The store is a bounded LRU: an intrusive doubly-linked list threaded
-//! through a slab of nodes, plus a key → slot index map. Everything sits
-//! behind one `Mutex`; the critical sections are a handful of pointer
-//! updates, so contention stays negligible next to decompilation work.
+//! The LRU is an intrusive doubly-linked list threaded through a slab of
+//! nodes, plus a key → slot index map. Everything sits behind one
+//! `Mutex`; the critical sections are a handful of pointer updates, so
+//! contention stays negligible next to decompilation work.
 //!
 //! Below the LRU sits a chain of *blob tiers* (see [`CacheTier`]): the
 //! persistent disk store from `splendid-cachestore`, and optionally a
@@ -19,40 +21,33 @@
 //! write happening *behind* the request on a dedicated thread so a cold
 //! decompile never waits on `fsync`.
 
-use crate::codec;
+use crate::{codec, lock};
 use splendid_cachestore::{CacheStore, StoreConfig};
 use splendid_core::FunctionOutput;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard};
-
-/// Poison-recovering lock: the LRU's invariants hold at every instruction
-/// boundary (links are updated under the same critical section), so a
-/// panic elsewhere in the process must not wedge the cache.
-fn lock(m: &Mutex<Lru>) -> MutexGuard<'_, Lru> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
+use std::sync::{mpsc, Arc, Mutex};
 
 const NIL: usize = usize::MAX;
 
-struct Node {
+struct Node<V> {
     key: u64,
-    value: Arc<FunctionOutput>,
+    value: V,
     prev: usize,
     next: usize,
 }
 
-struct Lru {
+struct Lru<V> {
     map: HashMap<u64, usize>,
-    nodes: Vec<Node>,
+    nodes: Vec<Node<V>>,
     free: Vec<usize>,
     head: usize,
     tail: usize,
 }
 
-impl Lru {
-    fn new() -> Lru {
+impl<V> Lru<V> {
+    fn new() -> Lru<V> {
         Lru {
             map: HashMap::new(),
             nodes: Vec::new(),
@@ -102,21 +97,24 @@ pub struct CacheCounters {
     pub capacity: usize,
 }
 
-impl CacheCounters {
-    /// Hits over lookups, in [0, 1]; 0 when the cache is untouched.
-    pub fn hit_rate(&self) -> f64 {
-        let lookups = self.hits + self.misses;
-        if lookups == 0 {
-            0.0
-        } else {
-            self.hits as f64 / lookups as f64
-        }
+/// Hits over lookups, in [0, 1]; 0 when nothing was looked up.
+pub fn hit_rate(hits: u64, misses: u64) -> f64 {
+    match hits + misses {
+        0 => 0.0,
+        lookups => hits as f64 / lookups as f64,
     }
 }
 
-/// Bounded, thread-safe, content-addressed LRU over decompiled functions.
-pub struct FunctionCache {
-    inner: Mutex<Lru>,
+impl CacheCounters {
+    /// [`hit_rate`] of this cache.
+    pub fn hit_rate(&self) -> f64 {
+        hit_rate(self.hits, self.misses)
+    }
+}
+
+/// Bounded, thread-safe, content-addressed LRU.
+pub struct LruCache<V> {
+    inner: Mutex<Lru<V>>,
     capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -124,10 +122,13 @@ pub struct FunctionCache {
     insertions: AtomicU64,
 }
 
-impl FunctionCache {
-    /// Cache holding at most `capacity` functions (0 disables caching).
-    pub fn new(capacity: usize) -> FunctionCache {
-        FunctionCache {
+/// The per-function result cache.
+pub type FunctionCache = LruCache<Arc<FunctionOutput>>;
+
+impl<V: Clone> LruCache<V> {
+    /// Cache holding at most `capacity` entries (0 disables caching).
+    pub fn new(capacity: usize) -> LruCache<V> {
+        LruCache {
             inner: Mutex::new(Lru::new()),
             capacity,
             hits: AtomicU64::new(0),
@@ -138,7 +139,7 @@ impl FunctionCache {
     }
 
     /// Look up a key, promoting it to most-recently-used on a hit.
-    pub fn get(&self, key: u64) -> Option<Arc<FunctionOutput>> {
+    pub fn get(&self, key: u64) -> Option<V> {
         if self.capacity == 0 {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
@@ -149,7 +150,7 @@ impl FunctionCache {
                 lru.unlink(idx);
                 lru.push_front(idx);
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(&lru.nodes[idx].value))
+                Some(lru.nodes[idx].value.clone())
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -158,9 +159,21 @@ impl FunctionCache {
         }
     }
 
+    /// [`LruCache::get`], falling back to `fetch` (a read through the blob
+    /// tiers) on a miss; a fetched value is promoted into the LRU so the
+    /// next lookup is in-memory.
+    pub fn read_through(&self, key: u64, fetch: impl FnOnce() -> Option<V>) -> Option<V> {
+        if let Some(hit) = self.get(key) {
+            return Some(hit);
+        }
+        let fetched = fetch()?;
+        self.insert(key, fetched.clone());
+        Some(fetched)
+    }
+
     /// Insert (or refresh) an entry, evicting from the LRU tail past
     /// capacity.
-    pub fn insert(&self, key: u64, value: Arc<FunctionOutput>) {
+    pub fn insert(&self, key: u64, value: V) {
         if self.capacity == 0 {
             return;
         }
@@ -253,14 +266,9 @@ pub struct TierCounters {
 }
 
 impl TierCounters {
-    /// Hits over lookups, in [0, 1]; 0 when the tier is untouched.
+    /// [`hit_rate`] of this tier.
     pub fn hit_rate(&self) -> f64 {
-        let lookups = self.hits + self.misses;
-        if lookups == 0 {
-            0.0
-        } else {
-            self.hits as f64 / lookups as f64
-        }
+        hit_rate(self.hits, self.misses)
     }
 }
 
@@ -317,11 +325,6 @@ pub struct DiskTier {
     errors: AtomicU64,
 }
 
-/// Poison-recovering lock for the store (same rationale as the LRU's).
-fn lock_store(m: &Mutex<CacheStore>) -> MutexGuard<'_, CacheStore> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 impl DiskTier {
     /// Open (or create) the store at `dir` and start the writer thread.
     pub fn open(dir: &Path, config: StoreConfig) -> std::io::Result<DiskTier> {
@@ -336,7 +339,7 @@ impl DiskTier {
                 while let Ok(msg) = rx.recv() {
                     match msg {
                         DiskMsg::Put(key, blob) => {
-                            let _ = lock_store(&writer_store).put(key, &blob);
+                            let _ = lock(&writer_store).put(key, &blob);
                             writer_pending.fetch_sub(1, Ordering::SeqCst);
                         }
                         DiskMsg::Shutdown => break,
@@ -359,7 +362,7 @@ impl DiskTier {
     /// Store-level counters (rebuilds, torn bytes, CRC drops) for the
     /// CLI's `cache stat` view.
     pub fn store_counters(&self) -> splendid_cachestore::StoreCounters {
-        lock_store(&self.store).counters()
+        lock(&self.store).counters()
     }
 }
 
@@ -369,7 +372,7 @@ impl CacheTier for DiskTier {
     }
 
     fn get(&self, key: u64) -> Option<Vec<u8>> {
-        match lock_store(&self.store).get(key) {
+        match lock(&self.store).get(key) {
             Some(blob) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(blob)
@@ -413,7 +416,7 @@ impl CacheTier for DiskTier {
         while self.pending.load(Ordering::SeqCst) > 0 {
             std::thread::sleep(std::time::Duration::from_micros(200));
         }
-        if lock_store(&self.store).flush().is_err() {
+        if lock(&self.store).flush().is_err() {
             self.errors.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -423,7 +426,7 @@ impl Drop for DiskTier {
     fn drop(&mut self) {
         self.flush();
         let _ = self.tx.send(DiskMsg::Shutdown);
-        if let Some(h) = self.writer.lock().unwrap_or_else(|e| e.into_inner()).take() {
+        if let Some(h) = lock(&self.writer).take() {
             let _ = h.join();
         }
     }

@@ -11,17 +11,17 @@
 //! * [`scheduler`] — the job scheduler: requests (textual IR or parsed
 //!   modules + [`splendid_core::SplendidOptions`]) are split into
 //!   per-function work items, with per-job deadlines/cancellation;
-//! * [`cache`] — a bounded-LRU, content-addressed result cache keyed by
-//!   a stable FNV-1a 64 digest of (module context, canonically printed
-//!   function IR, options fingerprint), so re-decompiling unchanged
-//!   functions is a lookup;
+//! * [`cache`] — one bounded, content-addressed LRU type for function
+//!   results and validation certificates, keyed by a stable FNV-1a 64
+//!   digest ([`splendid_ir::hash`]) of (module context, canonically
+//!   printed function IR, options fingerprint), so re-decompiling
+//!   unchanged functions is a lookup;
 //! * [`admission`] — overload protection in front of the scheduler:
 //!   bounded admission, per-tenant fairness/quotas, and the
 //!   admit → degrade → shed ladder with typed [`admission::Busy`]
 //!   refusals;
 //! * [`stats`] — service observability: per-stage wall time, queue
-//!   depth, cache hit rate, job counts, snapshotable and pretty-printable;
-//! * [`hash`] — the stable FNV-1a hasher behind the cache keys.
+//!   depth, cache hit rate, job counts, snapshotable and pretty-printable.
 //!
 //! The `splendid` binary (`src/bin/splendid.rs`) wires this up as a CLI
 //! with `decompile`, `batch`, and `bench-serve` subcommands.
@@ -29,21 +29,30 @@
 pub mod admission;
 pub mod cache;
 pub mod codec;
-pub mod hash;
 pub mod pool;
 pub mod scheduler;
 pub mod stats;
 pub mod validate;
 
 pub use admission::{AdmissionTicket, Busy, ShedReason};
-pub use cache::{BlobTiers, CacheCounters, CacheTier, DiskTier, FunctionCache, TierCounters};
+pub use cache::{
+    BlobTiers, CacheCounters, CacheTier, DiskTier, FunctionCache, LruCache, TierCounters,
+};
 pub use pool::{PoolRemote, WorkerPool};
 pub use scheduler::{
     function_cache_key, module_cache_key, JobError, JobHandle, JobInput, JobRequest, JobResult,
     Scheduler, ServeConfig,
 };
 pub use stats::{ServeStats, StatsSnapshot};
-pub use validate::{cert_cache_key, CertCache, Certificate, ValidateOutcome};
+pub use validate::{cert_cache_key, Certificate, ValidateOutcome};
+
+/// Poison-recovering lock. Every mutex in the service guards state that is
+/// valid at each instruction boundary — LRU links, task queues, token
+/// buckets, job slots, the disk store — so a panic elsewhere carries no
+/// information a later holder needs, and must not wedge the service.
+pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 #[cfg(test)]
 mod send_sync_assertions {

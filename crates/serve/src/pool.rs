@@ -21,10 +21,11 @@
 //!   the queues hold only owned task boxes, which stay structurally valid
 //!   across an unwind.
 
+use crate::lock;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -43,13 +44,6 @@ enum Task {
 /// How many tasks a worker grabs from the injector at once; the surplus
 /// lands in its local deque where peers can steal it.
 const INJECTOR_BATCH: usize = 4;
-
-/// Lock a mutex, recovering the guard if a previous holder panicked.
-/// Pool state is a set of owned task queues and counters — all valid at
-/// every instruction boundary — so poisoning carries no information here.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 struct Shared {
     injector: Mutex<VecDeque<Task>>,

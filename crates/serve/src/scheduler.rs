@@ -22,35 +22,29 @@
 //!   (counted, reported as [`JobError::Panicked`]).
 
 use crate::admission::{AdmissionController, AdmissionLease, AdmissionTicket, Busy, ShedReason};
-use crate::cache::{BlobTiers, FunctionCache};
-use crate::codec;
-use crate::hash::Fnv64;
+use crate::cache::{BlobTiers, FunctionCache, LruCache};
 use crate::pool::{PoolRemote, WorkerPool};
 use crate::stats::{ServeStats, StatsSnapshot};
-use crate::validate::CertCache;
+use crate::validate::Certificate;
+use crate::{codec, lock};
 use splendid_core::{
     assemble_output, decompile_function, panic_message, prepare_module, DecompileOutput,
     FidelityTier, FunctionOutput, PreparedModule, SplendidOptions, StageTimings, Variant,
 };
+use splendid_ir::hash::Fnv64;
 use splendid_ir::{parser::parse_module, FuncId, Module};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
+use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::time::{Duration, Instant};
-
-/// Poison-recovering lock: job state stays structurally valid across an
-/// unwind (owned slots + counters), so a poisoned mutex carries no
-/// information the error path doesn't already have.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Service configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Worker threads; 0 means one per available core.
     pub workers: usize,
-    /// Function-cache capacity in entries; 0 disables caching.
+    /// Capacity, in entries, of each in-memory LRU (functions and
+    /// certificates); 0 disables both.
     pub cache_capacity: usize,
     /// Deadline applied to every job; `None` means jobs never time out.
     pub job_timeout: Option<Duration>,
@@ -258,7 +252,7 @@ struct JobState {
     /// persistent/peer tier is configured).
     tiers: Arc<BlobTiers>,
     /// In-memory certificate cache shared with the scheduler.
-    certs: Arc<CertCache>,
+    certs: Arc<LruCache<Certificate>>,
     /// Whole-module record key, set by the job task for fault-free
     /// `Text` jobs so the last work item can persist the assembled
     /// output on its way out.
@@ -359,11 +353,6 @@ impl JobHandle {
 }
 
 fn options_fingerprint(o: &SplendidOptions) -> u64 {
-    let variant = match o.variant {
-        Variant::V1 => 1u8,
-        Variant::Portable => 2,
-        Variant::Full => 3,
-    };
     let start_tier = match o.start_tier {
         FidelityTier::Natural => 1u8,
         FidelityTier::Structured => 2,
@@ -373,7 +362,7 @@ fn options_fingerprint(o: &SplendidOptions) -> u64 {
     };
     let mut h = Fnv64::new();
     h.write(&[
-        variant,
+        o.variant as u8,
         o.guard_elimination as u8,
         o.inline_expressions as u8,
         start_tier,
@@ -492,7 +481,7 @@ pub struct Scheduler {
     pool: WorkerPool,
     cache: Arc<FunctionCache>,
     tiers: Arc<BlobTiers>,
-    certs: Arc<CertCache>,
+    certs: Arc<LruCache<Certificate>>,
     stats: Arc<ServeStats>,
     admission: Arc<AdmissionController>,
     watchdog: Option<Watchdog>,
@@ -519,7 +508,7 @@ impl Scheduler {
             pool: WorkerPool::new(workers),
             cache: Arc::new(FunctionCache::new(config.cache_capacity)),
             tiers: Arc::new(tiers),
-            certs: Arc::new(CertCache::default()),
+            certs: Arc::new(LruCache::new(config.cache_capacity)),
             stats: Arc::new(ServeStats::default()),
             admission: Arc::new(AdmissionController::new(
                 config.max_pending_jobs,
@@ -532,11 +521,6 @@ impl Scheduler {
             watchdog: config.job_timeout.map(|_| Watchdog::start()),
             config,
         }
-    }
-
-    /// Start a service with default configuration (a worker per core).
-    pub fn with_default_config() -> Scheduler {
-        Scheduler::new(ServeConfig::default())
     }
 
     /// Worker thread count.
@@ -1010,22 +994,20 @@ fn decompile_item(
         None => None,
     };
     if let Some(k) = key {
-        if let Some(hit) = cache.get(k) {
+        // LRU, then the blob tiers (disk, then peer; they promote among
+        // themselves internally). The job's deadline rides along: a tier
+        // whose worst-case cost (e.g. a peer round-trip timeout) would
+        // blow the remaining budget is skipped, not waited on.
+        let tiers = || {
+            state
+                .tiers
+                .get_function_before(k, state.deadline)
+                .map(Arc::new)
+        };
+        if let Some(hit) = cache.read_through(k, tiers) {
             state.cached.fetch_add(1, Ordering::Relaxed);
             stats.add(|s| &s.functions_from_cache, 1);
             return Ok((*hit).clone());
-        }
-        // LRU miss: read through the blob tiers (disk, then peer). A
-        // hit is promoted into the LRU so the next lookup is in-memory;
-        // the tiers promote among themselves (peer → disk) internally.
-        // The job's deadline rides along: a tier whose worst-case cost
-        // (e.g. a peer round-trip timeout) would blow the remaining
-        // budget is skipped, not waited on.
-        if let Some(out) = state.tiers.get_function_before(k, state.deadline) {
-            state.cached.fetch_add(1, Ordering::Relaxed);
-            stats.add(|s| &s.functions_from_cache, 1);
-            cache.insert(k, Arc::new(out.clone()));
-            return Ok(out);
         }
     }
     // Deadline check at the handoff into the ladder: expired work is

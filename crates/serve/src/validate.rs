@@ -6,8 +6,8 @@
 //! translation unit is assembled — runs [`run_validation`]. Per
 //! function it:
 //!
-//! 1. looks for a cached [`Certificate`] (in-memory first, then the
-//!    blob tiers — so a warm restart answers verdicts from disk without
+//! 1. looks for a cached [`Certificate`] (in the scheduler's
+//!    certificate LRU first, then the blob tiers — so a warm restart answers verdicts from disk without
 //!    re-running the checker);
 //! 2. on a miss, re-lowers the current decompiled unit and probe-checks
 //!    the function with [`splendid_validate::check_function`];
@@ -25,19 +25,18 @@
 //! fingerprint as function records, so validation amortizes exactly
 //! like decompilation does.
 
-use crate::cache::{BlobTiers, FunctionCache};
+use crate::cache::{BlobTiers, FunctionCache, LruCache};
 use crate::codec;
-use crate::hash::Fnv64;
 use crate::scheduler::{function_cache_key, StatsSink};
 use splendid_cfront::{print_program, CProgram, CStmt};
 use splendid_core::{
     decompile_function, FidelityTier, FunctionOutput, PreparedModule, SplendidOptions, StageTimings,
 };
+use splendid_ir::hash::Fnv64;
 use splendid_ir::Module;
 use splendid_validate::{check_function, relower, ReasonKind, ValidateConfig, Verdict};
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
+use std::sync::Arc;
 
 /// Leading comment stamped into every verified function.
 pub const VERIFIED_ANNOTATION: &str = "splendid: verified";
@@ -62,45 +61,6 @@ pub struct Certificate {
     /// Empty for verified certificates; the `Unverified` reason text
     /// otherwise.
     pub reason: String,
-}
-
-/// Bounded in-memory certificate cache. Certificates are tiny, so a
-/// plain clear-on-full map is enough — the blob tiers behind it hold
-/// the durable copies.
-#[derive(Debug, Default)]
-pub struct CertCache {
-    map: Mutex<HashMap<u64, Certificate>>,
-}
-
-/// Entry cap; ~100 bytes per record keeps the worst case a few MiB.
-const CERT_CACHE_CAP: usize = 65_536;
-
-impl CertCache {
-    fn get(&self, key: u64) -> Option<Certificate> {
-        self.map
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&key)
-            .cloned()
-    }
-
-    fn insert(&self, key: u64, cert: Certificate) {
-        let mut map = self.map.lock().unwrap_or_else(|e| e.into_inner());
-        if map.len() >= CERT_CACHE_CAP {
-            map.clear();
-        }
-        map.insert(key, cert);
-    }
-
-    /// Number of resident certificates.
-    pub fn len(&self) -> usize {
-        self.map.lock().unwrap_or_else(|e| e.into_inner()).len()
-    }
-
-    /// True when no certificate is resident.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 /// Certificate key for one function: derived from (not equal to) the
@@ -134,7 +94,7 @@ pub(crate) fn run_validation(
     options: &SplendidOptions,
     cache: &FunctionCache,
     tiers: &BlobTiers,
-    certs: &CertCache,
+    certs: &LruCache<Certificate>,
     stats: &StatsSink,
     expired: &dyn Fn() -> bool,
 ) -> ValidateOutcome {
@@ -175,13 +135,8 @@ pub(crate) fn run_validation(
 
         // Certificate fast path: memory, then tiers.
         if let Some(ckey) = ckey {
-            let hit = certs.get(ckey).or_else(|| {
-                let cert = tiers
-                    .get(ckey)
-                    .and_then(|blob| codec::decode_cert_record(&blob).ok())?;
-                certs.insert(ckey, cert.clone());
-                Some(cert)
-            });
+            let hit =
+                certs.read_through(ckey, || codec::decode_cert_record(&tiers.get(ckey)?).ok());
             if let Some(cert) = hit {
                 if let Some(out) = replay_certificate(
                     &cert, prepared, fid, i, functions, options, cache, tiers, stats,
@@ -378,14 +333,9 @@ fn derive_at(
         None
     };
     if let Some(k) = key {
-        if let Some(hit) = cache.get(k) {
+        if let Some(hit) = cache.read_through(k, || tiers.get_function(k).map(Arc::new)) {
             stats.add(|s| &s.functions_from_cache, 1);
             return Some((*hit).clone());
-        }
-        if let Some(out) = tiers.get_function(k) {
-            stats.add(|s| &s.functions_from_cache, 1);
-            cache.insert(k, std::sync::Arc::new(out.clone()));
-            return Some(out);
         }
     }
     let out = catch_unwind(AssertUnwindSafe(|| {
@@ -398,7 +348,7 @@ fn derive_at(
     .ok()?;
     stats.add(|s| &s.functions_decompiled, 1);
     if let Some(k) = key {
-        cache.insert(k, std::sync::Arc::new(out.clone()));
+        cache.insert(k, Arc::new(out.clone()));
         tiers.put_function(k, &out);
     }
     Some(out)
@@ -432,22 +382,6 @@ mod tests {
         for k in [0u64, 1, 0xDEAD_BEEF, u64::MAX] {
             assert_ne!(cert_cache_key(k), k);
         }
-    }
-
-    #[test]
-    fn cert_cache_bounds_itself() {
-        let c = CertCache::default();
-        let cert = Certificate {
-            verified: true,
-            tier: FidelityTier::Natural,
-            mismatch: false,
-            reason: String::new(),
-        };
-        for k in 0..(CERT_CACHE_CAP as u64 + 10) {
-            c.insert(k, cert.clone());
-        }
-        assert!(c.len() <= CERT_CACHE_CAP);
-        assert!(!c.is_empty());
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub mod mutate;
 
 use splendid_cfront::{lower_program, parse_program, LowerOptions};
 use splendid_interp::{CompilerProfile, MachineConfig, RtVal, Vm};
-use splendid_ir::{Function, InstKind, Module, Type};
+use splendid_ir::{hash::Fnv64, rng::Rng, Function, InstKind, Module, Type};
 
 /// Checker bounds and seeding.
 #[derive(Debug, Clone)]
@@ -523,46 +523,30 @@ fn compare_returns(s: Option<RtVal>, r: Option<RtVal>) -> Option<String> {
     }
 }
 
-/// Deterministic per-(seed, function, probe) value stream: xorshift64*
-/// over an FNV-mixed state, mapped into small finite ranges.
-struct ProbeRng {
-    state: u64,
-}
+/// Deterministic per-(seed, function, probe) value stream: the shared
+/// xorshift64* generator over an FNV-keyed state, mapped into small
+/// finite ranges.
+struct ProbeRng(Rng);
 
 impl ProbeRng {
     fn new(seed: u64, fname: &str, probe: u32) -> ProbeRng {
-        let mut h = 0xCBF2_9CE4_8422_2325u64 ^ seed;
-        for b in fname.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h ^= (probe as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        ProbeRng {
-            state: h | 1, // xorshift state must be non-zero
-        }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        let mut x = self.state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.state = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        let h = Fnv64::seeded(seed).write(fname.as_bytes()).finish()
+            ^ u64::from(probe).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        ProbeRng(Rng::from_state(h | 1)) // xorshift state must be non-zero
     }
 
     /// Finite f64 in [-2.0, 2.0) with a coarse grid (multiples of
     /// 1/128), so float arithmetic on both sides hits identical bit
     /// patterns without accumulating representation noise.
     fn next_f64(&mut self) -> f64 {
-        let raw = (self.next_u64() % 512) as i64 - 256;
+        let raw = (self.0.next_u64() % 512) as i64 - 256;
         raw as f64 / 128.0
     }
 
     /// Small signed integer in [-4, 8): plausible loop trip counts and
     /// branch selectors.
     fn next_small_int(&mut self) -> i64 {
-        (self.next_u64() % 12) as i64 - 4
+        (self.0.next_u64() % 12) as i64 - 4
     }
 }
 
@@ -613,6 +597,17 @@ void kernel() {
             .collect();
         let out = splendid_core::assemble_output(&prepared, functions, &mut timings);
         (prepared.module, out.source)
+    }
+
+    /// Probe values are part of every cached certificate's meaning: pin
+    /// one probe's stream so the generator cannot drift silently.
+    #[test]
+    fn probe_value_stream_is_pinned() {
+        let mut rng = ProbeRng::new(ValidateConfig::default().seed, "kernel_gemm", 1);
+        let floats: Vec<f64> = (0..4).map(|_| rng.next_f64()).collect();
+        let ints: Vec<i64> = (0..4).map(|_| rng.next_small_int()).collect();
+        assert_eq!(floats, [1.03125, -0.96875, -1.1015625, 0.9921875]);
+        assert_eq!(ints, [-2, 3, -3, 7]);
     }
 
     #[test]

@@ -1,25 +1,8 @@
 //! `splendid` — the decompilation-service CLI.
 //!
-//! ```text
-//! splendid decompile <file.{ir,c}> [--variant v1|portable|full] [--stats]
-//! splendid batch <dir> [--jobs N] [--rounds K] [--variant V] [--stats]
-//! splendid bench-serve [--jobs N] [--rounds R] [--json]
-//! splendid daemon [--addr A] [--unix PATH] [--jobs N] [--max-connections N]
-//!                 [--idle-timeout SECS] [--deadline SECS] [--peer-timeout-ms MS]
-//!                 [--max-pending N] [--degrade-pending N] [--quota-burst N] [--quota-rps N]
-//! splendid connect [--addr A] [--unix PATH] [file.{ir,c}] [--variant V]
-//!                  [--stats] [--malformed <dir>]
-//! splendid bench-daemon [--connections N] [--rounds M] [--functions F]
-//!                       [--addr A] [--json] [--min-speedup X] [--max-update-p50-ms MS]
-//! splendid bench-overload [--jobs N] [--rounds R] [--functions F]
-//!                         [--addr A] [--json]
-//! splendid difftest [--seed S] [--cases N] [--case I] [--shrink] [--corpus <dir>]
-//!                   [--validate] [--stats]
-//! splendid difftest --faults N [--fault-cases M] [--seed S]
-//! splendid validate <file.{ir,c}> [--variant V] [--stats] [--addr A] [--unix PATH]
-//! splendid bench-validate [--jobs N] [--rounds R] [--json] [--min-verified X]
-//! splendid dump-polybench <dir>
-//! ```
+//! Run it with no arguments for the usage text. That text is generated
+//! from the [`COMMANDS`] and [`FLAGS`] tables below, which are also what
+//! dispatches commands and parses flags, so it cannot fall behind.
 //!
 //! `.ir` inputs are parsed as textual SPLENDID IR; `.c` inputs run the
 //! full substrate (cfront → -O2 → Polly-sim) first, so the service sees
@@ -29,37 +12,208 @@
 
 use splendid_cachestore::{CacheStore, StoreConfig};
 use splendid_cfront::{lower_program, parse_program, LowerOptions};
-use splendid_core::{SplendidOptions, Variant};
-use splendid_daemon::{percentiles, BenchConfig, Daemon, DaemonClient, DaemonConfig, PeerTier};
+use splendid_core::{FidelityTier, SplendidOptions, Variant};
+use splendid_daemon::{
+    cache_tiers, percentiles, BenchConfig, Daemon, DaemonClient, DaemonConfig, DEFAULT_PEER_TIMEOUT,
+};
 use splendid_ir::{printer::module_str, Module};
 use splendid_parallel::{parallelize_module, ParallelizeOptions};
 use splendid_polybench::Harness;
-use splendid_serve::{
-    BlobTiers, CacheTier, DiskTier, JobInput, JobRequest, Scheduler, ServeConfig,
-};
+use splendid_serve::{cache, JobInput, JobRequest, JobResult, Scheduler, ServeConfig};
 use splendid_transforms::{optimize_module, O2Options};
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::str::FromStr;
 use std::time::{Duration, Instant};
 
+/// One command: its name, its handler, and its synopsis. In a synopsis a
+/// `--flag` token renders as `[--flag META]` (META from [`FLAGS`]), a
+/// `!--flag` token as a required `--flag META`, and any other token
+/// verbatim.
+struct Command(&'static str, fn(Cli), &'static str);
+
+/// Every command, in usage order.
+const COMMANDS: &[Command] = &[
+    Command(
+        "decompile",
+        cmd_decompile,
+        "<file.{ir,c}> --variant --quick --stats",
+    ),
+    Command(
+        "batch",
+        cmd_batch,
+        "<dir> --jobs --rounds --variant --quick --stats",
+    ),
+    Command("bench-serve", cmd_bench_serve, "--jobs --rounds --json"),
+    Command(
+        "daemon",
+        cmd_daemon,
+        "--addr --unix --jobs --max-connections --idle-timeout --deadline --cache-dir \
+         --cache-budget-mb --peer --peer-timeout-ms --max-pending --degrade-pending \
+         --quota-burst --quota-rps",
+    ),
+    Command(
+        "connect",
+        cmd_connect,
+        "--addr --unix [file.{ir,c}] --variant --stats --malformed",
+    ),
+    Command(
+        "bench-daemon",
+        cmd_bench_daemon,
+        "--connections --rounds --functions --addr --json --min-speedup --max-update-p50-ms",
+    ),
+    Command(
+        "bench-overload",
+        cmd_bench_overload,
+        "--jobs --rounds --functions --addr --json",
+    ),
+    Command(
+        "difftest",
+        cmd_difftest,
+        "--seed --cases --case --shrink --corpus --validate --vectorize --jobs --stats",
+    ),
+    Command(
+        "difftest",
+        cmd_difftest,
+        "!--faults --fault-cases --seed --stats",
+    ),
+    Command(
+        "validate",
+        cmd_validate,
+        "<file.{ir,c}> --variant --quick --stats --addr --unix",
+    ),
+    Command(
+        "bench-validate",
+        cmd_bench_validate,
+        "--jobs --rounds --json --min-verified",
+    ),
+    Command(
+        "cache",
+        cmd_cache,
+        "<stat|verify|compact> !--cache-dir --cache-budget-mb",
+    ),
+    Command(
+        "bench-cache",
+        cmd_bench_cache,
+        "--jobs --rounds --json --min-speedup",
+    ),
+    Command("dump-polybench", cmd_dump_polybench, "<dir>"),
+];
+
+/// What a flag's value must parse as; checked when the command line is
+/// read, so a malformed value fails every command alike.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    /// No value: the flag is a switch.
+    Switch,
+    Text,
+    Variant,
+    Uint,
+    U32,
+    Float,
+}
+
+/// One flag: its spelling, its value's kind, its placeholder in the usage
+/// text, and the hint appended to its "not a number" error.
+struct Flag(&'static str, Kind, &'static str, &'static str);
+
+/// Every flag any command reads (`-j` is accepted for `--jobs`).
+const FLAGS: &[Flag] = &[
+    Flag("--jobs", Kind::Uint, "N", ""),
+    Flag("--rounds", Kind::Uint, "N", ""),
+    Flag("--variant", Kind::Variant, "v1|portable|full", ""),
+    Flag("--quick", Kind::Switch, "", ""),
+    Flag("--stats", Kind::Switch, "", ""),
+    Flag("--json", Kind::Switch, "", ""),
+    Flag("--seed", Kind::Text, "S", ""),
+    Flag("--cases", Kind::Uint, "N", ""),
+    Flag("--case", Kind::Uint, "I", ""),
+    Flag("--shrink", Kind::Switch, "", ""),
+    Flag("--corpus", Kind::Text, "<dir>", ""),
+    Flag("--validate", Kind::Switch, "", ""),
+    Flag("--vectorize", Kind::Switch, "", ""),
+    Flag("--faults", Kind::Uint, "N", ""),
+    Flag("--fault-cases", Kind::Uint, "M", ""),
+    Flag("--addr", Kind::Text, "A", ""),
+    Flag("--unix", Kind::Text, "PATH", ""),
+    Flag("--max-connections", Kind::Uint, "N", ""),
+    Flag(
+        "--idle-timeout",
+        Kind::Uint,
+        "SECS",
+        " (seconds, 0 = never)",
+    ),
+    Flag("--deadline", Kind::Uint, "SECS", " (seconds, 0 = none)"),
+    Flag("--connections", Kind::Uint, "N", ""),
+    Flag("--functions", Kind::Uint, "F", ""),
+    Flag("--malformed", Kind::Text, "<dir>", ""),
+    Flag("--min-speedup", Kind::Float, "X", ""),
+    Flag("--max-update-p50-ms", Kind::Float, "MS", ""),
+    Flag("--min-verified", Kind::Float, "X", " in [0, 1]"),
+    Flag("--cache-dir", Kind::Text, "DIR", ""),
+    Flag("--cache-budget-mb", Kind::Uint, "N", ""),
+    Flag("--peer", Kind::Text, "ADDR", ""),
+    Flag("--peer-timeout-ms", Kind::Uint, "MS", " (0 = default 2000)"),
+    Flag("--max-pending", Kind::Uint, "N", " (0 = unbounded)"),
+    Flag("--degrade-pending", Kind::Uint, "N", " (0 = off)"),
+    Flag("--quota-burst", Kind::U32, "N", " (0 = no quotas)"),
+    Flag("--quota-rps", Kind::U32, "N", " (0 = no quotas)"),
+];
+
+fn find_flag(name: &str) -> Option<&'static Flag> {
+    FLAGS.iter().find(|f| f.0 == name)
+}
+
+impl Flag {
+    fn not_a_number(&self) -> ! {
+        fail(&format!("{}: not a number{}", self.0, self.3))
+    }
+
+    fn check(&self, value: &str) {
+        let ok = match self.1 {
+            Kind::Switch | Kind::Text => true,
+            Kind::Variant => {
+                parse_variant(value);
+                true
+            }
+            Kind::Uint => value.parse::<u64>().is_ok(),
+            Kind::U32 => value.parse::<u32>().is_ok(),
+            Kind::Float => value.parse::<f64>().is_ok(),
+        };
+        if !ok {
+            self.not_a_number();
+        }
+    }
+}
+
+fn parse_variant(v: &str) -> Variant {
+    match v {
+        "v1" => Variant::V1,
+        "portable" => Variant::Portable,
+        "full" => Variant::Full,
+        v => fail(&format!("unknown variant {v:?} (v1|portable|full)")),
+    }
+}
+
 fn usage() -> ! {
-    eprintln!(
-        "usage:\n  \
-         splendid decompile <file.{{ir,c}}> [--variant v1|portable|full] [--quick] [--stats]\n  \
-         splendid batch <dir> [--jobs N] [--rounds K] [--variant V] [--stats]\n  \
-         splendid bench-serve [--jobs N] [--rounds R] [--json]\n  \
-         splendid daemon [--addr A] [--unix PATH] [--jobs N] [--max-connections N] [--idle-timeout SECS] [--deadline SECS] [--cache-dir DIR] [--cache-budget-mb N] [--peer ADDR] [--peer-timeout-ms MS] [--max-pending N] [--degrade-pending N] [--quota-burst N] [--quota-rps N]\n  \
-         splendid connect [--addr A] [--unix PATH] [file.{{ir,c}}] [--variant V] [--stats] [--malformed <dir>]\n  \
-         splendid bench-daemon [--connections N] [--rounds M] [--functions F] [--addr A] [--json] [--min-speedup X] [--max-update-p50-ms MS]\n  \
-         splendid bench-overload [--jobs N] [--rounds R] [--functions F] [--addr A] [--json]\n  \
-         splendid difftest [--seed S] [--cases N] [--case I] [--shrink] [--corpus <dir>] [--validate] [--vectorize] [--stats]\n  \
-         splendid difftest --faults N [--fault-cases M] [--seed S]\n  \
-         splendid validate <file.{{ir,c}}> [--variant V] [--stats] [--addr A] [--unix PATH]\n  \
-         splendid bench-validate [--jobs N] [--rounds R] [--json] [--min-verified X]\n  \
-         splendid cache <stat|verify|compact> --cache-dir DIR [--cache-budget-mb N]\n  \
-         splendid bench-cache [--jobs N] [--rounds R] [--json] [--min-speedup X]\n  \
-         splendid dump-polybench <dir>"
-    );
+    let mut text = String::from("usage:");
+    for Command(name, _, synopsis) in COMMANDS {
+        text.push_str(&format!("\n  splendid {name}"));
+        for token in synopsis.split_whitespace() {
+            let required = token.strip_prefix('!');
+            let rendered = match find_flag(required.unwrap_or(token)) {
+                Some(Flag(flag, Kind::Switch, ..)) => flag.to_string(),
+                Some(Flag(flag, _, meta, _)) => format!("{flag} {meta}"),
+                None => token.to_string(),
+            };
+            if required.is_some() || !token.starts_with("--") {
+                text.push_str(&format!(" {rendered}"));
+            } else {
+                text.push_str(&format!(" [{rendered}]"));
+            }
+        }
+    }
+    eprintln!("{text}");
     std::process::exit(2);
 }
 
@@ -68,253 +222,167 @@ fn fail(msg: &str) -> ! {
     std::process::exit(1);
 }
 
-/// Minimal flag parser: positionals plus `--flag [value]`.
-struct Args {
+/// A parsed command line: the command's name, its positionals, and the
+/// last value given for each flag (switches map to an empty string).
+struct Cli {
+    cmd: &'static str,
     positional: Vec<String>,
-    jobs: usize,
-    rounds: usize,
-    variant: Variant,
-    stats: bool,
-    json: bool,
-    seed: String,
-    cases: u64,
-    only_case: Option<u64>,
-    shrink: bool,
-    corpus: Option<String>,
-    faults: u64,
-    fault_cases: u64,
-    addr: Option<String>,
-    unix: Option<String>,
-    max_connections: usize,
-    idle_timeout: u64,
-    deadline: u64,
-    connections: usize,
-    functions: usize,
-    malformed: Option<String>,
-    min_speedup: f64,
-    cache_dir: Option<String>,
-    cache_budget_mb: u64,
-    peer: Option<String>,
-    validate: bool,
-    vectorize: bool,
-    min_verified: f64,
-    quick: bool,
-    max_update_p50_ms: f64,
-    peer_timeout_ms: u64,
-    max_pending: usize,
-    degrade_pending: usize,
-    quota_burst: u32,
-    quota_rps: u32,
+    values: HashMap<&'static str, String>,
 }
 
-fn parse_args(args: &[String]) -> Args {
-    let mut out = Args {
-        positional: Vec::new(),
-        jobs: 0,
-        // 0 = unset; each command applies its own default (batch and
-        // bench-serve run 1 round, bench-daemon runs 8).
-        rounds: 0,
-        variant: Variant::Full,
-        stats: false,
-        json: false,
-        seed: "0xSPLENDID".into(),
-        cases: 100,
-        only_case: None,
-        shrink: false,
-        corpus: None,
-        faults: 0,
-        fault_cases: 8,
-        addr: None,
-        unix: None,
-        max_connections: 32,
-        idle_timeout: 300,
-        deadline: 30,
-        connections: 4,
-        functions: 16,
-        malformed: None,
-        min_speedup: 0.0,
-        cache_dir: None,
-        cache_budget_mb: 0,
-        peer: None,
-        validate: false,
-        vectorize: false,
-        min_verified: 0.9,
-        quick: false,
-        max_update_p50_ms: 0.0,
-        // 0 = keep the peer tier's built-in default (2 s).
-        peer_timeout_ms: 0,
-        max_pending: 0,
-        degrade_pending: 0,
-        quota_burst: 0,
-        quota_rps: 0,
-    };
-    let mut it = args.iter().peekable();
-    while let Some(a) = it.next() {
-        let mut value = |name: &str| -> String {
-            it.next()
-                .unwrap_or_else(|| fail(&format!("{name} needs a value")))
-                .clone()
+impl Cli {
+    fn parse(cmd: &'static str, argv: &[String]) -> Cli {
+        let mut cli = Cli {
+            cmd,
+            positional: Vec::new(),
+            values: HashMap::new(),
         };
-        match a.as_str() {
-            "--jobs" | "-j" => {
-                out.jobs = value("--jobs")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--jobs: not a number"))
-            }
-            "--rounds" => {
-                out.rounds = value("--rounds")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--rounds: not a number"))
-            }
-            "--variant" => {
-                out.variant = match value("--variant").as_str() {
-                    "v1" => Variant::V1,
-                    "portable" => Variant::Portable,
-                    "full" => Variant::Full,
-                    v => fail(&format!("unknown variant {v:?} (v1|portable|full)")),
+        let mut it = argv.iter();
+        while let Some(arg) = it.next() {
+            let spelled = if arg == "-j" { "--jobs" } else { arg.as_str() };
+            let Some(flag) = find_flag(spelled) else {
+                if arg.starts_with('-') {
+                    fail(&format!("unknown flag {arg}"));
                 }
-            }
-            "--stats" => out.stats = true,
-            "--json" => out.json = true,
-            "--seed" => out.seed = value("--seed"),
-            "--cases" => {
-                out.cases = value("--cases")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--cases: not a number"))
-            }
-            "--case" => {
-                out.only_case = Some(
-                    value("--case")
-                        .parse()
-                        .unwrap_or_else(|_| fail("--case: not a number")),
-                )
-            }
-            "--shrink" => out.shrink = true,
-            "--corpus" => out.corpus = Some(value("--corpus")),
-            "--faults" => {
-                out.faults = value("--faults")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--faults: not a number"))
-            }
-            "--fault-cases" => {
-                out.fault_cases = value("--fault-cases")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--fault-cases: not a number"))
-            }
-            "--addr" => out.addr = Some(value("--addr")),
-            "--unix" => out.unix = Some(value("--unix")),
-            "--max-connections" => {
-                out.max_connections = value("--max-connections")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--max-connections: not a number"))
-            }
-            "--idle-timeout" => {
-                out.idle_timeout = value("--idle-timeout")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--idle-timeout: not a number (seconds, 0 = never)"))
-            }
-            "--deadline" => {
-                out.deadline = value("--deadline")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--deadline: not a number (seconds, 0 = none)"))
-            }
-            "--connections" => {
-                out.connections = value("--connections")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--connections: not a number"))
-            }
-            "--functions" => {
-                out.functions = value("--functions")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--functions: not a number"))
-            }
-            "--malformed" => out.malformed = Some(value("--malformed")),
-            "--cache-dir" => out.cache_dir = Some(value("--cache-dir")),
-            "--cache-budget-mb" => {
-                out.cache_budget_mb = value("--cache-budget-mb")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--cache-budget-mb: not a number"))
-            }
-            "--peer" => out.peer = Some(value("--peer")),
-            "--min-speedup" => {
-                out.min_speedup = value("--min-speedup")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--min-speedup: not a number"))
-            }
-            "--validate" => out.validate = true,
-            "--vectorize" => out.vectorize = true,
-            "--quick" => out.quick = true,
-            "--max-update-p50-ms" => {
-                out.max_update_p50_ms = value("--max-update-p50-ms")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--max-update-p50-ms: not a number"))
-            }
-            "--min-verified" => {
-                out.min_verified = value("--min-verified")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--min-verified: not a number in [0, 1]"))
-            }
-            "--peer-timeout-ms" => {
-                out.peer_timeout_ms = value("--peer-timeout-ms")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--peer-timeout-ms: not a number (0 = default 2000)"))
-            }
-            "--max-pending" => {
-                out.max_pending = value("--max-pending")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--max-pending: not a number (0 = unbounded)"))
-            }
-            "--degrade-pending" => {
-                out.degrade_pending = value("--degrade-pending")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--degrade-pending: not a number (0 = off)"))
-            }
-            "--quota-burst" => {
-                out.quota_burst = value("--quota-burst")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--quota-burst: not a number (0 = no quotas)"))
-            }
-            "--quota-rps" => {
-                out.quota_rps = value("--quota-rps")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--quota-rps: not a number (0 = no quotas)"))
-            }
-            flag if flag.starts_with('-') => fail(&format!("unknown flag {flag}")),
-            _ => out.positional.push(a.clone()),
+                cli.positional.push(arg.clone());
+                continue;
+            };
+            let value = if flag.1 == Kind::Switch {
+                String::new()
+            } else {
+                let v = it
+                    .next()
+                    .unwrap_or_else(|| fail(&format!("{} needs a value", flag.0)));
+                flag.check(v);
+                v.clone()
+            };
+            cli.values.insert(flag.0, value);
+        }
+        cli
+    }
+
+    fn on(&self, name: &str) -> bool {
+        self.values.contains_key(name)
+    }
+
+    fn text(&self, name: &str) -> Option<String> {
+        self.values.get(name).cloned()
+    }
+
+    /// The flag's value as a `T`, or `default` when it was not given.
+    fn num<T: FromStr>(&self, name: &str, default: T) -> T {
+        match self.values.get(name) {
+            None => default,
+            Some(v) => v.parse().unwrap_or_else(|_| match find_flag(name) {
+                Some(f) => f.not_a_number(),
+                None => fail(&format!("unknown flag {name}")),
+            }),
         }
     }
-    out
-}
 
-fn options_for(variant: Variant, quick: bool) -> SplendidOptions {
-    SplendidOptions {
-        variant,
-        start_tier: if quick {
-            splendid_core::FidelityTier::Quick
-        } else {
-            splendid_core::FidelityTier::Natural
-        },
-        ..SplendidOptions::default()
+    /// `--jobs`: worker threads, 0 (the default) for one per core.
+    fn jobs(&self) -> usize {
+        self.num("--jobs", 0)
+    }
+
+    /// `--rounds`, where an absent or zero count means one round.
+    fn rounds(&self) -> usize {
+        self.num("--rounds", 0usize).max(1)
+    }
+
+    fn variant(&self) -> Variant {
+        self.values
+            .get("--variant")
+            .map_or(Variant::Full, |v| parse_variant(v))
+    }
+
+    /// A scheduler with `workers` threads (0 = one per core), reading
+    /// through the disk store at `store` and then the peer at `peer`,
+    /// each when given. A store that will not open fails this command.
+    fn scheduler(&self, workers: usize, store: Option<&Path>, peer: Option<&str>) -> Scheduler {
+        let tiers = cache_tiers(store, None, peer, DEFAULT_PEER_TIMEOUT).unwrap_or_else(|e| {
+            let dir = store.unwrap_or(Path::new("")).display();
+            fail(&format!("{}: open {dir}: {e}", self.cmd))
+        });
+        Scheduler::new_with_tiers(
+            ServeConfig {
+                workers,
+                ..Default::default()
+            },
+            tiers,
+        )
+    }
+
+    /// Pipeline options from `--variant` and `--quick`.
+    fn options(&self) -> SplendidOptions {
+        SplendidOptions {
+            variant: self.variant(),
+            start_tier: if self.on("--quick") {
+                FidelityTier::Quick
+            } else {
+                FidelityTier::Natural
+            },
+            ..SplendidOptions::default()
+        }
     }
 }
 
-/// Load one input file as a decompilation request.
-fn load_request(path: &Path, variant: Variant, quick: bool) -> JobRequest {
+/// Stem name and text of one input file.
+fn read_input(path: &Path) -> (String, String) {
     let name = path
         .file_stem()
         .map(|s| s.to_string_lossy().into_owned())
         .unwrap_or_else(|| path.display().to_string());
     let text =
         std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("{}: {e}", path.display())));
-    let input = match path.extension().and_then(|e| e.to_str()) {
-        Some("c") => JobInput::Module(compile_c(&text, &name)),
-        _ => JobInput::Text(text),
+    (name, text)
+}
+
+fn is_c(path: &Path) -> bool {
+    path.extension().and_then(|e| e.to_str()) == Some("c")
+}
+
+/// Load one input file as a decompilation request.
+fn load_request(path: &Path, cli: &Cli) -> JobRequest {
+    let (name, text) = read_input(path);
+    let input = if is_c(path) {
+        JobInput::Module(compile_c(&text, &name))
+    } else {
+        JobInput::Text(text)
     };
     JobRequest {
         name,
         input,
-        options: options_for(variant, quick),
+        options: cli.options(),
     }
+}
+
+/// Stem name and textual IR of one input file, for the wire.
+fn load_ir_text(path: &Path) -> (String, String) {
+    let (name, text) = read_input(path);
+    if is_c(path) {
+        let ir = module_str(&compile_c(&text, &name));
+        (name, ir)
+    } else {
+        (name, text)
+    }
+}
+
+/// Files directly under `dir` with one of the given extensions, sorted
+/// for determinism.
+fn files_in(dir: &Path, extensions: &[&str]) -> Vec<PathBuf> {
+    let entries =
+        std::fs::read_dir(dir).unwrap_or_else(|e| fail(&format!("{}: {e}", dir.display())));
+    let mut files: Vec<PathBuf> = entries
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| {
+            p.extension()
+                .and_then(|e| e.to_str())
+                .is_some_and(|e| extensions.contains(&e))
+        })
+        .collect();
+    files.sort();
+    files
 }
 
 /// C source → optimized, auto-parallelized IR (the paper's pipeline input).
@@ -327,67 +395,58 @@ fn compile_c(src: &str, name: &str) -> Module {
     m
 }
 
-fn cmd_decompile(args: Args) {
-    let [path] = args.positional.as_slice() else {
+fn cmd_decompile(cli: Cli) {
+    decompile_one(&cli, false);
+}
+
+/// One local decompilation of the command's input file, printed to
+/// stdout; with `validate` the equivalence checker runs too, and any
+/// unverified function fails the command.
+fn decompile_one(cli: &Cli, validate: bool) {
+    let [path] = cli.positional.as_slice() else {
         usage()
     };
-    let request = load_request(Path::new(path), args.variant, args.quick);
-    let scheduler = Scheduler::new(ServeConfig {
-        workers: args.jobs,
-        ..Default::default()
-    });
-    match scheduler.submit(request).wait() {
-        Ok(result) => {
-            print!("{}", result.output.source);
-            if args.stats {
-                eprintln!(
-                    "# {} function(s) in {:?}, {} restored vars of {}",
-                    result.functions,
-                    result.wall,
-                    result.output.naming.restored_vars,
-                    result.output.naming.total_vars
-                );
-                eprint!("{}", scheduler.stats());
-            }
-        }
-        Err(e) => fail(&e.to_string()),
+    let mut request = load_request(Path::new(path), cli);
+    request.options.validate = validate;
+    let scheduler = cli.scheduler(cli.jobs(), None, None);
+    let result = scheduler
+        .submit(request)
+        .wait()
+        .unwrap_or_else(|e| fail(&e.to_string()));
+    print!("{}", result.output.source);
+    if validate {
+        eprintln!(
+            "# validate: {} function(s), {} verified, {} unverified in {:?}",
+            result.functions, result.verified_functions, result.unverified_functions, result.wall
+        );
+    } else if cli.on("--stats") {
+        eprintln!(
+            "# {} function(s) in {:?}, {} restored vars of {}",
+            result.functions,
+            result.wall,
+            result.output.naming.restored_vars,
+            result.output.naming.total_vars
+        );
+    }
+    if cli.on("--stats") {
+        eprint!("{}", scheduler.stats());
+    }
+    if result.unverified_functions > 0 {
+        std::process::exit(1);
     }
 }
 
-/// All `.ir` / `.c` files under a directory, sorted for determinism.
-fn batch_inputs(dir: &Path) -> Vec<PathBuf> {
-    let entries =
-        std::fs::read_dir(dir).unwrap_or_else(|e| fail(&format!("{}: {e}", dir.display())));
-    let mut files: Vec<PathBuf> = entries
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| {
-            matches!(
-                p.extension().and_then(|e| e.to_str()),
-                Some("ir") | Some("c")
-            )
-        })
-        .collect();
-    files.sort();
-    files
-}
-
-fn cmd_batch(args: Args) {
-    let [dir] = args.positional.as_slice() else {
+fn cmd_batch(cli: Cli) {
+    let [dir] = cli.positional.as_slice() else {
         usage()
     };
-    let files = batch_inputs(Path::new(dir));
+    let files = files_in(Path::new(dir), &["ir", "c"]);
     if files.is_empty() {
         fail(&format!("no .ir or .c files in {dir}"));
     }
-    let requests: Vec<JobRequest> = files
-        .iter()
-        .map(|p| load_request(p, args.variant, args.quick))
-        .collect();
-    let scheduler = Scheduler::new(ServeConfig {
-        workers: args.jobs,
-        ..Default::default()
-    });
-    let rounds = args.rounds.max(1);
+    let requests: Vec<JobRequest> = files.iter().map(|p| load_request(p, &cli)).collect();
+    let scheduler = cli.scheduler(cli.jobs(), None, None);
+    let rounds = cli.rounds();
     println!(
         "batch: {} module(s), {} worker(s), {} round(s)",
         requests.len(),
@@ -421,13 +480,13 @@ fn cmd_batch(args: Args) {
              ({cached} cached) in {wall:.3?} — {throughput:.1} modules/s"
         );
     }
-    if args.stats {
+    if cli.on("--stats") {
         print!("{}", scheduler.stats());
     }
 }
 
-fn cmd_dump_polybench(args: Args) {
-    let [dir] = args.positional.as_slice() else {
+fn cmd_dump_polybench(cli: Cli) {
+    let [dir] = cli.positional.as_slice() else {
         usage()
     };
     let dir = Path::new(dir);
@@ -441,44 +500,43 @@ fn cmd_dump_polybench(args: Args) {
     println!("wrote {} modules to {}", suite.len(), dir.display());
 }
 
-/// One measured batch pass; returns the pass wall seconds plus every
-/// job's submit-to-completion latency (for the percentile report).
-fn run_pass(scheduler: &Scheduler, requests: &[JobRequest]) -> (f64, Vec<Duration>) {
+/// The PolyBench suite as default-option requests, each module handed
+/// over as `input` makes it.
+fn suite_requests(input: fn(Module) -> JobInput) -> Vec<JobRequest> {
+    let suite = Harness::polly_suite().unwrap_or_else(|e| fail(&e.to_string()));
+    suite
+        .into_iter()
+        .map(|(name, m)| JobRequest {
+            name,
+            input: input(m),
+            options: SplendidOptions::default(),
+        })
+        .collect()
+}
+
+/// One measured batch pass of a benchmark command; returns the pass wall
+/// seconds and every job's result. A failed job fails the command.
+fn run_pass(cli: &Cli, scheduler: &Scheduler, requests: &[JobRequest]) -> (f64, Vec<JobResult>) {
     let start = Instant::now();
     let results = scheduler.decompile_batch(requests.to_vec());
     let wall = start.elapsed().as_secs_f64();
-    let mut latencies = Vec::with_capacity(results.len());
-    for r in results {
-        match r {
-            Ok(res) => latencies.push(res.wall),
-            Err(e) => fail(&format!("bench-serve job failed: {e}")),
-        }
-    }
-    (wall, latencies)
+    let results = results
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|e| fail(&format!("{} job failed: {e}", cli.cmd))))
+        .collect();
+    (wall, results)
 }
 
-fn cmd_bench_serve(args: Args) {
-    let parallel_jobs = if args.jobs == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        args.jobs
-    };
-    let rounds = args.rounds.max(1);
-    let suite = Harness::polly_suite().unwrap_or_else(|e| fail(&e.to_string()));
-    let requests: Vec<JobRequest> = suite
-        .into_iter()
-        .map(|(name, m)| JobRequest::from_module(name, m))
-        .collect();
+fn cmd_bench_serve(cli: Cli) {
+    let rounds = cli.rounds();
+    let requests = suite_requests(JobInput::Module);
     let modules = requests.len();
 
     // Serial baseline: one worker, cold cache each round.
     let mut serial = f64::MAX;
     for _ in 0..rounds {
-        let s = Scheduler::new(ServeConfig {
-            workers: 1,
-            ..Default::default()
-        });
-        serial = serial.min(run_pass(&s, &requests).0);
+        let s = cli.scheduler(1, None, None);
+        serial = serial.min(run_pass(&cli, &s, &requests).0);
     }
 
     // Parallel: N workers, cold cache each round; keep the last scheduler
@@ -486,27 +544,21 @@ fn cmd_bench_serve(args: Args) {
     // rounds feed the percentile report (mean-only reporting hides tail
     // latency).
     let mut parallel = f64::MAX;
+    let mut parallel_jobs = 0;
     let mut warm = f64::MAX;
     let mut hit_rate = 0.0;
     let mut job_latencies: Vec<Duration> = Vec::new();
     for _ in 0..rounds {
-        let s = Scheduler::new(ServeConfig {
-            workers: parallel_jobs,
-            ..Default::default()
-        });
-        let (pass_wall, pass_latencies) = run_pass(&s, &requests);
+        let s = cli.scheduler(cli.jobs(), None, None);
+        parallel_jobs = s.workers();
+        let (pass_wall, results) = run_pass(&cli, &s, &requests);
         parallel = parallel.min(pass_wall);
-        job_latencies.extend(pass_latencies);
+        job_latencies.extend(results.iter().map(|r| r.wall));
         let before = s.stats().cache;
-        warm = warm.min(run_pass(&s, &requests).0);
+        warm = warm.min(run_pass(&cli, &s, &requests).0);
         let after = s.stats().cache;
-        let lookups = (after.hits - before.hits) + (after.misses - before.misses);
-        hit_rate = if lookups == 0 {
-            0.0
-        } else {
-            (after.hits - before.hits) as f64 / lookups as f64
-        };
-        if !args.json {
+        hit_rate = cache::hit_rate(after.hits - before.hits, after.misses - before.misses);
+        if !cli.on("--json") {
             print!("{}", s.stats());
         }
     }
@@ -514,7 +566,7 @@ fn cmd_bench_serve(args: Args) {
     let speedup = serial / parallel.max(1e-9);
     let warm_speedup = serial / warm.max(1e-9);
     let p = percentiles(&job_latencies);
-    if args.json {
+    if cli.on("--json") {
         // Hand-rolled JSON: the offline build has no serde.
         println!("{{");
         println!("  \"benchmark\": \"bench-serve\",");
@@ -593,7 +645,7 @@ impl splendid_difftest::Decompiler for SchedulerDecompiler<'_> {
     }
 }
 
-fn cmd_difftest(args: Args) {
+fn cmd_difftest(cli: Cli) {
     use splendid_difftest::{
         parse_seed, replay_corpus_source, run_difftest, run_fault_campaign, DifftestConfig,
         FaultCampaignConfig, Oracle,
@@ -601,16 +653,18 @@ fn cmd_difftest(args: Args) {
 
     // Fault-injection mode: a dedicated seeded campaign proving every
     // injected pipeline fault yields degraded-but-checksum-correct output.
-    if args.faults > 0 {
+    let seed = parse_seed(&cli.text("--seed").unwrap_or_else(|| "0xSPLENDID".into()));
+    let faults = cli.num("--faults", 0);
+    if faults > 0 {
         let cfg = FaultCampaignConfig {
-            seed: parse_seed(&args.seed),
-            faults: args.faults,
-            cases: args.fault_cases,
+            seed,
+            faults,
+            cases: cli.num("--fault-cases", 8),
         };
         let start = Instant::now();
         let report = run_fault_campaign(&cfg);
         print!("{report}");
-        if args.stats {
+        if cli.on("--stats") {
             eprintln!("# wall: {:?}", start.elapsed());
         }
         if !report.all_passed() {
@@ -619,28 +673,17 @@ fn cmd_difftest(args: Args) {
         return;
     }
 
-    let scheduler = Scheduler::new(ServeConfig {
-        workers: args.jobs,
-        ..Default::default()
-    });
+    let scheduler = cli.scheduler(cli.jobs(), None, None);
     let dec = SchedulerDecompiler {
         scheduler: &scheduler,
     };
     let mut oracle = Oracle::new(&dec);
-    oracle.vectorize = args.vectorize;
+    oracle.vectorize = cli.on("--vectorize");
 
     // Corpus replay first, if requested: every checked-in program must
     // keep agreeing on every route.
-    if let Some(dir) = &args.corpus {
-        let files = {
-            let mut f: Vec<PathBuf> = std::fs::read_dir(dir)
-                .unwrap_or_else(|e| fail(&format!("{dir}: {e}")))
-                .filter_map(|e| e.ok().map(|e| e.path()))
-                .filter(|p| p.extension().and_then(|e| e.to_str()) == Some("c"))
-                .collect();
-            f.sort();
-            f
-        };
+    if let Some(dir) = cli.text("--corpus") {
+        let files = files_in(Path::new(&dir), &["c"]);
         if files.is_empty() {
             fail(&format!("no .c files in {dir}"));
         }
@@ -656,19 +699,19 @@ fn cmd_difftest(args: Args) {
     }
 
     let cfg = DifftestConfig {
-        seed: parse_seed(&args.seed),
-        cases: args.cases,
-        shrink: args.shrink,
-        only_case: args.only_case,
+        seed,
+        cases: cli.num("--cases", 100),
+        shrink: cli.on("--shrink"),
+        only_case: cli.on("--case").then(|| cli.num("--case", 0)),
         min_work: 0,
-        validate: args.validate,
+        validate: cli.on("--validate"),
     };
     let start = Instant::now();
     let report = run_difftest(&oracle, &cfg);
     // Report to stdout (byte-deterministic); timing and service stats to
     // stderr so two runs' stdout can be diffed.
     print!("{report}");
-    if args.stats {
+    if cli.on("--stats") {
         eprintln!("# wall: {:?}", start.elapsed());
         eprint!("{}", scheduler.stats());
     }
@@ -686,73 +729,35 @@ fn cmd_difftest(args: Args) {
 /// checker enabled; remote runs use the stateless VALIDATE frame. Either
 /// way the printed source carries the per-function `/* splendid:
 /// verified */` / `/* splendid: UNVERIFIED: ... */` annotations.
-fn cmd_validate(args: Args) {
-    let [path] = args.positional.as_slice() else {
+fn cmd_validate(cli: Cli) {
+    if !cli.on("--addr") && !cli.on("--unix") {
+        return decompile_one(&cli, true);
+    }
+    let [path] = cli.positional.as_slice() else {
         usage()
     };
-    let path = Path::new(path);
-
     // Remote: hand the module to a daemon over the VALIDATE frame.
-    if args.addr.is_some() || args.unix.is_some() {
-        let name = path
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_else(|| path.display().to_string());
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| fail(&format!("{}: {e}", path.display())));
-        let ir_text = match path.extension().and_then(|e| e.to_str()) {
-            Some("c") => module_str(&compile_c(&text, &name)),
-            _ => text,
-        };
-        let mut client = connect_client(&args);
-        match client.validate(&name, variant_wire_byte(args.variant), &ir_text) {
-            Ok(splendid_daemon::Response::Validated {
-                functions,
-                verified,
-                unverified,
-                wall_micros,
-                source,
-            }) => {
-                print!("{source}");
-                eprintln!(
-                    "# validate: {functions} function(s), {verified} verified, \
-                     {unverified} unverified, {wall_micros}us server-side"
-                );
-                if unverified > 0 {
-                    std::process::exit(1);
-                }
-            }
-            Ok(_) => fail("validate: unexpected response kind"),
-            Err(e) => fail(&format!("validate: {e}")),
-        }
-        return;
-    }
-
-    // Local: scheduler with the checker switched on.
-    let mut request = load_request(path, args.variant, args.quick);
-    request.options.validate = true;
-    let scheduler = Scheduler::new(ServeConfig {
-        workers: args.jobs,
-        ..Default::default()
-    });
-    match scheduler.submit(request).wait() {
-        Ok(result) => {
-            print!("{}", result.output.source);
+    let (name, ir_text) = load_ir_text(Path::new(path));
+    let mut client = connect_client(&cli);
+    match client.validate(&name, cli.variant() as u8, &ir_text) {
+        Ok(splendid_daemon::Response::Validated {
+            functions,
+            verified,
+            unverified,
+            wall_micros,
+            source,
+        }) => {
+            print!("{source}");
             eprintln!(
-                "# validate: {} function(s), {} verified, {} unverified in {:?}",
-                result.functions,
-                result.verified_functions,
-                result.unverified_functions,
-                result.wall
+                "# validate: {functions} function(s), {verified} verified, \
+                 {unverified} unverified, {wall_micros}us server-side"
             );
-            if args.stats {
-                eprint!("{}", scheduler.stats());
-            }
-            if result.unverified_functions > 0 {
+            if unverified > 0 {
                 std::process::exit(1);
             }
         }
-        Err(e) => fail(&e.to_string()),
+        Ok(_) => fail("validate: unexpected response kind"),
+        Err(e) => fail(&format!("validate: {e}")),
     }
 }
 
@@ -762,31 +767,15 @@ fn cmd_validate(args: Args) {
 /// warm-restart validated pass (a fresh scheduler over the persisted
 /// store, so verdicts replay from disk certificates instead of probe
 /// runs). Gated on the fraction of functions proven `Verified`.
-fn cmd_bench_validate(args: Args) {
-    let workers = if args.jobs == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        args.jobs
-    };
-    let rounds = args.rounds.max(1);
-    let min_verified = args.min_verified;
+fn cmd_bench_validate(cli: Cli) {
+    let rounds = cli.rounds();
+    let min_verified = cli.num("--min-verified", 0.9);
 
-    let suite = Harness::polly_suite().unwrap_or_else(|e| fail(&e.to_string()));
-    let plain: Vec<JobRequest> = suite
-        .iter()
-        .map(|(name, m)| JobRequest::from_module(name.clone(), m.clone()))
-        .collect();
-    let validated: Vec<JobRequest> = suite
-        .iter()
-        .map(|(name, m)| JobRequest {
-            name: name.clone(),
-            input: JobInput::Module(m.clone()),
-            options: SplendidOptions {
-                validate: true,
-                ..SplendidOptions::default()
-            },
-        })
-        .collect();
+    let plain = suite_requests(JobInput::Module);
+    let mut validated = plain.clone();
+    for r in &mut validated {
+        r.options.validate = true;
+    }
     let modules = plain.len();
 
     let base = std::env::temp_dir().join(format!("splendid-bench-validate-{}", std::process::id()));
@@ -795,12 +784,11 @@ fn cmd_bench_validate(args: Args) {
 
     // Unvalidated baseline: same modules, checker off, no persistence.
     let mut baseline = f64::MAX;
+    let mut workers = 0;
     for _ in 0..rounds {
-        let s = Scheduler::new(ServeConfig {
-            workers,
-            ..Default::default()
-        });
-        baseline = baseline.min(run_pass(&s, &plain).0);
+        let s = cli.scheduler(cli.jobs(), None, None);
+        workers = s.workers();
+        baseline = baseline.min(run_pass(&cli, &s, &plain).0);
     }
 
     // Validated cold and warm-restart passes over a persistent store.
@@ -813,25 +801,16 @@ fn cmd_bench_validate(args: Args) {
     let mut warm_certs = 0u64;
     for _ in 0..rounds {
         let _ = std::fs::remove_dir_all(&store);
-        let s = tiered_scheduler(&store, workers, None);
-        let start = Instant::now();
-        let results = s.decompile_batch(validated.clone());
-        let pass = start.elapsed().as_secs_f64();
+        let s = cli.scheduler(workers, Some(&store), None);
+        let (pass, results) = run_pass(&cli, &s, &validated);
         if pass < cold {
             cold = pass;
-            functions = 0;
-            verified = 0;
-            unverified = 0;
-            for r in &results {
-                match r {
-                    Ok(res) => {
-                        functions += res.functions as u64;
-                        verified += res.verified_functions as u64;
-                        unverified += res.unverified_functions as u64;
-                    }
-                    Err(e) => fail(&format!("bench-validate job failed: {e}")),
-                }
-            }
+            let total = |count: fn(&JobResult) -> usize| -> u64 {
+                results.iter().map(|r| count(r) as u64).sum()
+            };
+            functions = total(|r| r.functions);
+            verified = total(|r| r.verified_functions);
+            unverified = total(|r| r.unverified_functions);
             cold_checks = s.stats().validations_run;
         }
         s.flush_cache();
@@ -839,8 +818,8 @@ fn cmd_bench_validate(args: Args) {
 
         // Warm restart: fresh scheduler, same store — certificates must
         // answer from disk without re-running probes.
-        let s = tiered_scheduler(&store, workers, None);
-        let pass = run_pass(&s, &validated).0;
+        let s = cli.scheduler(workers, Some(&store), None);
+        let pass = run_pass(&cli, &s, &validated).0;
         if pass < warm {
             warm = pass;
             warm_certs = s.stats().certs_from_cache;
@@ -856,7 +835,7 @@ fn cmd_bench_validate(args: Args) {
     };
     let overhead = cold / baseline.max(1e-9);
     let warm_speedup = cold / warm.max(1e-9);
-    if args.json {
+    if cli.on("--json") {
         // Hand-rolled JSON: the offline build has no serde.
         println!("{{");
         println!("  \"benchmark\": \"bench-validate\",");
@@ -942,46 +921,39 @@ mod sig {
     }
 }
 
-fn daemon_config_from(args: &Args) -> DaemonConfig {
-    DaemonConfig {
-        addr: args
-            .addr
-            .clone()
-            .unwrap_or_else(|| "127.0.0.1:7777".to_string()),
-        unix_path: args.unix.clone().map(PathBuf::from),
-        max_connections: args.max_connections.max(1),
-        idle_timeout: match args.idle_timeout {
-            0 => None,
-            s => Some(Duration::from_secs(s)),
-        },
+fn cmd_daemon(cli: Cli) {
+    let secs = |name: &str, default: u64| match cli.num(name, default) {
+        0 => None,
+        s => Some(Duration::from_secs(s)),
+    };
+    let config = DaemonConfig {
+        addr: cli
+            .text("--addr")
+            .unwrap_or_else(|| "127.0.0.1:7777".into()),
+        unix_path: cli.text("--unix").map(PathBuf::from),
+        max_connections: cli.num("--max-connections", 32usize).max(1),
+        idle_timeout: secs("--idle-timeout", 300),
         drain_timeout: Duration::from_secs(30),
         serve: ServeConfig {
-            workers: args.jobs,
-            job_timeout: match args.deadline {
-                0 => None,
-                s => Some(Duration::from_secs(s)),
-            },
-            max_pending_jobs: args.max_pending,
-            degrade_pending_jobs: args.degrade_pending,
-            quota_burst: args.quota_burst,
-            quota_per_sec: args.quota_rps,
+            workers: cli.jobs(),
+            job_timeout: secs("--deadline", 30),
+            max_pending_jobs: cli.num("--max-pending", 0),
+            degrade_pending_jobs: cli.num("--degrade-pending", 0),
+            quota_burst: cli.num("--quota-burst", 0),
+            quota_per_sec: cli.num("--quota-rps", 0),
             ..Default::default()
         },
-        cache_dir: args.cache_dir.clone().map(PathBuf::from),
-        cache_budget_bytes: match args.cache_budget_mb {
+        cache_dir: cli.text("--cache-dir").map(PathBuf::from),
+        cache_budget_bytes: match cli.num("--cache-budget-mb", 0u64) {
             0 => None,
             mb => Some(mb * 1024 * 1024),
         },
-        peer: args.peer.clone(),
-        peer_timeout: match args.peer_timeout_ms {
-            0 => splendid_daemon::DEFAULT_PEER_TIMEOUT,
+        peer: cli.text("--peer"),
+        peer_timeout: match cli.num("--peer-timeout-ms", 0) {
+            0 => DEFAULT_PEER_TIMEOUT,
             ms => Duration::from_millis(ms),
         },
-    }
-}
-
-fn cmd_daemon(args: Args) {
-    let config = daemon_config_from(&args);
+    };
     let daemon = Daemon::start(config.clone()).unwrap_or_else(|e| fail(&format!("daemon: {e}")));
     eprintln!(
         "splendid daemon listening on {}{} ({} worker(s), {} connection cap)",
@@ -991,11 +963,7 @@ fn cmd_daemon(args: Args) {
             .as_ref()
             .map(|p| format!(" and {}", p.display()))
             .unwrap_or_default(),
-        if args.jobs == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            args.jobs
-        },
+        daemon.serve_stats().workers,
         config.max_connections
     );
     #[cfg(unix)]
@@ -1024,22 +992,16 @@ fn cmd_daemon(args: Args) {
     }
 }
 
-fn connect_client(args: &Args) -> DaemonClient {
+fn connect_client(cli: &Cli) -> DaemonClient {
     #[cfg(unix)]
-    if let Some(path) = &args.unix {
-        return DaemonClient::connect_unix(path)
+    if let Some(path) = cli.text("--unix") {
+        return DaemonClient::connect_unix(&path)
             .unwrap_or_else(|e| fail(&format!("connect {path}: {e}")));
     }
-    let addr = args.addr.clone().unwrap_or_else(|| "127.0.0.1:7777".into());
+    let addr = cli
+        .text("--addr")
+        .unwrap_or_else(|| "127.0.0.1:7777".into());
     DaemonClient::connect_tcp(&addr).unwrap_or_else(|e| fail(&format!("connect {addr}: {e}")))
-}
-
-fn variant_wire_byte(v: Variant) -> u8 {
-    match v {
-        Variant::V1 => 1,
-        Variant::Portable => 2,
-        Variant::Full => 3,
-    }
 }
 
 /// Parse a `.hex` corpus file: whitespace-separated hex bytes, `#`
@@ -1058,13 +1020,8 @@ fn parse_hex_corpus(text: &str) -> Result<Vec<u8>, String> {
 /// Replay a directory of `.hex` malformed-frame files against the
 /// daemon: each file gets a fresh connection; after every replay a new
 /// connection must still PING — the daemon never dies to bad input.
-fn cmd_connect_malformed(args: &Args, dir: &str) {
-    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
-        .unwrap_or_else(|e| fail(&format!("{dir}: {e}")))
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().and_then(|e| e.to_str()) == Some("hex"))
-        .collect();
-    files.sort();
+fn cmd_connect_malformed(cli: &Cli, dir: &str) {
+    let files = files_in(Path::new(dir), &["hex"]);
     if files.is_empty() {
         fail(&format!("no .hex files in {dir}"));
     }
@@ -1073,7 +1030,7 @@ fn cmd_connect_malformed(args: &Args, dir: &str) {
             .unwrap_or_else(|e| fail(&format!("{}: {e}", path.display())));
         let bytes =
             parse_hex_corpus(&text).unwrap_or_else(|e| fail(&format!("{}: {e}", path.display())));
-        let mut client = connect_client(args);
+        let mut client = connect_client(cli);
         client
             .set_read_timeout(Some(Duration::from_millis(500)))
             .unwrap_or_else(|e| fail(&e.to_string()));
@@ -1087,7 +1044,7 @@ fn cmd_connect_malformed(args: &Args, dir: &str) {
         }
         drop(client);
         // Liveness proof on a fresh connection.
-        let mut probe = connect_client(args);
+        let mut probe = connect_client(cli);
         probe
             .ping()
             .unwrap_or_else(|e| fail(&format!("{}: daemon died: {e}", path.display())));
@@ -1103,37 +1060,27 @@ fn cmd_connect_malformed(args: &Args, dir: &str) {
     println!("malformed corpus: {} file(s) survived", files.len());
 }
 
-fn cmd_connect(args: Args) {
-    if let Some(dir) = args.malformed.clone() {
-        cmd_connect_malformed(&args, &dir);
+fn cmd_connect(cli: Cli) {
+    if let Some(dir) = cli.text("--malformed") {
+        cmd_connect_malformed(&cli, &dir);
         return;
     }
-    match args.positional.as_slice() {
+    match cli.positional.as_slice() {
         [] => {
-            if !args.stats {
+            if !cli.on("--stats") {
                 fail("connect: give a file to decompile, --stats, or --malformed <dir>");
             }
-            let mut client = connect_client(&args);
+            let mut client = connect_client(&cli);
             let text = client
                 .stats(true)
                 .unwrap_or_else(|e| fail(&format!("stats: {e}")));
             print!("{text}");
         }
         [path] => {
-            let path = Path::new(path);
-            let name = path
-                .file_stem()
-                .map(|s| s.to_string_lossy().into_owned())
-                .unwrap_or_else(|| path.display().to_string());
-            let text = std::fs::read_to_string(path)
-                .unwrap_or_else(|e| fail(&format!("{}: {e}", path.display())));
-            let ir_text = match path.extension().and_then(|e| e.to_str()) {
-                Some("c") => module_str(&compile_c(&text, &name)),
-                _ => text,
-            };
-            let mut client = connect_client(&args);
+            let (name, ir_text) = load_ir_text(Path::new(path));
+            let mut client = connect_client(&cli);
             let (session, functions) = client
-                .open(&name, variant_wire_byte(args.variant), &ir_text)
+                .open(&name, cli.variant() as u8, &ir_text)
                 .unwrap_or_else(|e| fail(&format!("open: {e}")));
             match client.decompile() {
                 Ok(splendid_daemon::Response::Result {
@@ -1143,7 +1090,7 @@ fn cmd_connect(args: Args) {
                     ..
                 }) => {
                     print!("{source}");
-                    if args.stats {
+                    if cli.on("--stats") {
                         eprintln!(
                             "# session {session}: {functions} function(s), {cached} cached, \
                              {wall_micros}us server-side"
@@ -1165,31 +1112,36 @@ fn cmd_connect(args: Args) {
     }
 }
 
-fn cmd_bench_daemon(args: Args) {
+fn cmd_bench_daemon(cli: Cli) {
     let cfg = BenchConfig {
-        connections: args.connections.max(1),
-        rounds: if args.rounds == 0 { 8 } else { args.rounds },
-        functions: args.functions.max(1),
-        addr: args.addr.clone(),
+        connections: cli.num("--connections", 4usize).max(1),
+        rounds: match cli.num("--rounds", 0) {
+            0 => 8,
+            r => r,
+        },
+        functions: cli.num("--functions", 16usize).max(1),
+        addr: cli.text("--addr"),
     };
     let report =
         splendid_daemon::run_bench(&cfg).unwrap_or_else(|e| fail(&format!("bench-daemon: {e}")));
-    if args.json {
+    if cli.on("--json") {
         print!("{}", report.json());
     } else {
         print!("{}", report.text());
     }
-    if args.min_speedup > 0.0 && report.incremental_speedup < args.min_speedup {
+    let min_speedup = cli.num("--min-speedup", 0.0);
+    if min_speedup > 0.0 && report.incremental_speedup < min_speedup {
         eprintln!(
             "bench-daemon: incremental speedup {:.2}x is below the required {:.2}x",
-            report.incremental_speedup, args.min_speedup
+            report.incremental_speedup, min_speedup
         );
         std::process::exit(1);
     }
-    if args.max_update_p50_ms > 0.0 && report.update.p50_ms > args.max_update_p50_ms {
+    let max_update_p50_ms = cli.num("--max-update-p50-ms", 0.0);
+    if max_update_p50_ms > 0.0 && report.update.p50_ms > max_update_p50_ms {
         eprintln!(
             "bench-daemon: UPDATE p50 {:.3}ms exceeds the allowed {:.3}ms",
-            report.update.p50_ms, args.max_update_p50_ms
+            report.update.p50_ms, max_update_p50_ms
         );
         std::process::exit(1);
     }
@@ -1201,17 +1153,23 @@ fn cmd_bench_daemon(args: Args) {
 /// deliberately small admission queue and gates on the report; attach
 /// mode drives an external daemon and only gates the breaker phase (the
 /// smoke script asserts sheds from the daemon's own STATS text).
-fn cmd_bench_overload(args: Args) {
+fn cmd_bench_overload(cli: Cli) {
     let cfg = splendid_daemon::OverloadConfig {
-        workers: if args.jobs == 0 { 2 } else { args.jobs },
-        rounds: if args.rounds == 0 { 8 } else { args.rounds },
-        functions: args.functions.clamp(1, 8),
-        addr: args.addr.clone(),
+        workers: match cli.jobs() {
+            0 => 2,
+            j => j,
+        },
+        rounds: match cli.num("--rounds", 0) {
+            0 => 8,
+            r => r,
+        },
+        functions: cli.num("--functions", 16usize).clamp(1, 8),
+        addr: cli.text("--addr"),
         ..Default::default()
     };
     let report = splendid_daemon::run_overload_bench(&cfg)
         .unwrap_or_else(|e| fail(&format!("bench-overload: {e}")));
-    if args.json {
+    if cli.on("--json") {
         print!("{}", report.json());
     } else {
         print!("{}", report.text());
@@ -1227,17 +1185,17 @@ fn cmd_bench_overload(args: Args) {
 /// recovery (rescanning segments and truncating any torn tail), so
 /// `verify` on a previously crashed store reports what recovery dropped
 /// and then checks the repaired invariants.
-fn cmd_cache(args: Args) {
-    let [action] = args.positional.as_slice() else {
+fn cmd_cache(cli: Cli) {
+    let [action] = cli.positional.as_slice() else {
         usage()
     };
-    let dir = args
-        .cache_dir
-        .clone()
+    let dir = cli
+        .text("--cache-dir")
         .unwrap_or_else(|| fail("cache: --cache-dir <dir> is required"));
     let mut config = StoreConfig::default();
-    if args.cache_budget_mb > 0 {
-        config.budget_bytes = args.cache_budget_mb * 1024 * 1024;
+    let budget_mb: u64 = cli.num("--cache-budget-mb", 0);
+    if budget_mb > 0 {
+        config.budget_bytes = budget_mb * 1024 * 1024;
     }
     let mut store = CacheStore::open(Path::new(&dir), config)
         .unwrap_or_else(|e| fail(&format!("cache: open {dir}: {e}")));
@@ -1307,52 +1265,21 @@ fn cmd_cache(args: Args) {
     }
 }
 
-/// Scheduler with a disk tier (and optionally a peer tier behind it).
-fn tiered_scheduler(dir: &Path, workers: usize, peer: Option<&str>) -> Scheduler {
-    let disk = DiskTier::open(dir, StoreConfig::default())
-        .unwrap_or_else(|e| fail(&format!("bench-cache: open {}: {e}", dir.display())));
-    let mut tiers: Vec<Arc<dyn CacheTier>> = vec![Arc::new(disk)];
-    if let Some(addr) = peer {
-        tiers.push(Arc::new(PeerTier::new(addr)));
-    }
-    Scheduler::new_with_tiers(
-        ServeConfig {
-            workers,
-            ..Default::default()
-        },
-        BlobTiers::new(tiers),
-    )
-}
-
 /// `splendid bench-cache` — cold vs warm-restart vs peer-fed over the
 /// PolyBench suite, gated: a warm restart must be at least `--min-speedup`
 /// (default 5) times faster than cold, the warm disk hit rate must
 /// exceed 90%, and a peer-fed fresh store must beat cold.
-fn cmd_bench_cache(args: Args) {
-    let workers = if args.jobs == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        args.jobs
-    };
-    let rounds = args.rounds.max(1);
-    let min_speedup = if args.min_speedup > 0.0 {
-        args.min_speedup
-    } else {
-        5.0
+fn cmd_bench_cache(cli: Cli) {
+    let rounds = cli.rounds();
+    let min_speedup = match cli.num("--min-speedup", 0.0) {
+        x if x > 0.0 => x,
+        _ => 5.0,
     };
 
     // Text inputs: the persistent tier answers whole modules by content
     // key before parse, which is exactly the warm-restart path a daemon
     // reopening its store takes.
-    let suite = Harness::polly_suite().unwrap_or_else(|e| fail(&e.to_string()));
-    let requests: Vec<JobRequest> = suite
-        .into_iter()
-        .map(|(name, m)| JobRequest {
-            name,
-            input: JobInput::Text(module_str(&m)),
-            options: SplendidOptions::default(),
-        })
-        .collect();
+    let requests = suite_requests(|m| JobInput::Text(module_str(&m)));
     let modules = requests.len();
 
     let base = std::env::temp_dir().join(format!("splendid-bench-cache-{}", std::process::id()));
@@ -1362,23 +1289,22 @@ fn cmd_bench_cache(args: Args) {
     let mut cold = f64::MAX;
     let mut warm = f64::MAX;
     let mut hit_rate = 0.0f64;
+    let mut workers = 0;
     for _ in 0..rounds {
         // Cold: empty store, everything decompiles for real.
         let _ = std::fs::remove_dir_all(&store_a);
-        let s = tiered_scheduler(&store_a, workers, None);
-        cold = cold.min(run_pass(&s, &requests).0);
+        let s = cli.scheduler(cli.jobs(), Some(&store_a), None);
+        workers = s.workers();
+        cold = cold.min(run_pass(&cli, &s, &requests).0);
         s.flush_cache();
         drop(s);
 
         // Warm restart: new process image (fresh scheduler, empty LRU)
         // over the persisted store.
-        let s = tiered_scheduler(&store_a, workers, None);
-        warm = warm.min(run_pass(&s, &requests).0);
+        let s = cli.scheduler(workers, Some(&store_a), None);
+        warm = warm.min(run_pass(&cli, &s, &requests).0);
         if let Some(disk) = s.stats().tiers.iter().find(|t| t.name == "disk") {
-            let lookups = disk.hits + disk.misses;
-            if lookups > 0 {
-                hit_rate = hit_rate.max(disk.hits as f64 / lookups as f64);
-            }
+            hit_rate = hit_rate.max(disk.hit_rate());
         }
         s.flush_cache();
         drop(s);
@@ -1396,8 +1322,8 @@ fn cmd_bench_cache(args: Args) {
     let mut peer_fed = f64::MAX;
     for round in 0..rounds {
         let store_b = base.join(format!("store-b-{round}"));
-        let s = tiered_scheduler(&store_b, workers, Some(&peer_addr));
-        peer_fed = peer_fed.min(run_pass(&s, &requests).0);
+        let s = cli.scheduler(workers, Some(&store_b), Some(&peer_addr));
+        peer_fed = peer_fed.min(run_pass(&cli, &s, &requests).0);
         drop(s);
     }
     daemon.drain();
@@ -1405,7 +1331,7 @@ fn cmd_bench_cache(args: Args) {
 
     let warm_speedup = cold / warm.max(1e-9);
     let peer_speedup = cold / peer_fed.max(1e-9);
-    if args.json {
+    if cli.on("--json") {
         // Hand-rolled JSON: the offline build has no serde.
         println!("{{");
         println!("  \"benchmark\": \"bench-cache\",");
@@ -1460,21 +1386,12 @@ fn main() {
     let Some((cmd, rest)) = argv.split_first() else {
         usage()
     };
-    let args = parse_args(rest);
-    match cmd.as_str() {
-        "decompile" => cmd_decompile(args),
-        "batch" => cmd_batch(args),
-        "bench-serve" => cmd_bench_serve(args),
-        "daemon" => cmd_daemon(args),
-        "connect" => cmd_connect(args),
-        "bench-daemon" => cmd_bench_daemon(args),
-        "bench-overload" => cmd_bench_overload(args),
-        "difftest" => cmd_difftest(args),
-        "validate" => cmd_validate(args),
-        "bench-validate" => cmd_bench_validate(args),
-        "cache" => cmd_cache(args),
-        "bench-cache" => cmd_bench_cache(args),
-        "dump-polybench" => cmd_dump_polybench(args),
-        _ => usage(),
+    let command = COMMANDS.iter().find(|c| c.0 == cmd);
+    // Flags are read (and checked) before an unknown command is reported,
+    // so a malformed value fails every command line alike.
+    let cli = Cli::parse(command.map_or("", |c| c.0), rest);
+    match command {
+        Some(Command(_, run, _)) => run(cli),
+        None => usage(),
     }
 }
