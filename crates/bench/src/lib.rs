@@ -5,7 +5,6 @@
 //! consume the same code path.
 
 pub mod experiments;
-pub mod microbench;
 pub mod tables;
 
 pub use experiments::*;

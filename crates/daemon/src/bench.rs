@@ -1,76 +1,8 @@
-//! `bench-daemon`: measures interactive-session latency against a live
-//! daemon — N concurrent connections, M edit/decompile rounds each —
-//! and reports p50/p95/p99 percentiles plus the headline
-//! incremental-vs-cold speedup (a 1-function edit in a 16-function
-//! module must be ≥5× cheaper than re-decompiling everything).
-//!
-//! Three request series per connection:
-//!
-//! * **cold** — every function's constant edited, so every function is
-//!   dirty and re-runs `decompile_function`;
-//! * **incremental** — exactly one function edited; the rest answer from
-//!   the shared serve cache;
-//! * **fast path** — no edit at all; the session answers from its
-//!   retained result without touching the scheduler.
-//!
-//! A fourth phase replays the real PolyBench suite (open + decompile
-//! per module) so the numbers aren't only about synthetic kernels.
+//! Synthetic inputs shared with perfbench and the daemon's tests: a
+//! module of independent stencil kernels, one per constant, built
+//! through the in-tree pipeline so its IR looks like a real workload's.
 
-use crate::client::DaemonClient;
-use crate::protocol::Response;
-use crate::server::{Daemon, DaemonConfig};
 use splendid_ir::printer::module_str;
-use splendid_polybench::Harness;
-use std::time::{Duration, Instant};
-
-/// Latency percentiles over one request series, in milliseconds.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Percentiles {
-    /// Median.
-    pub p50_ms: f64,
-    /// 95th percentile.
-    pub p95_ms: f64,
-    /// 99th percentile.
-    pub p99_ms: f64,
-    /// Sample count.
-    pub samples: usize,
-}
-
-/// Nearest-rank percentiles (`ceil(p·n)`-th smallest) over a sample set.
-/// Returns zeros for an empty set.
-pub fn percentiles(samples: &[Duration]) -> Percentiles {
-    if samples.is_empty() {
-        return Percentiles {
-            p50_ms: 0.0,
-            p95_ms: 0.0,
-            p99_ms: 0.0,
-            samples: 0,
-        };
-    }
-    let mut sorted: Vec<Duration> = samples.to_vec();
-    sorted.sort();
-    let rank = |p: f64| -> f64 {
-        let idx = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len()) - 1;
-        sorted[idx].as_secs_f64() * 1e3
-    };
-    Percentiles {
-        p50_ms: rank(0.50),
-        p95_ms: rank(0.95),
-        p99_ms: rank(0.99),
-        samples: sorted.len(),
-    }
-}
-
-impl Percentiles {
-    /// Render as a JSON object (hand-rolled; the offline build has no
-    /// serde).
-    pub fn json(&self) -> String {
-        format!(
-            "{{ \"p50_ms\": {:.4}, \"p95_ms\": {:.4}, \"p99_ms\": {:.4}, \"samples\": {} }}",
-            self.p50_ms, self.p95_ms, self.p99_ms, self.samples
-        )
-    }
-}
 
 /// Build the textual IR of a synthetic module with one stencil kernel
 /// per constant, through the in-tree pipeline (cfront → O2 →
@@ -84,8 +16,7 @@ pub fn synthetic_module(consts: &[f64]) -> Result<String, String> {
 /// into every global and kernel name. Tagged modules have *distinct
 /// module contexts* — distinct admission tenants — where untagged ones
 /// all share one context fingerprint (globals and debug vars are the
-/// context; constants are not). `bench-overload` uses this to drive
-/// mixed-tenant load.
+/// context; constants are not), for load from many tenants at once.
 pub fn synthetic_module_tagged(tag: &str, consts: &[f64]) -> Result<String, String> {
     use splendid_cfront::{lower_program, parse_program, LowerOptions};
     use splendid_parallel::{parallelize_module, ParallelizeOptions};
@@ -137,455 +68,9 @@ pub fn synthetic_module_tagged(tag: &str, consts: &[f64]) -> Result<String, Stri
     Ok(module_str(&m))
 }
 
-/// Constant for (connection, round, function): distinct across all three
-/// axes so no two connections or rounds ever share a function body.
-fn bench_const(conn: usize, round: usize, func: usize) -> f64 {
-    1.0 + conn as f64 * 0.001 + round as f64 * 0.01 + func as f64 * 0.1
-}
-
-/// Benchmark configuration.
-#[derive(Debug, Clone)]
-pub struct BenchConfig {
-    /// Concurrent client connections.
-    pub connections: usize,
-    /// Edit/decompile rounds per connection.
-    pub rounds: usize,
-    /// Functions per synthetic module (the headline uses 16).
-    pub functions: usize,
-    /// Attach to a daemon at this TCP address instead of starting an
-    /// in-process one.
-    pub addr: Option<String>,
-}
-
-impl Default for BenchConfig {
-    fn default() -> BenchConfig {
-        BenchConfig {
-            connections: 4,
-            rounds: 8,
-            functions: 16,
-            addr: None,
-        }
-    }
-}
-
-/// The full benchmark report.
-#[derive(Debug, Clone)]
-pub struct BenchReport {
-    /// Echo of the configuration.
-    pub connections: usize,
-    /// Echo of the configuration.
-    pub rounds: usize,
-    /// Echo of the configuration.
-    pub functions: usize,
-    /// All functions dirty (every constant edited).
-    pub cold: Percentiles,
-    /// Exactly one function dirty.
-    pub incremental: Percentiles,
-    /// Nothing dirty; answered from the session's retained result.
-    pub fast_path: Percentiles,
-    /// UPDATE frame latency, round-trip as the client sees it.
-    pub update: Percentiles,
-    /// Server-side share of UPDATE spent span-scanning and hashing the
-    /// new text (the re-fingerprint work itself).
-    pub update_fingerprint: Percentiles,
-    /// Server-side share of UPDATE spent diffing fingerprints and
-    /// updating session bookkeeping.
-    pub update_bookkeeping: Percentiles,
-    /// cold p50 ÷ incremental p50 — the headline number.
-    pub incremental_speedup: f64,
-    /// cold p50 ÷ fast-path p50.
-    pub fast_path_speedup: f64,
-    /// PolyBench corpus open+decompile latency, one module per request.
-    pub corpus: Percentiles,
-    /// Modules in the corpus phase.
-    pub corpus_modules: usize,
-}
-
-impl BenchReport {
-    /// Render as pretty-printed JSON (hand-rolled; no serde offline).
-    pub fn json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"benchmark\": \"bench-daemon\",\n");
-        out.push_str(&format!("  \"connections\": {},\n", self.connections));
-        out.push_str(&format!("  \"rounds\": {},\n", self.rounds));
-        out.push_str(&format!(
-            "  \"functions_per_module\": {},\n",
-            self.functions
-        ));
-        out.push_str(&format!("  \"cold\": {},\n", self.cold.json()));
-        out.push_str(&format!(
-            "  \"incremental\": {},\n",
-            self.incremental.json()
-        ));
-        out.push_str(&format!("  \"fast_path\": {},\n", self.fast_path.json()));
-        out.push_str(&format!("  \"update\": {},\n", self.update.json()));
-        out.push_str(&format!(
-            "  \"update_fingerprint\": {},\n",
-            self.update_fingerprint.json()
-        ));
-        out.push_str(&format!(
-            "  \"update_bookkeeping\": {},\n",
-            self.update_bookkeeping.json()
-        ));
-        out.push_str(&format!(
-            "  \"incremental_speedup\": {:.3},\n",
-            self.incremental_speedup
-        ));
-        out.push_str(&format!(
-            "  \"fast_path_speedup\": {:.3},\n",
-            self.fast_path_speedup
-        ));
-        out.push_str(&format!("  \"corpus_modules\": {},\n", self.corpus_modules));
-        out.push_str(&format!("  \"corpus\": {}\n", self.corpus.json()));
-        out.push_str("}\n");
-        out
-    }
-
-    /// Render as human-oriented text.
-    pub fn text(&self) -> String {
-        let line = |label: &str, p: &Percentiles| {
-            format!(
-                "  {label:<12} p50 {:8.3}ms  p95 {:8.3}ms  p99 {:8.3}ms  ({} samples)\n",
-                p.p50_ms, p.p95_ms, p.p99_ms, p.samples
-            )
-        };
-        let mut out = format!(
-            "bench-daemon: {} connection(s) x {} round(s), {}-function module\n",
-            self.connections, self.rounds, self.functions
-        );
-        out.push_str(&line("cold", &self.cold));
-        out.push_str(&line("incremental", &self.incremental));
-        out.push_str(&line("fast-path", &self.fast_path));
-        out.push_str(&line("update", &self.update));
-        out.push_str(&line("  fingerprint", &self.update_fingerprint));
-        out.push_str(&line("  bookkeeping", &self.update_bookkeeping));
-        out.push_str(&format!(
-            "  speedup      incremental {:.2}x, fast-path {:.2}x (vs cold, p50)\n",
-            self.incremental_speedup, self.fast_path_speedup
-        ));
-        out.push_str(&format!(
-            "corpus: {} polybench modules, open+decompile per module\n",
-            self.corpus_modules
-        ));
-        out.push_str(&line("corpus", &self.corpus));
-        out
-    }
-}
-
-/// Per-connection sample series.
-#[derive(Default)]
-struct Series {
-    cold: Vec<Duration>,
-    incremental: Vec<Duration>,
-    fast_path: Vec<Duration>,
-    update: Vec<Duration>,
-    update_fingerprint: Vec<Duration>,
-    update_bookkeeping: Vec<Duration>,
-}
-
-impl Series {
-    /// Time one UPDATE round-trip and record the server-side split the
-    /// UPDATED frame reports.
-    fn timed_update(
-        &mut self,
-        client: &mut DaemonClient,
-        text: &str,
-    ) -> Result<(u32, u32), String> {
-        let t = Instant::now();
-        let resp = client.update(text).map_err(|e| e.to_string())?;
-        self.update.push(t.elapsed());
-        let Response::Updated {
-            dirty,
-            total,
-            fingerprint_nanos,
-            bookkeeping_nanos,
-        } = resp
-        else {
-            return Err(format!("expected UPDATED, got {resp:?}"));
-        };
-        self.update_fingerprint
-            .push(Duration::from_nanos(fingerprint_nanos));
-        self.update_bookkeeping
-            .push(Duration::from_nanos(bookkeeping_nanos));
-        Ok((dirty, total))
-    }
-}
-
-/// One phase of a benchmark round.
-#[derive(Clone, Copy)]
-enum Phase {
-    Cold,
-    Incremental,
-    FastPath,
-}
-
-/// The edit half of a phase: build the round's module text (a full
-/// cfront → O2 → parallelize run — deliberately NOT inside the timed
-/// decompile) and send the UPDATE.
-fn run_phase_edit(
-    client: &mut DaemonClient,
-    phase: Phase,
-    conn: usize,
-    round: usize,
-    cfg: &BenchConfig,
-    series: &mut Series,
-) -> Result<(), String> {
-    let mut consts: Vec<f64> = (0..cfg.functions)
-        .map(|f| bench_const(conn, round, f))
-        .collect();
-    match phase {
-        Phase::Cold => {
-            // Every function edited (fresh round constants) — all dirty.
-            let text = synthetic_module(&consts)?;
-            let (dirty, total) = series.timed_update(client, &text)?;
-            if dirty != total {
-                return Err(format!(
-                    "cold round: expected all dirty, got {dirty}/{total}"
-                ));
-            }
-        }
-        Phase::Incremental => {
-            // Only function 0 edited relative to the cold phase.
-            consts[0] += 0.5;
-            let text = synthetic_module(&consts)?;
-            let (dirty, _) = series.timed_update(client, &text)?;
-            if dirty != 1 {
-                return Err(format!("incremental round: expected 1 dirty, got {dirty}"));
-            }
-        }
-        Phase::FastPath => {} // no edit at all
-    }
-    Ok(())
-}
-
-/// The measured half of a phase: one DECOMPILE, timed.
-fn run_phase_decompile(
-    client: &mut DaemonClient,
-    phase: Phase,
-    cfg: &BenchConfig,
-    series: &mut Series,
-) -> Result<(), String> {
-    let t = Instant::now();
-    let resp = client.decompile().map_err(|e| e.to_string())?;
-    let wall = t.elapsed();
-    match phase {
-        Phase::Cold => series.cold.push(wall),
-        Phase::Incremental => {
-            if let Response::Result { cached, .. } = &resp {
-                if *cached as usize != cfg.functions - 1 {
-                    return Err(format!(
-                        "incremental round: expected {} cached, got {cached}",
-                        cfg.functions - 1
-                    ));
-                }
-            }
-            series.incremental.push(wall);
-        }
-        Phase::FastPath => {
-            if !matches!(
-                resp,
-                Response::Result {
-                    fast_path: true,
-                    ..
-                }
-            ) {
-                return Err("fast-path round did not take the fast path".into());
-            }
-            series.fast_path.push(wall);
-        }
-    }
-    Ok(())
-}
-
-/// Drive one connection's edit/decompile rounds.
-///
-/// Connections run in lockstep — a barrier before each phase's edit
-/// half, and another between edit and decompile — so a timed DECOMPILE
-/// only ever competes with its own kind: cold against cold, incremental
-/// against incremental. Without the barriers, on a small machine an
-/// incremental request mostly measures queueing behind a neighbor's
-/// cold fan-out, UPDATE prepare, or client-side module construction,
-/// not the incremental machinery.
-///
-/// Every thread executes the identical barrier schedule (`rounds` × 3
-/// phases × 2 waits) even after a failure — it just stops doing work —
-/// so one bad connection can never deadlock the others at a barrier.
-fn run_connection(
-    addr: &str,
-    conn: usize,
-    cfg: &BenchConfig,
-    barrier: &std::sync::Barrier,
-    failed: &std::sync::atomic::AtomicBool,
-) -> Result<Series, String> {
-    use std::sync::atomic::Ordering;
-
-    let mut series = Series::default();
-    let mut err: Option<String> = None;
-    let mut client = (|| -> Result<DaemonClient, String> {
-        let mut client = DaemonClient::connect_tcp(addr).map_err(|e| e.to_string())?;
-        let consts: Vec<f64> = (0..cfg.functions)
-            .map(|f| bench_const(conn, 0, f))
-            .collect();
-        client
-            .open(&format!("bench-c{conn}"), 3, &synthetic_module(&consts)?)
-            .map_err(|e| e.to_string())?;
-        Ok(client)
-    })()
-    .map_err(|e| {
-        failed.store(true, Ordering::Relaxed);
-        err = Some(e);
-    })
-    .ok();
-
-    for round in 1..=cfg.rounds {
-        for phase in [Phase::Cold, Phase::Incremental, Phase::FastPath] {
-            barrier.wait();
-            if !failed.load(Ordering::Relaxed) {
-                if let Some(c) = client.as_mut() {
-                    if let Err(e) = run_phase_edit(c, phase, conn, round, cfg, &mut series) {
-                        failed.store(true, Ordering::Relaxed);
-                        err = Some(e);
-                    }
-                }
-            }
-            barrier.wait();
-            if !failed.load(Ordering::Relaxed) {
-                if let Some(c) = client.as_mut() {
-                    if let Err(e) = run_phase_decompile(c, phase, cfg, &mut series) {
-                        failed.store(true, Ordering::Relaxed);
-                        err = Some(e);
-                    }
-                }
-            }
-        }
-    }
-
-    if let Some(e) = err {
-        return Err(e);
-    }
-    if failed.load(Ordering::Relaxed) {
-        return Err("aborted: another bench connection failed".into());
-    }
-    match client {
-        Some(mut c) => c.close().map_err(|e| e.to_string())?,
-        None => return Err("bench connection never opened".into()),
-    }
-    Ok(series)
-}
-
-/// Replay the real PolyBench suite: open + decompile, one module per
-/// request, on a single connection.
-fn run_corpus(addr: &str) -> Result<(Vec<Duration>, usize), String> {
-    let suite = Harness::polly_suite().map_err(|e| e.to_string())?;
-    let count = suite.len();
-    let mut client = DaemonClient::connect_tcp(addr).map_err(|e| e.to_string())?;
-    let mut samples = Vec::with_capacity(count);
-    for (name, module) in suite {
-        let text = module_str(&module);
-        let t = Instant::now();
-        client.open(&name, 3, &text).map_err(|e| e.to_string())?;
-        client.decompile().map_err(|e| e.to_string())?;
-        samples.push(t.elapsed());
-    }
-    client.close().map_err(|e| e.to_string())?;
-    Ok((samples, count))
-}
-
-/// Run the benchmark. With `cfg.addr == None`, a daemon is started
-/// in-process on a loopback port and drained afterwards.
-pub fn run_bench(cfg: &BenchConfig) -> Result<BenchReport, String> {
-    let owned_daemon = match cfg.addr {
-        Some(_) => None,
-        None => {
-            let mut config = DaemonConfig {
-                max_connections: cfg.connections + 2,
-                ..Default::default()
-            };
-            // Provision one worker per client, as a deployment serving N
-            // interactive sessions would: otherwise on a small machine an
-            // incremental request queues behind other connections' cold
-            // fan-outs and the measured latency is mostly queueing.
-            config.serve.workers = cfg
-                .connections
-                .max(std::thread::available_parallelism().map_or(1, |n| n.get()));
-            Some(Daemon::start(config).map_err(|e| e.to_string())?)
-        }
-    };
-    let addr = match (&cfg.addr, &owned_daemon) {
-        (Some(a), _) => a.clone(),
-        (None, Some(d)) => d.local_addr().to_string(),
-        (None, None) => unreachable!(),
-    };
-
-    let barrier = std::sync::Arc::new(std::sync::Barrier::new(cfg.connections));
-    let failed = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let handles: Vec<_> = (0..cfg.connections)
-        .map(|conn| {
-            let addr = addr.clone();
-            let cfg = cfg.clone();
-            let barrier = std::sync::Arc::clone(&barrier);
-            let failed = std::sync::Arc::clone(&failed);
-            std::thread::spawn(move || run_connection(&addr, conn, &cfg, &barrier, &failed))
-        })
-        .collect();
-    let mut all = Series::default();
-    for h in handles {
-        let s = h
-            .join()
-            .map_err(|_| "bench connection thread panicked".to_string())??;
-        all.cold.extend(s.cold);
-        all.incremental.extend(s.incremental);
-        all.fast_path.extend(s.fast_path);
-        all.update.extend(s.update);
-        all.update_fingerprint.extend(s.update_fingerprint);
-        all.update_bookkeeping.extend(s.update_bookkeeping);
-    }
-
-    let (corpus_samples, corpus_modules) = run_corpus(&addr)?;
-
-    if let Some(daemon) = owned_daemon {
-        if !daemon.drain() {
-            return Err("daemon failed to drain cleanly after the benchmark".into());
-        }
-    }
-
-    let cold = percentiles(&all.cold);
-    let incremental = percentiles(&all.incremental);
-    let fast_path = percentiles(&all.fast_path);
-    Ok(BenchReport {
-        connections: cfg.connections,
-        rounds: cfg.rounds,
-        functions: cfg.functions,
-        cold,
-        incremental,
-        fast_path,
-        update: percentiles(&all.update),
-        update_fingerprint: percentiles(&all.update_fingerprint),
-        update_bookkeeping: percentiles(&all.update_bookkeeping),
-        incremental_speedup: cold.p50_ms / incremental.p50_ms.max(1e-9),
-        fast_path_speedup: cold.p50_ms / fast_path.p50_ms.max(1e-9),
-        corpus: percentiles(&corpus_samples),
-        corpus_modules,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn percentiles_nearest_rank() {
-        let samples: Vec<Duration> = (1..=100).map(Duration::from_millis).collect();
-        let p = percentiles(&samples);
-        assert_eq!(p.samples, 100);
-        assert!((p.p50_ms - 50.0).abs() < 1e-9, "{p:?}");
-        assert!((p.p95_ms - 95.0).abs() < 1e-9, "{p:?}");
-        assert!((p.p99_ms - 99.0).abs() < 1e-9, "{p:?}");
-        let one = percentiles(&[Duration::from_millis(7)]);
-        assert!((one.p99_ms - 7.0).abs() < 1e-9);
-        assert_eq!(percentiles(&[]).samples, 0);
-    }
 
     #[test]
     fn synthetic_module_has_requested_function_count() {

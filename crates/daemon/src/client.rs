@@ -1,5 +1,5 @@
-//! Blocking daemon client used by `splendid connect`, `splendid
-//! bench-daemon`, and the integration tests.
+//! Blocking daemon client used by `splendid connect`, `splendid validate
+//! --addr`, the peer cache tier, perfbench, and the integration tests.
 //!
 //! The client side of the protocol is strict: it trusts the daemon to
 //! frame correctly, so a desync from the server is an I/O error rather

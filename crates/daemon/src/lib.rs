@@ -20,21 +20,17 @@
 //!   accept-queue backpressure, per-request deadlines via the serve
 //!   watchdog, idle-session eviction, and graceful drain;
 //! * [`client`] — the blocking client used by `splendid connect`,
-//!   `splendid bench-daemon`, and the integration tests;
-//! * [`bench`] — the interactive-latency benchmark behind
-//!   `BENCH_daemon.json` (p50/p95/p99, incremental-vs-cold speedup).
+//!   `splendid validate --addr`, the peer cache tier, and the tests;
+//! * [`bench`] — synthetic inputs shared with perfbench and the tests.
 
 pub mod bench;
 pub mod client;
-pub mod overload;
 pub mod peer;
 pub mod protocol;
 pub mod server;
 pub mod session;
 
-pub use bench::{percentiles, run_bench, BenchConfig, BenchReport, Percentiles};
 pub use client::DaemonClient;
-pub use overload::{run_overload_bench, OverloadConfig, OverloadReport};
 pub use peer::{PeerTier, DEFAULT_PEER_TIMEOUT};
 pub use protocol::{ErrorCode, FrameAssembler, FrameEvent, Request, Response};
 pub use server::{cache_tiers, Daemon, DaemonConfig, DaemonStats};

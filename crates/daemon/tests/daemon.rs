@@ -1,10 +1,11 @@
 //! End-to-end daemon tests over real sockets: incremental sessions,
-//! stats frames, drain semantics, disconnect hygiene, the connection
+//! one-edit-one-decompile accounting, stats frames, drain semantics, disconnect hygiene, the connection
 //! cap, idle eviction, and the Unix-socket listener.
 
 mod common;
 
 use common::{connect, module_text};
+use splendid_daemon::bench::synthetic_module;
 use splendid_daemon::protocol::{frame_bytes, kind};
 use splendid_daemon::{Daemon, DaemonClient, DaemonConfig, ErrorCode, Response};
 use splendid_serve::ServeConfig;
@@ -83,6 +84,58 @@ fn incremental_session_over_tcp() {
     client.close().unwrap();
     assert_eq!(daemon.open_sessions(), 0);
     client.ping().unwrap(); // connection outlives the session
+    assert!(daemon.drain());
+}
+
+/// Editing one constant of a 16-kernel module costs one function's
+/// decompile: UPDATE marks 1 of 16 dirty without submitting a job, and
+/// DECOMPILE answers the other 15 from the cache.
+#[test]
+fn one_constant_edit_redecompiles_exactly_one_function() {
+    const FUNCTIONS: usize = 16;
+    let daemon = start(DaemonConfig::default());
+    let mut client = connect(&daemon);
+    let mut consts: Vec<f64> = (0..FUNCTIONS).map(|f| 1.0 + f as f64 * 0.1).collect();
+    let (_, total) = client
+        .open("edit", 3, &synthetic_module(&consts).unwrap())
+        .unwrap();
+    assert_eq!(total as usize, FUNCTIONS);
+    let Response::Result { dirty, .. } = client.decompile().unwrap() else {
+        panic!("expected RESULT");
+    };
+    assert_eq!(dirty as usize, FUNCTIONS, "first decompile is cold");
+
+    for round in 0..8 {
+        consts[round * 5 % FUNCTIONS] += 0.5;
+        let text = synthetic_module(&consts).unwrap();
+        let before = daemon.serve_stats();
+        let Response::Updated { dirty, total, .. } = client.update(&text).unwrap() else {
+            panic!("round {round}: expected UPDATED");
+        };
+        assert_eq!((dirty, total as usize), (1, FUNCTIONS), "round {round}");
+        let updated = daemon.serve_stats();
+        assert_eq!(
+            updated.jobs_submitted, before.jobs_submitted,
+            "round {round}: UPDATE must not submit a scheduler job"
+        );
+        let Response::Result {
+            functions, cached, ..
+        } = client.decompile().unwrap()
+        else {
+            panic!("round {round}: expected RESULT");
+        };
+        assert_eq!(
+            (functions as usize, cached as usize),
+            (FUNCTIONS, FUNCTIONS - 1),
+            "round {round}"
+        );
+        assert_eq!(
+            daemon.serve_stats().functions_decompiled,
+            before.functions_decompiled + 1,
+            "round {round}: exactly the edited function re-decompiles"
+        );
+    }
+    client.close().unwrap();
     assert!(daemon.drain());
 }
 

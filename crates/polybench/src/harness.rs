@@ -217,7 +217,7 @@ impl Harness {
     }
 
     /// Compile the whole suite to parallel IR: the batch workload the
-    /// serve layer schedules (`splendid bench-serve` / `dump-polybench`).
+    /// serve layer schedules (`splendid dump-polybench`, perfbench).
     pub fn polly_suite() -> Result<Vec<(String, Module)>, HarnessError> {
         crate::kernels::benchmarks()
             .iter()

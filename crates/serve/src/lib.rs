@@ -24,7 +24,7 @@
 //!   depth, cache hit rate, job counts, snapshotable and pretty-printable.
 //!
 //! The `splendid` binary (`src/bin/splendid.rs`) wires this up as a CLI
-//! with `decompile`, `batch`, and `bench-serve` subcommands.
+//! with `decompile`, `batch`, `validate` and `difftest` subcommands.
 
 pub mod admission;
 pub mod cache;

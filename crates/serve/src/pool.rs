@@ -327,6 +327,30 @@ mod tests {
     }
 
     #[test]
+    fn two_workers_run_tasks_at_the_same_time() {
+        // Each task blocks on a two-party barrier until the other one
+        // arrives, so both finish only if two workers run them at once.
+        let pool = WorkerPool::new(2);
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        let (tx, rx) = mpsc::channel();
+        for _ in 0..2 {
+            let (barrier, tx) = (Arc::clone(&barrier), tx.clone());
+            pool.spawn(move || {
+                barrier.wait();
+                tx.send(()).unwrap();
+            });
+        }
+        for _ in 0..2 {
+            if rx.recv_timeout(Duration::from_secs(10)).is_err() {
+                // A task waits on the barrier for good, and dropping the
+                // pool would join its worker: leak the pool, fail instead.
+                std::mem::forget(pool);
+                panic!("the two tasks never ran at the same time on a 2-worker pool");
+            }
+        }
+    }
+
+    #[test]
     fn single_worker_pool_drains_serially() {
         let pool = WorkerPool::new(1);
         let (tx, rx) = mpsc::channel();

@@ -3,8 +3,9 @@
 //! if these stay byte-identical, so any change here orphans every
 //! existing cache directory.
 //!
-//! The input is a checked-in `splendid dump-polybench` module rather than
-//! a fresh pipeline run, whose value numbering may differ between runs.
+//! The input is a checked-in `splendid dump-polybench` module, so the
+//! keys stay pinned to the bytes a store was filled from; a second test
+//! checks that a fresh pipeline run still prints exactly those bytes.
 
 use splendid_core::{prepare_module, SplendidOptions, StageTimings};
 use splendid_ir::parser::parse_module;
@@ -40,4 +41,11 @@ fn polybench_gemm_cache_keys_are_pinned() {
             ("kernel", 0x94da_00bc_95b1_7519, 0x9f85_1f03_c774_266d),
         ]
     );
+}
+
+#[test]
+fn fresh_polybench_gemm_matches_the_fixture() {
+    let gemm = splendid_polybench::kernels::benchmark("gemm").unwrap();
+    let (module, _) = splendid_polybench::Harness::polly(gemm.sequential).unwrap();
+    assert_eq!(splendid_ir::printer::module_str(&module), GEMM_IR);
 }

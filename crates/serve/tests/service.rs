@@ -21,9 +21,11 @@ fn golden_suite() -> Vec<(String, Module)> {
         .collect()
 }
 
+/// Every PolyBench job succeeds through the scheduler and matches the
+/// library's output byte for byte.
 #[test]
 fn batch_matches_single_threaded_pipeline() {
-    let suite = golden_suite();
+    let suite = Harness::polly_suite().unwrap();
     let golden: Vec<String> = suite
         .iter()
         .map(|(_, m)| decompile(m, &SplendidOptions::default()).unwrap().source)

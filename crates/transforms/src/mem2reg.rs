@@ -67,6 +67,9 @@ pub fn promote_allocas(f: &mut Function) -> Mem2RegStats {
     let mut phi_for: HashMap<(BlockId, usize), InstId> = HashMap::new();
     for (ai, info) in candidates.iter().enumerate() {
         let mut work: Vec<BlockId> = def_blocks[ai].iter().copied().collect();
+        // The set iterates in a per-process random order; phis take their
+        // InstIds in worklist order, so sort for the same IR every run.
+        work.sort_unstable();
         let mut has_phi: HashSet<BlockId> = HashSet::new();
         while let Some(b) = work.pop() {
             for &frontier in df.get(&b).map(|v| v.as_slice()).unwrap_or(&[]) {

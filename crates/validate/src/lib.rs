@@ -762,14 +762,13 @@ void kernel() {
         assert_eq!(fmt(&a), fmt(&b));
     }
 
-    #[test]
-    fn polybench_suite_mostly_verifies() {
-        // The serve-layer bench gates >= 90%; keep a fast in-crate
-        // smoke over a few kernels so regressions fail close to home.
+    /// Asserts that at least 90% of the functions of the first `kernels`
+    /// PolyBench kernels are proven `Verified`.
+    fn polybench_verifies_at_least_90_percent(kernels: usize) {
         let suite = splendid_polybench::Harness::polly_suite().unwrap();
         let mut verified = 0usize;
         let mut total = 0usize;
-        for (name, module) in suite.iter().take(4) {
+        for (name, module) in suite.iter().take(kernels) {
             let (prepared, source) = decompile_prepared(module);
             for v in check_module(&prepared, &source, &ValidateConfig::default()) {
                 total += 1;
@@ -785,5 +784,18 @@ void kernel() {
             verified * 10 >= total * 9,
             "{verified}/{total} verified (need >= 90%)"
         );
+    }
+
+    #[test]
+    fn polybench_suite_mostly_verifies() {
+        // A fast smoke over a few kernels, so regressions fail close to
+        // home; the full suite below holds the gate.
+        polybench_verifies_at_least_90_percent(4);
+    }
+
+    #[test]
+    #[ignore = "full suite: CI validate job runs it in release"]
+    fn full_polybench_suite_mostly_verifies() {
+        polybench_verifies_at_least_90_percent(usize::MAX);
     }
 }

@@ -8,18 +8,16 @@
 //! full substrate (cfront → -O2 → Polly-sim) first, so the service sees
 //! the same parallel IR the paper's pipeline produces. `daemon` keeps a
 //! decompiler resident for interactive sessions (see `splendid-daemon`);
-//! `connect` and `bench-daemon` talk to one.
+//! `connect` and `validate --addr` talk to one.
 
 use splendid_cachestore::{CacheStore, StoreConfig};
 use splendid_cfront::{lower_program, parse_program, LowerOptions};
 use splendid_core::{FidelityTier, SplendidOptions, Variant};
-use splendid_daemon::{
-    cache_tiers, percentiles, BenchConfig, Daemon, DaemonClient, DaemonConfig, DEFAULT_PEER_TIMEOUT,
-};
+use splendid_daemon::{Daemon, DaemonClient, DaemonConfig, DEFAULT_PEER_TIMEOUT};
 use splendid_ir::{printer::module_str, Module};
 use splendid_parallel::{parallelize_module, ParallelizeOptions};
 use splendid_polybench::Harness;
-use splendid_serve::{cache, JobInput, JobRequest, JobResult, Scheduler, ServeConfig};
+use splendid_serve::{JobInput, JobRequest, Scheduler, ServeConfig};
 use splendid_transforms::{optimize_module, O2Options};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -44,7 +42,6 @@ const COMMANDS: &[Command] = &[
         cmd_batch,
         "<dir> --jobs --rounds --variant --quick --stats",
     ),
-    Command("bench-serve", cmd_bench_serve, "--jobs --rounds --json"),
     Command(
         "daemon",
         cmd_daemon,
@@ -56,16 +53,6 @@ const COMMANDS: &[Command] = &[
         "connect",
         cmd_connect,
         "--addr --unix [file.{ir,c}] --variant --stats --malformed",
-    ),
-    Command(
-        "bench-daemon",
-        cmd_bench_daemon,
-        "--connections --rounds --functions --addr --json --min-speedup --max-update-p50-ms",
-    ),
-    Command(
-        "bench-overload",
-        cmd_bench_overload,
-        "--jobs --rounds --functions --addr --json",
     ),
     Command(
         "difftest",
@@ -83,19 +70,9 @@ const COMMANDS: &[Command] = &[
         "<file.{ir,c}> --variant --quick --stats --addr --unix",
     ),
     Command(
-        "bench-validate",
-        cmd_bench_validate,
-        "--jobs --rounds --json --min-verified",
-    ),
-    Command(
         "cache",
         cmd_cache,
         "<stat|verify|compact> !--cache-dir --cache-budget-mb",
-    ),
-    Command(
-        "bench-cache",
-        cmd_bench_cache,
-        "--jobs --rounds --json --min-speedup",
     ),
     Command("dump-polybench", cmd_dump_polybench, "<dir>"),
 ];
@@ -110,7 +87,6 @@ enum Kind {
     Variant,
     Uint,
     U32,
-    Float,
 }
 
 /// One flag: its spelling, its value's kind, its placeholder in the usage
@@ -124,7 +100,6 @@ const FLAGS: &[Flag] = &[
     Flag("--variant", Kind::Variant, "v1|portable|full", ""),
     Flag("--quick", Kind::Switch, "", ""),
     Flag("--stats", Kind::Switch, "", ""),
-    Flag("--json", Kind::Switch, "", ""),
     Flag("--seed", Kind::Text, "S", ""),
     Flag("--cases", Kind::Uint, "N", ""),
     Flag("--case", Kind::Uint, "I", ""),
@@ -144,12 +119,7 @@ const FLAGS: &[Flag] = &[
         " (seconds, 0 = never)",
     ),
     Flag("--deadline", Kind::Uint, "SECS", " (seconds, 0 = none)"),
-    Flag("--connections", Kind::Uint, "N", ""),
-    Flag("--functions", Kind::Uint, "F", ""),
     Flag("--malformed", Kind::Text, "<dir>", ""),
-    Flag("--min-speedup", Kind::Float, "X", ""),
-    Flag("--max-update-p50-ms", Kind::Float, "MS", ""),
-    Flag("--min-verified", Kind::Float, "X", " in [0, 1]"),
     Flag("--cache-dir", Kind::Text, "DIR", ""),
     Flag("--cache-budget-mb", Kind::Uint, "N", ""),
     Flag("--peer", Kind::Text, "ADDR", ""),
@@ -178,7 +148,6 @@ impl Flag {
             }
             Kind::Uint => value.parse::<u64>().is_ok(),
             Kind::U32 => value.parse::<u32>().is_ok(),
-            Kind::Float => value.parse::<f64>().is_ok(),
         };
         if !ok {
             self.not_a_number();
@@ -222,18 +191,16 @@ fn fail(msg: &str) -> ! {
     std::process::exit(1);
 }
 
-/// A parsed command line: the command's name, its positionals, and the
-/// last value given for each flag (switches map to an empty string).
+/// A parsed command line: its positionals and the last value given for
+/// each flag (switches map to an empty string).
 struct Cli {
-    cmd: &'static str,
     positional: Vec<String>,
     values: HashMap<&'static str, String>,
 }
 
 impl Cli {
-    fn parse(cmd: &'static str, argv: &[String]) -> Cli {
+    fn parse(argv: &[String]) -> Cli {
         let mut cli = Cli {
-            cmd,
             positional: Vec::new(),
             values: HashMap::new(),
         };
@@ -296,21 +263,12 @@ impl Cli {
             .map_or(Variant::Full, |v| parse_variant(v))
     }
 
-    /// A scheduler with `workers` threads (0 = one per core), reading
-    /// through the disk store at `store` and then the peer at `peer`,
-    /// each when given. A store that will not open fails this command.
-    fn scheduler(&self, workers: usize, store: Option<&Path>, peer: Option<&str>) -> Scheduler {
-        let tiers = cache_tiers(store, None, peer, DEFAULT_PEER_TIMEOUT).unwrap_or_else(|e| {
-            let dir = store.unwrap_or(Path::new("")).display();
-            fail(&format!("{}: open {dir}: {e}", self.cmd))
-        });
-        Scheduler::new_with_tiers(
-            ServeConfig {
-                workers,
-                ..Default::default()
-            },
-            tiers,
-        )
+    /// A scheduler with `--jobs` workers.
+    fn scheduler(&self) -> Scheduler {
+        Scheduler::new(ServeConfig {
+            workers: self.jobs(),
+            ..Default::default()
+        })
     }
 
     /// Pipeline options from `--variant` and `--quick`.
@@ -408,7 +366,7 @@ fn decompile_one(cli: &Cli, validate: bool) {
     };
     let mut request = load_request(Path::new(path), cli);
     request.options.validate = validate;
-    let scheduler = cli.scheduler(cli.jobs(), None, None);
+    let scheduler = cli.scheduler();
     let result = scheduler
         .submit(request)
         .wait()
@@ -445,7 +403,7 @@ fn cmd_batch(cli: Cli) {
         fail(&format!("no .ir or .c files in {dir}"));
     }
     let requests: Vec<JobRequest> = files.iter().map(|p| load_request(p, &cli)).collect();
-    let scheduler = cli.scheduler(cli.jobs(), None, None);
+    let scheduler = cli.scheduler();
     let rounds = cli.rounds();
     println!(
         "batch: {} module(s), {} worker(s), {} round(s)",
@@ -500,127 +458,6 @@ fn cmd_dump_polybench(cli: Cli) {
     println!("wrote {} modules to {}", suite.len(), dir.display());
 }
 
-/// The PolyBench suite as default-option requests, each module handed
-/// over as `input` makes it.
-fn suite_requests(input: fn(Module) -> JobInput) -> Vec<JobRequest> {
-    let suite = Harness::polly_suite().unwrap_or_else(|e| fail(&e.to_string()));
-    suite
-        .into_iter()
-        .map(|(name, m)| JobRequest {
-            name,
-            input: input(m),
-            options: SplendidOptions::default(),
-        })
-        .collect()
-}
-
-/// One measured batch pass of a benchmark command; returns the pass wall
-/// seconds and every job's result. A failed job fails the command.
-fn run_pass(cli: &Cli, scheduler: &Scheduler, requests: &[JobRequest]) -> (f64, Vec<JobResult>) {
-    let start = Instant::now();
-    let results = scheduler.decompile_batch(requests.to_vec());
-    let wall = start.elapsed().as_secs_f64();
-    let results = results
-        .into_iter()
-        .map(|r| r.unwrap_or_else(|e| fail(&format!("{} job failed: {e}", cli.cmd))))
-        .collect();
-    (wall, results)
-}
-
-fn cmd_bench_serve(cli: Cli) {
-    let rounds = cli.rounds();
-    let requests = suite_requests(JobInput::Module);
-    let modules = requests.len();
-
-    // Serial baseline: one worker, cold cache each round.
-    let mut serial = f64::MAX;
-    for _ in 0..rounds {
-        let s = cli.scheduler(1, None, None);
-        serial = serial.min(run_pass(&cli, &s, &requests).0);
-    }
-
-    // Parallel: N workers, cold cache each round; keep the last scheduler
-    // warm for the cache pass. Per-job latencies across all cold parallel
-    // rounds feed the percentile report (mean-only reporting hides tail
-    // latency).
-    let mut parallel = f64::MAX;
-    let mut parallel_jobs = 0;
-    let mut warm = f64::MAX;
-    let mut hit_rate = 0.0;
-    let mut job_latencies: Vec<Duration> = Vec::new();
-    for _ in 0..rounds {
-        let s = cli.scheduler(cli.jobs(), None, None);
-        parallel_jobs = s.workers();
-        let (pass_wall, results) = run_pass(&cli, &s, &requests);
-        parallel = parallel.min(pass_wall);
-        job_latencies.extend(results.iter().map(|r| r.wall));
-        let before = s.stats().cache;
-        warm = warm.min(run_pass(&cli, &s, &requests).0);
-        let after = s.stats().cache;
-        hit_rate = cache::hit_rate(after.hits - before.hits, after.misses - before.misses);
-        if !cli.on("--json") {
-            print!("{}", s.stats());
-        }
-    }
-
-    let speedup = serial / parallel.max(1e-9);
-    let warm_speedup = serial / warm.max(1e-9);
-    let p = percentiles(&job_latencies);
-    if cli.on("--json") {
-        // Hand-rolled JSON: the offline build has no serde.
-        println!("{{");
-        println!("  \"benchmark\": \"bench-serve\",");
-        println!("  \"modules\": {modules},");
-        println!("  \"workers\": {parallel_jobs},");
-        // A serial run still records honest numbers, but its "parallel
-        // speedup" is scheduler overhead, not parallelism — annotate so
-        // downstream gates (scripts/bench_serve.sh) skip it explicitly
-        // instead of blessing a meaningless ratio.
-        let gate = if parallel_jobs <= 1 {
-            "skipped: workers=1, parallel speedup is not meaningful on a serial run"
-        } else {
-            "enforced"
-        };
-        println!("  \"parallel_gate\": \"{gate}\",");
-        println!("  \"rounds\": {rounds},");
-        println!("  \"serial_seconds\": {serial:.6},");
-        println!("  \"parallel_seconds\": {parallel:.6},");
-        println!("  \"warm_cache_seconds\": {warm:.6},");
-        println!("  \"job_latency\": {},", p.json());
-        println!("  \"parallel_speedup\": {speedup:.3},");
-        println!("  \"warm_speedup\": {warm_speedup:.3},");
-        println!("  \"warm_cache_hit_rate\": {hit_rate:.4},");
-        println!(
-            "  \"serial_modules_per_sec\": {:.3},",
-            modules as f64 / serial.max(1e-9)
-        );
-        println!(
-            "  \"parallel_modules_per_sec\": {:.3}",
-            modules as f64 / parallel.max(1e-9)
-        );
-        println!("}}");
-    } else {
-        println!("bench-serve: {modules} polybench modules, best of {rounds} round(s)");
-        println!(
-            "  serial   (1 worker)   {serial:.3}s  ({:.1} modules/s)",
-            modules as f64 / serial
-        );
-        println!(
-            "  parallel ({parallel_jobs} workers)  {parallel:.3}s  ({:.1} modules/s, {speedup:.2}x)",
-            modules as f64 / parallel
-        );
-        println!(
-            "  warm cache            {warm:.3}s  ({:.1} modules/s, {warm_speedup:.2}x, {:.1}% hits)",
-            modules as f64 / warm,
-            100.0 * hit_rate
-        );
-        println!(
-            "  job latency           p50 {:.3}ms  p95 {:.3}ms  p99 {:.3}ms  ({} samples)",
-            p.p50_ms, p.p95_ms, p.p99_ms, p.samples
-        );
-    }
-}
-
 /// Decompilation backend for the differential oracle that routes every
 /// request through the service scheduler. The oracle decompiles each
 /// module twice (for its stability route), so the second decompilation of
@@ -673,7 +510,7 @@ fn cmd_difftest(cli: Cli) {
         return;
     }
 
-    let scheduler = cli.scheduler(cli.jobs(), None, None);
+    let scheduler = cli.scheduler();
     let dec = SchedulerDecompiler {
         scheduler: &scheduler,
     };
@@ -758,131 +595,6 @@ fn cmd_validate(cli: Cli) {
         }
         Ok(_) => fail("validate: unexpected response kind"),
         Err(e) => fail(&format!("validate: {e}")),
-    }
-}
-
-/// `splendid bench-validate` — the cost and coverage of translation
-/// validation over the PolyBench suite: an unvalidated baseline, a cold
-/// validated pass (every certificate proven from scratch), and a
-/// warm-restart validated pass (a fresh scheduler over the persisted
-/// store, so verdicts replay from disk certificates instead of probe
-/// runs). Gated on the fraction of functions proven `Verified`.
-fn cmd_bench_validate(cli: Cli) {
-    let rounds = cli.rounds();
-    let min_verified = cli.num("--min-verified", 0.9);
-
-    let plain = suite_requests(JobInput::Module);
-    let mut validated = plain.clone();
-    for r in &mut validated {
-        r.options.validate = true;
-    }
-    let modules = plain.len();
-
-    let base = std::env::temp_dir().join(format!("splendid-bench-validate-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&base);
-    let store = base.join("store");
-
-    // Unvalidated baseline: same modules, checker off, no persistence.
-    let mut baseline = f64::MAX;
-    let mut workers = 0;
-    for _ in 0..rounds {
-        let s = cli.scheduler(cli.jobs(), None, None);
-        workers = s.workers();
-        baseline = baseline.min(run_pass(&cli, &s, &plain).0);
-    }
-
-    // Validated cold and warm-restart passes over a persistent store.
-    let mut cold = f64::MAX;
-    let mut warm = f64::MAX;
-    let mut functions = 0u64;
-    let mut verified = 0u64;
-    let mut unverified = 0u64;
-    let mut cold_checks = 0u64;
-    let mut warm_certs = 0u64;
-    for _ in 0..rounds {
-        let _ = std::fs::remove_dir_all(&store);
-        let s = cli.scheduler(workers, Some(&store), None);
-        let (pass, results) = run_pass(&cli, &s, &validated);
-        if pass < cold {
-            cold = pass;
-            let total = |count: fn(&JobResult) -> usize| -> u64 {
-                results.iter().map(|r| count(r) as u64).sum()
-            };
-            functions = total(|r| r.functions);
-            verified = total(|r| r.verified_functions);
-            unverified = total(|r| r.unverified_functions);
-            cold_checks = s.stats().validations_run;
-        }
-        s.flush_cache();
-        drop(s);
-
-        // Warm restart: fresh scheduler, same store — certificates must
-        // answer from disk without re-running probes.
-        let s = cli.scheduler(workers, Some(&store), None);
-        let pass = run_pass(&cli, &s, &validated).0;
-        if pass < warm {
-            warm = pass;
-            warm_certs = s.stats().certs_from_cache;
-        }
-        drop(s);
-    }
-    let _ = std::fs::remove_dir_all(&base);
-
-    let verified_fraction = if functions == 0 {
-        0.0
-    } else {
-        verified as f64 / functions as f64
-    };
-    let overhead = cold / baseline.max(1e-9);
-    let warm_speedup = cold / warm.max(1e-9);
-    if cli.on("--json") {
-        // Hand-rolled JSON: the offline build has no serde.
-        println!("{{");
-        println!("  \"benchmark\": \"bench-validate\",");
-        println!("  \"modules\": {modules},");
-        println!("  \"workers\": {workers},");
-        println!("  \"rounds\": {rounds},");
-        println!("  \"functions\": {functions},");
-        println!("  \"verified\": {verified},");
-        println!("  \"unverified\": {unverified},");
-        println!("  \"verified_fraction\": {verified_fraction:.4},");
-        println!("  \"baseline_seconds\": {baseline:.6},");
-        println!("  \"validate_cold_seconds\": {cold:.6},");
-        println!("  \"validate_warm_seconds\": {warm:.6},");
-        println!("  \"validate_overhead\": {overhead:.3},");
-        println!("  \"cold_checks_run\": {cold_checks},");
-        println!("  \"warm_certs_from_cache\": {warm_certs},");
-        println!("  \"warm_speedup\": {warm_speedup:.3}");
-        println!("}}");
-    } else {
-        println!(
-            "bench-validate: {modules} polybench modules, best of {rounds} round(s), {workers} worker(s)"
-        );
-        println!(
-            "  verdicts              {verified} verified / {unverified} unverified of {functions} \
-             ({:.1}% verified)",
-            100.0 * verified_fraction
-        );
-        println!("  baseline (no checks)  {baseline:.3}s");
-        println!(
-            "  validate cold         {cold:.3}s  ({overhead:.2}x baseline, {cold_checks} checks run)"
-        );
-        println!(
-            "  validate warm restart {warm:.3}s  ({warm_speedup:.2}x vs cold, {warm_certs} certs from disk)"
-        );
-    }
-
-    if verified_fraction < min_verified {
-        eprintln!(
-            "bench-validate: verified fraction {:.1}% is below the required {:.1}%",
-            100.0 * verified_fraction,
-            100.0 * min_verified
-        );
-        std::process::exit(1);
-    }
-    if warm_certs == 0 {
-        eprintln!("bench-validate: warm restart replayed no certificates from disk");
-        std::process::exit(1);
     }
 }
 
@@ -1112,74 +824,6 @@ fn cmd_connect(cli: Cli) {
     }
 }
 
-fn cmd_bench_daemon(cli: Cli) {
-    let cfg = BenchConfig {
-        connections: cli.num("--connections", 4usize).max(1),
-        rounds: match cli.num("--rounds", 0) {
-            0 => 8,
-            r => r,
-        },
-        functions: cli.num("--functions", 16usize).max(1),
-        addr: cli.text("--addr"),
-    };
-    let report =
-        splendid_daemon::run_bench(&cfg).unwrap_or_else(|e| fail(&format!("bench-daemon: {e}")));
-    if cli.on("--json") {
-        print!("{}", report.json());
-    } else {
-        print!("{}", report.text());
-    }
-    let min_speedup = cli.num("--min-speedup", 0.0);
-    if min_speedup > 0.0 && report.incremental_speedup < min_speedup {
-        eprintln!(
-            "bench-daemon: incremental speedup {:.2}x is below the required {:.2}x",
-            report.incremental_speedup, min_speedup
-        );
-        std::process::exit(1);
-    }
-    let max_update_p50_ms = cli.num("--max-update-p50-ms", 0.0);
-    if max_update_p50_ms > 0.0 && report.update.p50_ms > max_update_p50_ms {
-        eprintln!(
-            "bench-daemon: UPDATE p50 {:.3}ms exceeds the allowed {:.3}ms",
-            report.update.p50_ms, max_update_p50_ms
-        );
-        std::process::exit(1);
-    }
-}
-
-/// `splendid bench-overload` — behavior past saturation: dead-peer
-/// breaker cost, baseline vs 4×-overloaded goodput, shed rate, and p99
-/// under overload. In-process mode (no `--addr`) starts a daemon with a
-/// deliberately small admission queue and gates on the report; attach
-/// mode drives an external daemon and only gates the breaker phase (the
-/// smoke script asserts sheds from the daemon's own STATS text).
-fn cmd_bench_overload(cli: Cli) {
-    let cfg = splendid_daemon::OverloadConfig {
-        workers: match cli.jobs() {
-            0 => 2,
-            j => j,
-        },
-        rounds: match cli.num("--rounds", 0) {
-            0 => 8,
-            r => r,
-        },
-        functions: cli.num("--functions", 16usize).clamp(1, 8),
-        addr: cli.text("--addr"),
-        ..Default::default()
-    };
-    let report = splendid_daemon::run_overload_bench(&cfg)
-        .unwrap_or_else(|e| fail(&format!("bench-overload: {e}")));
-    if cli.on("--json") {
-        print!("{}", report.json());
-    } else {
-        print!("{}", report.text());
-    }
-    if !report.gates.passed() {
-        eprintln!("bench-overload: gates failed: {:?}", report.gates);
-        std::process::exit(1);
-    }
-}
-
 /// `splendid cache <stat|verify|compact>` — offline administration of a
 /// persistent cache directory. Opening the store already performs crash
 /// recovery (rescanning segments and truncating any torn tail), so
@@ -1265,122 +909,6 @@ fn cmd_cache(cli: Cli) {
     }
 }
 
-/// `splendid bench-cache` — cold vs warm-restart vs peer-fed over the
-/// PolyBench suite, gated: a warm restart must be at least `--min-speedup`
-/// (default 5) times faster than cold, the warm disk hit rate must
-/// exceed 90%, and a peer-fed fresh store must beat cold.
-fn cmd_bench_cache(cli: Cli) {
-    let rounds = cli.rounds();
-    let min_speedup = match cli.num("--min-speedup", 0.0) {
-        x if x > 0.0 => x,
-        _ => 5.0,
-    };
-
-    // Text inputs: the persistent tier answers whole modules by content
-    // key before parse, which is exactly the warm-restart path a daemon
-    // reopening its store takes.
-    let requests = suite_requests(|m| JobInput::Text(module_str(&m)));
-    let modules = requests.len();
-
-    let base = std::env::temp_dir().join(format!("splendid-bench-cache-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&base);
-    let store_a = base.join("store-a");
-
-    let mut cold = f64::MAX;
-    let mut warm = f64::MAX;
-    let mut hit_rate = 0.0f64;
-    let mut workers = 0;
-    for _ in 0..rounds {
-        // Cold: empty store, everything decompiles for real.
-        let _ = std::fs::remove_dir_all(&store_a);
-        let s = cli.scheduler(cli.jobs(), Some(&store_a), None);
-        workers = s.workers();
-        cold = cold.min(run_pass(&cli, &s, &requests).0);
-        s.flush_cache();
-        drop(s);
-
-        // Warm restart: new process image (fresh scheduler, empty LRU)
-        // over the persisted store.
-        let s = cli.scheduler(workers, Some(&store_a), None);
-        warm = warm.min(run_pass(&cli, &s, &requests).0);
-        if let Some(disk) = s.stats().tiers.iter().find(|t| t.name == "disk") {
-            hit_rate = hit_rate.max(disk.hit_rate());
-        }
-        s.flush_cache();
-        drop(s);
-    }
-
-    // Peer-fed: a daemon serves the warm store over CACHE_GET; a fresh
-    // empty store fills from it instead of decompiling.
-    let daemon = Daemon::start(DaemonConfig {
-        addr: "127.0.0.1:0".into(),
-        cache_dir: Some(store_a.clone()),
-        ..Default::default()
-    })
-    .unwrap_or_else(|e| fail(&format!("bench-cache: peer daemon: {e}")));
-    let peer_addr = daemon.local_addr().to_string();
-    let mut peer_fed = f64::MAX;
-    for round in 0..rounds {
-        let store_b = base.join(format!("store-b-{round}"));
-        let s = cli.scheduler(workers, Some(&store_b), Some(&peer_addr));
-        peer_fed = peer_fed.min(run_pass(&cli, &s, &requests).0);
-        drop(s);
-    }
-    daemon.drain();
-    let _ = std::fs::remove_dir_all(&base);
-
-    let warm_speedup = cold / warm.max(1e-9);
-    let peer_speedup = cold / peer_fed.max(1e-9);
-    if cli.on("--json") {
-        // Hand-rolled JSON: the offline build has no serde.
-        println!("{{");
-        println!("  \"benchmark\": \"bench-cache\",");
-        println!("  \"modules\": {modules},");
-        println!("  \"workers\": {workers},");
-        println!("  \"rounds\": {rounds},");
-        println!("  \"cold_seconds\": {cold:.6},");
-        println!("  \"warm_restart_seconds\": {warm:.6},");
-        println!("  \"peer_fed_seconds\": {peer_fed:.6},");
-        println!("  \"warm_speedup\": {warm_speedup:.3},");
-        println!("  \"peer_speedup\": {peer_speedup:.3},");
-        println!("  \"warm_disk_hit_rate\": {hit_rate:.4}");
-        println!("}}");
-    } else {
-        println!("bench-cache: {modules} polybench modules, best of {rounds} round(s), {workers} worker(s)");
-        println!(
-            "  cold (empty store)    {cold:.3}s  ({:.1} modules/s)",
-            modules as f64 / cold
-        );
-        println!(
-            "  warm restart          {warm:.3}s  ({:.1} modules/s, {warm_speedup:.2}x, {:.1}% disk hits)",
-            modules as f64 / warm,
-            100.0 * hit_rate
-        );
-        println!(
-            "  peer-fed fresh store  {peer_fed:.3}s  ({:.1} modules/s, {peer_speedup:.2}x)",
-            modules as f64 / peer_fed
-        );
-    }
-
-    if warm_speedup < min_speedup {
-        eprintln!(
-            "bench-cache: warm restart speedup {warm_speedup:.2}x is below the required {min_speedup:.2}x"
-        );
-        std::process::exit(1);
-    }
-    if hit_rate <= 0.9 {
-        eprintln!(
-            "bench-cache: warm disk hit rate {:.1}% is not above 90%",
-            100.0 * hit_rate
-        );
-        std::process::exit(1);
-    }
-    if peer_fed >= cold {
-        eprintln!("bench-cache: peer-fed run ({peer_fed:.3}s) did not beat cold ({cold:.3}s)");
-        std::process::exit(1);
-    }
-}
-
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = argv.split_first() else {
@@ -1389,7 +917,7 @@ fn main() {
     let command = COMMANDS.iter().find(|c| c.0 == cmd);
     // Flags are read (and checked) before an unknown command is reported,
     // so a malformed value fails every command line alike.
-    let cli = Cli::parse(command.map_or("", |c| c.0), rest);
+    let cli = Cli::parse(rest);
     match command {
         Some(Command(_, run, _)) => run(cli),
         None => usage(),
