@@ -10,7 +10,7 @@
 //!
 //! The CRC-32 covers `key || len || payload`, so a torn header is caught
 //! as reliably as a torn payload. Records are only ever appended; a
-//! crash mid-append leaves a torn tail that [`Segment::scan`] detects
+//! crash mid-append leaves a torn tail that [`scan_records`] detects
 //! and reports so the store can truncate it — everything before the tear
 //! is intact by construction.
 

@@ -15,8 +15,8 @@
 //! costs) shrink by the same factor.
 //!
 //! The transplant is deliberately conservative. Function bodies reference
-//! their module through four channels: interned [`Symbol`]s (re-interned
-//! into the destination table by string), [`GlobalId`]/`VarId` arena
+//! their module through four channels: interned [`splendid_ir::Symbol`]s (re-interned
+//! into the destination table by string), [`splendid_ir::GlobalId`]/`VarId` arena
 //! indices (valid only because the preamble — and hence both arenas — is
 //! byte-identical by construction), and direct function references
 //! (`Callee::Func` / [`Value::Function`]), which a *prepared* function

@@ -18,10 +18,10 @@
 //! * [`server`] — the daemon: TCP + Unix-socket accept loops over one
 //!   shared [`splendid_serve::Scheduler`], connection capping with
 //!   accept-queue backpressure, per-request deadlines via the serve
-//!   watchdog, idle-session eviction, and graceful drain;
+//!   scheduler, idle-session eviction, and graceful drain;
 //! * [`client`] — the blocking client used by `splendid connect`,
 //!   `splendid validate --addr`, the peer cache tier, and the tests;
-//! * [`bench`] — synthetic inputs shared with perfbench and the tests.
+//! * [`mod@bench`] — synthetic inputs shared with perfbench and the tests.
 
 pub mod bench;
 pub mod client;

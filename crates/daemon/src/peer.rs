@@ -16,7 +16,7 @@
 //! Overload hardening (see DESIGN.md, "Overload protection &
 //! backpressure"): a *dead* peer must cost nanoseconds per miss, not a
 //! full network timeout. A half-open circuit breaker trips after
-//! [`BREAKER_TRIP_AFTER`] consecutive failures; while open, every
+//! `BREAKER_TRIP_AFTER` (3) consecutive failures; while open, every
 //! operation fast-fails without touching the socket. When the backoff
 //! window (exponential, jittered, capped) elapses, exactly one probe
 //! operation goes through half-open: success closes the breaker and

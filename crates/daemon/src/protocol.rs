@@ -110,8 +110,8 @@ pub enum ErrorCode {
     ModuleParse = 7,
     /// The decompilation job failed (the message carries the job error).
     DecompileFailed = 8,
-    /// The per-request deadline expired (watchdog-attributed stage in the
-    /// message).
+    /// The per-request deadline expired (the pipeline stage it expired in
+    /// is named in the message).
     Deadline = 9,
     /// The daemon is draining and refuses new work.
     Draining = 10,

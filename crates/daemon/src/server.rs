@@ -47,8 +47,8 @@ pub struct DaemonConfig {
     /// How long [`Daemon::drain`] waits for in-flight work.
     pub drain_timeout: Duration,
     /// Scheduler configuration (workers, cache, per-request deadline —
-    /// `job_timeout` is the per-request deadline, enforced by the serve
-    /// watchdog).
+    /// `job_timeout` is the per-request deadline, enforced by the
+    /// scheduler's deadline checks).
     pub serve: ServeConfig,
     /// Directory for the persistent on-disk cache tier. `None` runs
     /// memory-only, exactly as before the tier existed.

@@ -401,7 +401,7 @@ impl Session {
     }
 
     /// Stable, line-oriented session stats: request counters plus the
-    /// session-scoped serve counters teed by `submit_with_stats`.
+    /// session-scoped serve counters teed by `submit_ticketed`.
     pub fn stats_text(&self) -> String {
         let get = |c: &std::sync::atomic::AtomicU64| c.load(Ordering::Relaxed);
         let s = &self.stats;

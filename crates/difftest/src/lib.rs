@@ -10,7 +10,7 @@
 //!   interpretation at `-O0` and `-O2`, the Polly-sim parallelizer, and
 //!   decompile→recompile under both OpenMP runtimes) and fails on any
 //!   checksum divergence, pipeline error, or unstable decompilation.
-//! - [`shrink`]: a delta-debugging minimizer that preserves the exact
+//! - [`mod@shrink`]: a delta-debugging minimizer that preserves the exact
 //!   `(route, failure kind)` while cutting the program down.
 //! - [`runner`]: the campaign driver behind `splendid difftest`, with a
 //!   byte-deterministic report and corpus replay.

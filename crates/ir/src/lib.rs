@@ -10,7 +10,7 @@
 //!   `store`, integer and float arithmetic and comparisons, calls (direct,
 //!   external, and indirect-through-constant used by the OpenMP runtime fork
 //!   call), and block terminators ([`InstKind`]);
-//! * debug metadata in the style of `llvm.dbg.value`: a [`DbgValue`]
+//! * debug metadata in the style of `llvm.dbg.value`: an [`InstKind::DbgValue`]
 //!   pseudo-instruction relating an SSA value to a source-level variable
 //!   ([`DiVariable`]), which SPLENDID's variable-renaming algorithms
 //!   (Algorithms 1 and 2 in the paper) consume;

@@ -286,7 +286,7 @@ pub struct Module {
     pub symbols: SymbolTable,
     /// Function arena, indexed by [`FuncId`].
     pub functions: Vec<Function>,
-    /// Global arena, indexed by [`GlobalId`].
+    /// Global arena, indexed by [`crate::GlobalId`].
     pub globals: Vec<Global>,
     /// Debug-variable arena, indexed by [`VarId`].
     pub di_vars: Vec<DiVariable>,

@@ -9,7 +9,7 @@
 //!    bound, when the caller's tenant is over its fair share or out of
 //!    token-bucket quota, or when the estimated queue wait already
 //!    exceeds the request's deadline budget (doomed work is refused up
-//!    front, not started and then killed by the watchdog). A shed is a
+//!    front, not started only to time out). A shed is a
 //!    typed [`Busy`] with a `retry_after_ms` hint, never silence.
 //! 2. **Degrade** when pending work has crossed the (lower) degrade
 //!    threshold: the request is admitted but its fidelity start tier is
@@ -25,7 +25,7 @@
 //! `quota_per_sec`).
 //!
 //! Admission hands out [`AdmissionTicket`]s. The ticket owns an
-//! [`AdmissionLease`] that releases the pending slot and the tenant's
+//! `AdmissionLease` that releases the pending slot and the tenant's
 //! in-flight count when the job completes (or when the ticket is
 //! dropped unsubmitted), so the gauge can never leak on an error path.
 
@@ -43,7 +43,7 @@ pub enum ShedReason {
     /// The tenant is over its fair share or out of token-bucket quota.
     QuotaExhausted,
     /// The estimated queue wait already exceeds the request's deadline —
-    /// admitting it would only feed the watchdog.
+    /// admitting it would only start work that times out.
     DeadlineDoomed,
 }
 
@@ -228,7 +228,7 @@ impl AdmissionController {
 
         // Rung 1b: doomed at admission — the estimated wait through the
         // queue already blows the request's budget, so starting it would
-        // only hand the watchdog a corpse.
+        // only burn a worker on a job that times out anyway.
         if let Some(d) = deadline {
             let est_wait =
                 Duration::from_millis(pending as u64 * avg_job_ms.max(1) / self.workers as u64);

@@ -493,14 +493,9 @@ impl BlobTiers {
         }
     }
 
-    /// Decode-aware convenience: fetch and decode a function record.
-    /// Undecodable blobs count as tier errors-as-misses by contract.
-    pub fn get_function(&self, key: u64) -> Option<FunctionOutput> {
-        codec::decode_function_record(&self.get(key)?).ok()
-    }
-
-    /// [`BlobTiers::get_function`] with a deadline (see
-    /// [`BlobTiers::get_before`]).
+    /// Fetch and decode a function record, under an optional deadline
+    /// (see [`BlobTiers::get_before`]). Undecodable blobs count as tier
+    /// errors-as-misses by contract.
     pub fn get_function_before(
         &self,
         key: u64,
@@ -735,6 +730,6 @@ mod tests {
         let tier = Arc::new(MockTier::new("disk"));
         tier.put(5, b"garbage, not a record");
         let chain = BlobTiers::new(vec![tier as Arc<dyn CacheTier>]);
-        assert!(chain.get_function(5).is_none());
+        assert!(chain.get_function_before(5, None).is_none());
     }
 }

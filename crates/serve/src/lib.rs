@@ -5,9 +5,9 @@
 //! turns it into a service that schedules whole suites of decompilation
 //! requests in parallel (the paper's §5 evaluation workload):
 //!
-//! * [`pool`] — a work-stealing worker pool on `std::thread` + channels,
-//!   with per-task panic isolation (a panicking task fails its job, not
-//!   the service);
+//! * [`pool`] — a worker pool on `std::thread` over one FIFO queue, with
+//!   per-task panic isolation (a panicking task fails its job, not the
+//!   service);
 //! * [`scheduler`] — the job scheduler: requests (textual IR or parsed
 //!   modules + [`splendid_core::SplendidOptions`]) are split into
 //!   per-function work items, with per-job deadlines/cancellation;

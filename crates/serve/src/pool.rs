@@ -1,12 +1,9 @@
-//! Work-stealing worker pool on plain `std::thread` + mutex-guarded
-//! deques (the sandbox build is std-only, so no crossbeam).
-//!
-//! Topology: one global injector queue fed by [`WorkerPool::spawn`], plus
-//! one local deque per worker. A worker that drains the injector takes a
-//! small batch — one task to run now, the rest parked in its local deque —
-//! and idle workers steal from the *front* of other workers' deques while
-//! owners pop from the *back* (classic Chase-Lev discipline, here under
-//! short mutex-protected critical sections).
+//! Worker pool on plain `std::thread`: one FIFO task queue behind a
+//! `Mutex`, one `Condvar` to wake idle workers (the build is std-only,
+//! so no crossbeam). Workers pop from the front and sleep without a
+//! timeout; every push notifies one sleeper, and shutdown is published
+//! under the queue lock, so no wakeup can be lost. Dropping the pool
+//! drains the queue before the workers exit.
 //!
 //! Fault containment, in two layers:
 //!
@@ -18,7 +15,7 @@
 //!   worker thread itself (exercised by [`WorkerPool::inject_worker_fault`]),
 //!   a drop sentinel respawns a replacement worker, so capacity is never
 //!   silently lost. Poisoned mutexes are recovered rather than propagated:
-//!   the queues hold only owned task boxes, which stay structurally valid
+//!   the queue holds only owned task boxes, which stay structurally valid
 //!   across an unwind.
 
 use crate::lock;
@@ -27,7 +24,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
@@ -41,14 +37,13 @@ enum Task {
     Poison,
 }
 
-/// How many tasks a worker grabs from the injector at once; the surplus
-/// lands in its local deque where peers can steal it.
-const INJECTOR_BATCH: usize = 4;
-
+#[derive(Default)]
 struct Shared {
-    injector: Mutex<VecDeque<Task>>,
+    queue: Mutex<VecDeque<Task>>,
     available: Condvar,
-    locals: Vec<Mutex<VecDeque<Task>>>,
+    /// Only ever set while `queue` is locked, so a worker that saw it
+    /// clear under the lock is already waiting when the final notify
+    /// comes.
     shutdown: AtomicBool,
     queued: AtomicUsize,
     in_flight: AtomicUsize,
@@ -60,37 +55,26 @@ struct Shared {
 impl Shared {
     fn spawn(&self, task: Task) {
         self.queued.fetch_add(1, Ordering::SeqCst);
-        lock(&self.injector).push_back(task);
+        lock(&self.queue).push_back(task);
         self.available.notify_one();
     }
 
-    /// Next task for worker `me`: local back → injector batch → steal.
-    fn find_task(&self, me: usize) -> Option<Task> {
-        if let Some(t) = lock(&self.locals[me]).pop_back() {
-            return Some(t);
-        }
-        {
-            let mut inj = lock(&self.injector);
-            if !inj.is_empty() {
-                let task = inj.pop_front();
-                let surplus: Vec<Task> = (1..INJECTOR_BATCH)
-                    .filter_map(|_| inj.pop_front())
-                    .collect();
-                drop(inj);
-                if !surplus.is_empty() {
-                    lock(&self.locals[me]).extend(surplus);
-                    // Peers may be asleep; the surplus is stealable.
-                    self.available.notify_all();
-                }
-                return task;
+    /// Block until a task is queued; `None` once the pool is shutting
+    /// down and the queue has drained.
+    fn next_task(&self) -> Option<Task> {
+        let mut queue = lock(&self.queue);
+        loop {
+            if let Some(task) = queue.pop_front() {
+                return Some(task);
             }
-        }
-        for victim in (0..self.locals.len()).filter(|&v| v != me) {
-            if let Some(t) = lock(&self.locals[victim]).pop_front() {
-                return Some(t);
+            if self.shutdown.load(Ordering::SeqCst) {
+                return None;
             }
+            queue = self
+                .available
+                .wait(queue)
+                .unwrap_or_else(|e| e.into_inner());
         }
-        None
     }
 }
 
@@ -124,19 +108,8 @@ pub struct WorkerPool {
 impl WorkerPool {
     /// Spawn `workers` threads (clamped to at least 1).
     pub fn new(workers: usize) -> WorkerPool {
-        let workers = workers.max(1);
-        let shared = Arc::new(Shared {
-            injector: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
-            locals: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            shutdown: AtomicBool::new(false),
-            queued: AtomicUsize::new(0),
-            in_flight: AtomicUsize::new(0),
-            panics: AtomicU64::new(0),
-            executed: AtomicU64::new(0),
-            respawned: AtomicU64::new(0),
-        });
-        let handles = (0..workers)
+        let shared = Arc::new(Shared::default());
+        let handles = (0..workers.max(1))
             .filter_map(|me| spawn_worker(&shared, me).ok())
             .collect();
         WorkerPool { shared, handles }
@@ -198,13 +171,18 @@ impl WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        // Set under the queue lock: a worker either sees the flag before
+        // it waits, or is already waiting and receives this notify.
+        {
+            let _queue = lock(&self.shared.queue);
+            self.shared.shutdown.store(true, Ordering::SeqCst);
+        }
         self.shared.available.notify_all();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
-        // Respawned replacements are detached; they observe the shutdown
-        // flag within one nap interval and exit, dropping their `Arc`.
+        // Respawned replacements are detached; they wake on the same
+        // notify, drain what is left, see the flag and exit.
     }
 }
 
@@ -217,7 +195,7 @@ fn spawn_worker(shared: &Arc<Shared>, me: usize) -> std::io::Result<JoinHandle<(
                 shared: Arc::clone(&shared),
                 me,
             };
-            worker_loop(&shared, me);
+            worker_loop(&shared);
             std::mem::forget(sentinel); // normal exit: no respawn
         })
 }
@@ -242,38 +220,22 @@ impl Drop for RespawnSentinel {
     }
 }
 
-fn worker_loop(shared: &Shared, me: usize) {
-    loop {
-        if let Some(task) = shared.find_task(me) {
-            shared.queued.fetch_sub(1, Ordering::SeqCst);
-            match task {
-                Task::Run(job) => {
-                    shared.in_flight.fetch_add(1, Ordering::SeqCst);
-                    if catch_unwind(AssertUnwindSafe(job)).is_err() {
-                        shared.panics.fetch_add(1, Ordering::SeqCst);
-                    }
-                    shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-                    shared.executed.fetch_add(1, Ordering::SeqCst);
+fn worker_loop(shared: &Shared) {
+    while let Some(task) = shared.next_task() {
+        shared.queued.fetch_sub(1, Ordering::SeqCst);
+        match task {
+            Task::Run(job) => {
+                shared.in_flight.fetch_add(1, Ordering::SeqCst);
+                if catch_unwind(AssertUnwindSafe(job)).is_err() {
+                    shared.panics.fetch_add(1, Ordering::SeqCst);
                 }
-                // Deliberately outside catch_unwind: unwinds this worker
-                // thread; the RespawnSentinel replaces it.
-                Task::Poison => std::panic::panic_any("injected worker fault"),
+                shared.in_flight.fetch_sub(1, Ordering::SeqCst);
+                shared.executed.fetch_add(1, Ordering::SeqCst);
             }
-            continue;
+            // Deliberately outside catch_unwind: unwinds this worker
+            // thread; the RespawnSentinel replaces it.
+            Task::Poison => std::panic::panic_any("injected worker fault"),
         }
-        let inj = lock(&shared.injector);
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        if !inj.is_empty() {
-            continue; // raced with a producer; go take it
-        }
-        // Steals have no dedicated wakeup, so cap the nap: a sleeping
-        // worker re-scans peers' deques at worst every 20ms.
-        let _ = shared
-            .available
-            .wait_timeout(inj, Duration::from_millis(20))
-            .unwrap_or_else(|e| e.into_inner());
     }
 }
 
@@ -281,6 +243,7 @@ fn worker_loop(shared: &Shared, me: usize) {
 mod tests {
     use super::*;
     use std::sync::mpsc;
+    use std::time::Duration;
 
     #[test]
     fn executes_all_tasks_across_workers() {
@@ -351,18 +314,59 @@ mod tests {
     }
 
     #[test]
-    fn single_worker_pool_drains_serially() {
+    fn single_worker_pool_runs_tasks_in_submission_order() {
+        // Park the only worker on a gate, queue ten tasks behind it, then
+        // open the gate: a FIFO queue must run them exactly in order.
         let pool = WorkerPool::new(1);
+        let (parked_tx, parked_rx) = mpsc::channel();
+        let (gate_tx, gate_rx) = mpsc::channel::<()>();
+        pool.spawn(move || {
+            parked_tx.send(()).unwrap();
+            let _ = gate_rx.recv();
+        });
+        parked_rx.recv().unwrap();
         let (tx, rx) = mpsc::channel();
         for i in 0..10u32 {
             let tx = tx.clone();
             pool.spawn(move || tx.send(i).unwrap());
         }
         drop(tx);
-        // Injector batching reorders within a batch, but nothing is lost.
-        let mut got: Vec<u32> = rx.into_iter().collect();
-        got.sort_unstable();
+        gate_tx.send(()).unwrap();
+        let got: Vec<u32> = rx.into_iter().collect();
         assert_eq!(got, (0..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn repeated_pool_shutdown_never_hangs() {
+        // A shutdown notify that a worker misses would hang `Drop` for
+        // good (workers wait without a timeout), so run the loop on a
+        // helper thread and fail instead of hanging the suite.
+        let (done_tx, done_rx) = mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            for round in 0..200u64 {
+                let pool = WorkerPool::new(2);
+                let (tx, rx) = mpsc::channel();
+                for i in 0..4 {
+                    let tx = tx.clone();
+                    pool.spawn(move || tx.send(round + i).unwrap());
+                }
+                drop(tx);
+                assert_eq!(rx.into_iter().count(), 4);
+                drop(pool);
+            }
+            done_tx.send(()).unwrap();
+        });
+        match done_rx.recv_timeout(Duration::from_secs(10)) {
+            Err(mpsc::RecvTimeoutError::Timeout) => {
+                panic!("200 build/use/drop rounds of a 2-worker pool did not finish in 10 s")
+            }
+            // Finished, or the loop itself failed: join to surface that.
+            _ => {
+                if let Err(payload) = helper.join() {
+                    std::panic::resume_unwind(payload);
+                }
+            }
+        }
     }
 
     #[test]

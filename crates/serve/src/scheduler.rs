@@ -12,9 +12,11 @@
 //! Fault containment (see `DESIGN.md`, "Fault containment & fidelity
 //! tiers"):
 //!
-//! * a watchdog thread sweeps in-flight jobs so deadlines fire even when
-//!   nobody is blocked in [`JobHandle::wait`]; timeouts carry the stage
-//!   the job was in when its deadline expired;
+//! * deadlines are enforced in two places only: [`JobHandle::wait`]
+//!   stops waiting when the deadline passes, and every handoff (job
+//!   start, each work item, assembly, validation) checks it before doing
+//!   more work; timeouts carry the stage the job was in when its
+//!   deadline expired;
 //! * transient preparation errors (injected timeouts, allocation-cap
 //!   trips) are retried with short bounded backoff before failing the job;
 //! * a work item that panics is retried once at the `Literal` fidelity
@@ -29,13 +31,14 @@ use crate::validate::Certificate;
 use crate::{codec, lock};
 use splendid_core::{
     assemble_output, decompile_function, panic_message, prepare_module, DecompileOutput,
-    FidelityTier, FunctionOutput, PreparedModule, SplendidOptions, StageTimings, Variant,
+    FidelityTier, FunctionOutput, PreparedModule, SplendidError, SplendidOptions, StageTimings,
+    Variant,
 };
 use splendid_ir::hash::Fnv64;
 use splendid_ir::{parser::parse_module, FuncId, Module};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Service configuration.
@@ -179,7 +182,7 @@ pub struct JobResult {
 }
 
 /// Job lifecycle stages, for timeout attribution. Stored as an `AtomicU8`
-/// on the job state so the watchdog can read it without locking.
+/// on the job state so a timed-out waiter can read it without locking.
 mod job_stage {
     pub const QUEUED: u8 = 0;
     pub const PARSE: u8 = 1;
@@ -200,10 +203,10 @@ mod job_stage {
 
 /// Fan-out target for service counters: every job records into the
 /// scheduler-wide [`ServeStats`], and — when submitted through
-/// [`Scheduler::submit_with_stats`] — into a second per-caller instance
-/// (the daemon gives each session its own, so the STATS surface can
-/// attribute work per session without the scheduler knowing about
-/// sessions).
+/// [`Scheduler::submit_ticketed`] with session stats — into a second
+/// per-caller instance (the daemon gives each session its own, so the
+/// STATS surface can attribute work per session without the scheduler
+/// knowing about sessions).
 #[derive(Clone)]
 pub(crate) struct StatsSink {
     primary: Arc<ServeStats>,
@@ -233,7 +236,7 @@ impl StatsSink {
     }
 }
 
-struct JobState {
+pub(crate) struct JobState {
     name: String,
     started: Instant,
     deadline: Option<Instant>,
@@ -248,11 +251,8 @@ struct JobState {
     done: Mutex<Option<Result<JobResult, JobError>>>,
     cv: Condvar,
     stats: StatsSink,
-    /// Blob-tier chain shared with the scheduler (empty chain when no
-    /// persistent/peer tier is configured).
-    tiers: Arc<BlobTiers>,
-    /// In-memory certificate cache shared with the scheduler.
-    certs: Arc<LruCache<Certificate>>,
+    /// Cache layers shared with the scheduler.
+    caches: Arc<Caches>,
     /// Whole-module record key, set by the job task for fault-free
     /// `Text` jobs so the last work item can persist the assembled
     /// output on its way out.
@@ -276,10 +276,6 @@ impl JobState {
         JobError::TimedOut {
             stage: job_stage::label(self.stage.load(Ordering::SeqCst)),
         }
-    }
-
-    fn is_done(&self) -> bool {
-        lock(&self.done).is_some()
     }
 
     /// First completion wins; later attempts are no-ops.
@@ -345,11 +341,6 @@ impl JobHandle {
             }
         }
     }
-
-    /// Non-blocking poll; consumes the result when ready.
-    pub fn try_take(&self) -> Option<Result<JobResult, JobError>> {
-        lock(&self.state.done).take()
-    }
 }
 
 fn options_fingerprint(o: &SplendidOptions) -> u64 {
@@ -413,78 +404,92 @@ pub fn function_cache_key(prepared: &PreparedModule, fid: FuncId, opts: &Splendi
 /// = 1 + `PREPARE_BACKOFF.len()`.
 const PREPARE_BACKOFF: [Duration; 2] = [Duration::from_millis(1), Duration::from_millis(2)];
 
-/// Deadline sweeper. Jobs register weakly on submission; the watchdog
-/// wakes every few milliseconds, fails any registered job whose deadline
-/// has passed (with the stage it was in), and drops entries for jobs that
-/// finished or were abandoned.
-struct Watchdog {
-    shared: Arc<WatchdogShared>,
-    handle: Option<std::thread::JoinHandle<()>>,
+/// The cache layers every function result and certificate goes
+/// through: the in-memory function LRU, the certificate LRU, and the
+/// blob-tier chain (disk store, peer daemon, ...) under both. One per
+/// scheduler, shared by all of its jobs.
+pub(crate) struct Caches {
+    pub(crate) functions: FunctionCache,
+    pub(crate) certs: LruCache<Certificate>,
+    pub(crate) tiers: BlobTiers,
 }
 
-#[derive(Default)]
-struct WatchdogShared {
-    jobs: Mutex<Vec<Weak<JobState>>>,
-    shutdown: AtomicBool,
+/// Where [`Caches::fetch_function`] got a function's output.
+pub(crate) enum Fetched {
+    /// From the LRU or a blob tier.
+    Cached(FunctionOutput),
+    /// From a fresh ladder run; a keyed success was written to the LRU
+    /// and the tiers.
+    Decompiled(Result<FunctionOutput, SplendidError>),
+    /// The ladder run panicked; the payload is the caller's to handle.
+    Panicked(Box<dyn std::any::Any + Send>),
+    /// Nothing was cached and the job expired before the ladder started.
+    Expired,
 }
 
-impl Watchdog {
-    fn start() -> Watchdog {
-        let shared = Arc::new(WatchdogShared::default());
-        let thread_shared = Arc::clone(&shared);
-        let handle = std::thread::Builder::new()
-            .name("splendid-watchdog".into())
-            .spawn(move || watchdog_loop(&thread_shared))
-            .ok();
-        Watchdog { shared, handle }
-    }
-
-    fn register(&self, job: &Arc<JobState>) {
-        lock(&self.shared.jobs).push(Arc::downgrade(job));
-    }
-}
-
-impl Drop for Watchdog {
-    fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
+impl Caches {
+    /// One function through the cache layers: the LRU, then the blob
+    /// tiers, then the fidelity ladder, whose success fills the LRU and
+    /// the tiers. `key` is `None` for results that must not be cached.
+    /// With a `job`, its deadline rides along: a tier whose worst-case
+    /// cost (e.g. a peer round-trip timeout) would overrun it is skipped,
+    /// not waited on, and an expired job never starts the ladder.
+    pub(crate) fn fetch_function(
+        &self,
+        prepared: &PreparedModule,
+        fid: FuncId,
+        options: &SplendidOptions,
+        key: Option<u64>,
+        job: Option<&JobState>,
+        stats: &StatsSink,
+    ) -> Fetched {
+        if let Some(k) = key {
+            let deadline = job.and_then(|j| j.deadline);
+            let tiers = || self.tiers.get_function_before(k, deadline).map(Arc::new);
+            if let Some(hit) = self.functions.read_through(k, tiers) {
+                stats.add(|s| &s.functions_from_cache, 1);
+                return Fetched::Cached((*hit).clone());
+            }
         }
-    }
-}
-
-fn watchdog_loop(shared: &WatchdogShared) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        {
-            let mut jobs = lock(&shared.jobs);
-            jobs.retain(|weak| match weak.upgrade() {
-                Some(job) => {
-                    if job.is_done() {
-                        return false;
-                    }
-                    if job.expired() {
-                        job.cancelled.store(true, Ordering::SeqCst);
-                        job.complete(Err(job.timeout_error()));
-                        return false;
-                    }
-                    true
+        if job.is_some_and(JobState::expired) {
+            return Fetched::Expired;
+        }
+        match attempt_decompile(prepared, fid, options, stats) {
+            Ok(Ok(out)) => {
+                if let Some(k) = key {
+                    self.functions.insert(k, Arc::new(out.clone()));
+                    self.tiers.put_function(k, &out);
                 }
-                None => false,
-            });
+                Fetched::Decompiled(Ok(out))
+            }
+            Ok(Err(e)) => Fetched::Decompiled(Err(e)),
+            Err(payload) => Fetched::Panicked(payload),
         }
-        std::thread::sleep(Duration::from_millis(5));
     }
+}
+
+/// The cache key of one function, or `None` when `options` carry a fault
+/// plan: injected faults make outputs depend on hidden injection state,
+/// so cached entries would alias distinct outcomes. Keying runs under
+/// `catch_unwind` because malformed IR can defeat the printer.
+pub(crate) fn cache_key(
+    prepared: &PreparedModule,
+    fid: FuncId,
+    options: &SplendidOptions,
+) -> Option<std::thread::Result<u64>> {
+    options.faults.is_none().then(|| {
+        catch_unwind(AssertUnwindSafe(|| {
+            function_cache_key(prepared, fid, options)
+        }))
+    })
 }
 
 /// The batch-decompilation service.
 pub struct Scheduler {
     pool: WorkerPool,
-    cache: Arc<FunctionCache>,
-    tiers: Arc<BlobTiers>,
-    certs: Arc<LruCache<Certificate>>,
+    caches: Arc<Caches>,
     stats: Arc<ServeStats>,
     admission: Arc<AdmissionController>,
-    watchdog: Option<Watchdog>,
     config: ServeConfig,
 }
 
@@ -506,9 +511,11 @@ impl Scheduler {
         };
         Scheduler {
             pool: WorkerPool::new(workers),
-            cache: Arc::new(FunctionCache::new(config.cache_capacity)),
-            tiers: Arc::new(tiers),
-            certs: Arc::new(LruCache::new(config.cache_capacity)),
+            caches: Arc::new(Caches {
+                functions: FunctionCache::new(config.cache_capacity),
+                certs: LruCache::new(config.cache_capacity),
+                tiers,
+            }),
             stats: Arc::new(ServeStats::default()),
             admission: Arc::new(AdmissionController::new(
                 config.max_pending_jobs,
@@ -517,8 +524,6 @@ impl Scheduler {
                 config.quota_per_sec,
                 workers,
             )),
-            // No deadline, nothing to sweep: don't pay for the thread.
-            watchdog: config.job_timeout.map(|_| Watchdog::start()),
             config,
         }
     }
@@ -529,8 +534,12 @@ impl Scheduler {
     }
 
     /// Accept a job; returns immediately with a waitable handle.
+    ///
+    /// This path bypasses the admission *checks* (batch/CLI callers have
+    /// no tenant and no wire deadline) but still occupies the pending
+    /// gauge, so the daemon's admission decisions see batch load too.
     pub fn submit(&self, request: JobRequest) -> JobHandle {
-        self.submit_with_stats(request, None)
+        self.submit_inner(self.admission.bypass_ticket(), request, None)
     }
 
     /// Average observed job service time, in ms, for admission's queue
@@ -586,6 +595,11 @@ impl Scheduler {
     /// decision rewrites the request's start tier to `Quick`, and its
     /// deadline rides the job state through every handoff (combined with
     /// the scheduler's own `job_timeout`, whichever is earlier).
+    ///
+    /// With `session_stats`, every counter and stage timing this job
+    /// produces is also recorded there (on top of the scheduler-wide
+    /// stats): the daemon gives each session its own [`ServeStats`]
+    /// while sharing one scheduler and one cache across all sessions.
     pub fn submit_ticketed(
         &self,
         ticket: AdmissionTicket,
@@ -596,23 +610,6 @@ impl Scheduler {
             request.options.start_tier = FidelityTier::Quick;
         }
         self.submit_inner(ticket, request, session_stats)
-    }
-
-    /// [`Scheduler::submit`], additionally recording every counter and
-    /// stage timing this job produces into `session_stats` (on top of the
-    /// scheduler-wide stats). The daemon uses this to give each session
-    /// its own [`ServeStats`] while sharing one scheduler and one
-    /// function cache across all sessions.
-    ///
-    /// This path bypasses the admission *checks* (batch/CLI callers have
-    /// no tenant and no wire deadline) but still occupies the pending
-    /// gauge, so the daemon's admission decisions see batch load too.
-    pub fn submit_with_stats(
-        &self,
-        request: JobRequest,
-        session_stats: Option<Arc<ServeStats>>,
-    ) -> JobHandle {
-        self.submit_inner(self.admission.bypass_ticket(), request, session_stats)
     }
 
     fn submit_inner(
@@ -651,19 +648,13 @@ impl Scheduler {
             done: Mutex::new(None),
             cv: Condvar::new(),
             stats: sink,
-            tiers: Arc::clone(&self.tiers),
-            certs: Arc::clone(&self.certs),
+            caches: Arc::clone(&self.caches),
             module_key: std::sync::OnceLock::new(),
             lease: Mutex::new(lease),
         });
-        if let Some(w) = &self.watchdog {
-            w.register(&state);
-        }
         let job_state = Arc::clone(&state);
-        let cache = Arc::clone(&self.cache);
         let remote = self.pool.remote();
-        self.pool
-            .spawn(move || run_job(request, job_state, cache, remote));
+        self.pool.spawn(move || run_job(request, job_state, remote));
         JobHandle { state }
     }
 
@@ -691,34 +682,34 @@ impl Scheduler {
     /// Snapshot the observability counters.
     pub fn stats(&self) -> StatsSnapshot {
         let mut snap = self.stats.snapshot(
-            self.cache.counters(),
+            self.caches.functions.counters(),
             self.pool.queue_depth(),
             self.pool.in_flight(),
             self.pool.workers(),
             self.pool.respawned(),
         );
-        snap.tiers = self.tiers.counters();
+        snap.tiers = self.caches.tiers.counters();
         snap.admission_pending = self.admission.pending();
         snap
     }
 
     /// The blob-tier chain under the LRU (empty when none configured).
-    pub fn tiers(&self) -> &Arc<BlobTiers> {
-        &self.tiers
+    pub fn tiers(&self) -> &BlobTiers {
+        &self.caches.tiers
     }
 
     /// Serve a raw record blob from the *disk tier only* — the daemon's
     /// `CACHE_GET` handler. Never consults peer tiers, so two daemons
     /// feeding each other cannot loop a lookup.
     pub fn cache_blob_get(&self, key: u64) -> Option<Vec<u8>> {
-        self.tiers.disk().and_then(|d| d.get(key))
+        self.caches.tiers.disk().and_then(|d| d.get(key))
     }
 
     /// Accept a raw record blob into the disk tier — the daemon's
     /// `CACHE_PUT` handler (after the daemon validates that the blob
     /// decodes). Returns false when no disk tier is configured.
     pub fn cache_blob_put(&self, key: u64, blob: &[u8]) -> bool {
-        match self.tiers.disk() {
+        match self.caches.tiers.disk() {
             Some(d) => {
                 d.put(key, blob);
                 true
@@ -730,7 +721,7 @@ impl Scheduler {
     /// Flush every blob tier (drain write-behind queues, make the disk
     /// store durable and its index clean).
     pub fn flush_cache(&self) {
-        self.tiers.flush();
+        self.caches.tiers.flush();
     }
 
     /// Enqueue a worker-killing fault (see
@@ -742,12 +733,7 @@ impl Scheduler {
 
 /// Job task: parse + prepare (with transient retry), then fan out
 /// per-function items.
-fn run_job(
-    request: JobRequest,
-    state: Arc<JobState>,
-    cache: Arc<FunctionCache>,
-    remote: PoolRemote,
-) {
+fn run_job(request: JobRequest, state: Arc<JobState>, remote: PoolRemote) {
     if state.expired() {
         state.complete(Err(state.timeout_error()));
         return;
@@ -762,11 +748,11 @@ fn run_job(
     // consult or populate persistent tiers (degraded output must not
     // outlive the process).
     let input = if let JobInput::Text(text) = input {
-        if options.faults.is_none() && !state.tiers.is_empty() {
+        let tiers = &state.caches.tiers;
+        if options.faults.is_none() && !tiers.is_empty() {
             let key = module_cache_key(&text, &options);
             let _ = state.module_key.set(key);
-            let hit = state
-                .tiers
+            let hit = tiers
                 .get(key)
                 .and_then(|blob| codec::decode_module_record(&blob).ok());
             if let Some(output) = hit {
@@ -837,11 +823,10 @@ fn run_job(
     for (slot, fid) in fids.into_iter().enumerate() {
         let item_state = Arc::clone(&state);
         let prepared = Arc::clone(&prepared);
-        let cache = Arc::clone(&cache);
         let options = options.clone();
         let accepted = remote.spawn(move || {
             let stats = item_state.stats.clone();
-            run_function_item(&item_state, &prepared, fid, slot, &options, &cache, &stats)
+            run_function_item(&item_state, &prepared, fid, slot, &options, &stats)
         });
         if !accepted {
             // Pool already shut down; the job can never finish normally.
@@ -902,11 +887,10 @@ fn run_function_item(
     fid: FuncId,
     slot: usize,
     options: &SplendidOptions,
-    cache: &FunctionCache,
     stats: &StatsSink,
 ) {
     if !state.expired() {
-        match decompile_item(state, prepared, fid, options, cache, stats) {
+        match decompile_item(state, prepared, fid, options, stats) {
             Ok(out) => {
                 // A Quick emit that was *requested* is the job's contract,
                 // not a degradation; anything below the requested rung is.
@@ -940,9 +924,7 @@ fn run_function_item(
                         prepared,
                         &mut functions,
                         options,
-                        cache,
-                        &state.tiers,
-                        &state.certs,
+                        &state.caches,
                         stats,
                         &|| state.expired(),
                     );
@@ -969,78 +951,49 @@ fn run_function_item(
     }
 }
 
-/// One function through cache + ladder + panic-retry.
+/// One function through the cache layers + ladder + panic-retry.
 fn decompile_item(
     state: &JobState,
     prepared: &Arc<PreparedModule>,
     fid: FuncId,
     options: &SplendidOptions,
-    cache: &FunctionCache,
     stats: &StatsSink,
 ) -> Result<FunctionOutput, JobError> {
-    // Fault plans mutate hidden injection state per invocation, so cached
-    // entries would alias distinct injection outcomes: bypass entirely.
-    let caching = options.faults.is_none();
-    let key = caching.then(|| {
-        catch_unwind(AssertUnwindSafe(|| {
-            function_cache_key(prepared, fid, options)
-        }))
-    });
-    let key = match key {
-        // Keying panicked (malformed IR defeats the printer): go
-        // straight to the Literal-floor recovery attempt.
+    let key = match cache_key(prepared, fid, options) {
+        // Keying panicked: go straight to the Literal-floor recovery
+        // attempt.
         Some(Err(payload)) => return attempt_retry(prepared, fid, stats, payload),
         Some(Ok(k)) => Some(k),
         None => None,
     };
-    if let Some(k) = key {
-        // LRU, then the blob tiers (disk, then peer; they promote among
-        // themselves internally). The job's deadline rides along: a tier
-        // whose worst-case cost (e.g. a peer round-trip timeout) would
-        // blow the remaining budget is skipped, not waited on.
-        let tiers = || {
-            state
-                .tiers
-                .get_function_before(k, state.deadline)
-                .map(Arc::new)
-        };
-        if let Some(hit) = cache.read_through(k, tiers) {
+    match state
+        .caches
+        .fetch_function(prepared, fid, options, key, Some(state), stats)
+    {
+        Fetched::Cached(out) => {
             state.cached.fetch_add(1, Ordering::Relaxed);
-            stats.add(|s| &s.functions_from_cache, 1);
-            return Ok((*hit).clone());
-        }
-    }
-    // Deadline check at the handoff into the ladder: expired work is
-    // cancelled here instead of burning a worker only for the watchdog
-    // to discover the corpse.
-    if state.expired() {
-        return Err(state.timeout_error());
-    }
-    match attempt_decompile(prepared, fid, options, stats) {
-        Ok(Ok(out)) => {
-            if let Some(k) = key {
-                cache.insert(k, Arc::new(out.clone()));
-                state.tiers.put_function(k, &out);
-            }
             Ok(out)
         }
+        Fetched::Decompiled(Ok(out)) => Ok(out),
+        // Expired work is cancelled at the handoff into the ladder
+        // instead of burning a worker.
+        Fetched::Expired => Err(state.timeout_error()),
         // The ladder itself reported failure: even `Literal` could not
         // emit this function. Deterministic — no point retrying.
-        Ok(Err(e)) => Err(JobError::Decompile(e.to_string())),
+        Fetched::Decompiled(Err(e)) => Err(JobError::Decompile(e.to_string())),
         // The attempt panicked past the ladder's own containment: retry
         // once at the Literal floor, uncached.
-        Err(payload) => attempt_retry(prepared, fid, stats, payload),
+        Fetched::Panicked(payload) => attempt_retry(prepared, fid, stats, payload),
     }
 }
 
 /// Run one ladder attempt under `catch_unwind`, recording timings.
-#[allow(clippy::type_complexity)]
 fn attempt_decompile(
-    prepared: &Arc<PreparedModule>,
+    prepared: &PreparedModule,
     fid: FuncId,
     options: &SplendidOptions,
     stats: &StatsSink,
-) -> Result<Result<FunctionOutput, splendid_core::SplendidError>, Box<dyn std::any::Any + Send>> {
+) -> std::thread::Result<Result<FunctionOutput, SplendidError>> {
     catch_unwind(AssertUnwindSafe(|| {
         let mut timings = StageTimings::default();
         let fresh = decompile_function(prepared, fid, options, &mut timings);
@@ -1058,7 +1011,7 @@ fn attempt_decompile(
 /// and faults disabled. Success resumes the job at degraded fidelity;
 /// failure quarantines the item.
 fn attempt_retry(
-    prepared: &Arc<PreparedModule>,
+    prepared: &PreparedModule,
     fid: FuncId,
     stats: &StatsSink,
     first_payload: Box<dyn std::any::Any + Send>,
@@ -1096,7 +1049,10 @@ fn finish(state: &JobState, prepared: &PreparedModule, output: DecompileOutput) 
     // request without parsing. Write-behind: the put enqueues and the
     // job completes immediately.
     if let Some(&key) = state.module_key.get() {
-        state.tiers.put(key, &codec::encode_module_record(&output));
+        state
+            .caches
+            .tiers
+            .put(key, &codec::encode_module_record(&output));
     }
     let functions = prepared.module.functions.len();
     state.complete(Ok(JobResult {

@@ -3,19 +3,19 @@
 //!
 //! When a job is submitted with [`SplendidOptions::validate`] set, the
 //! last work item — after every function slot is filled, before the
-//! translation unit is assembled — runs [`run_validation`]. Per
-//! function it:
+//! translation unit is assembled — runs `run_validation`. Per function
+//! it:
 //!
 //! 1. looks for a cached [`Certificate`] (in the scheduler's
-//!    certificate LRU first, then the blob tiers — so a warm restart answers verdicts from disk without
-//!    re-running the checker);
+//!    certificate LRU first, then the blob tiers — so a warm restart
+//!    answers verdicts from disk without re-running the checker);
 //! 2. on a miss, re-lowers the current decompiled unit and probe-checks
 //!    the function with [`splendid_validate::check_function`];
 //! 3. on a **mismatch** — the only verdict that proves the output wrong
 //!    — falls one rung down the fidelity ladder, re-decompiles the
-//!    function (through the normal function cache), and re-checks; a
-//!    function still mismatching at the `Literal` floor is served
-//!    anyway but counted as quarantined and tagged as unverified;
+//!    function (through the same cache layers as every work item), and
+//!    re-checks; a function still mismatching at the `Literal` floor is
+//!    served anyway but counted as quarantined and tagged as unverified;
 //! 4. stamps the outcome into the emitted C as a leading
 //!    `/* splendid: verified */` or `/* splendid: UNVERIFIED: ... */`
 //!    comment and persists the certificate (never under fault
@@ -25,18 +25,13 @@
 //! fingerprint as function records, so validation amortizes exactly
 //! like decompilation does.
 
-use crate::cache::{BlobTiers, FunctionCache, LruCache};
 use crate::codec;
-use crate::scheduler::{function_cache_key, StatsSink};
+use crate::scheduler::{cache_key, Caches, Fetched, StatsSink};
 use splendid_cfront::{print_program, CProgram, CStmt};
-use splendid_core::{
-    decompile_function, FidelityTier, FunctionOutput, PreparedModule, SplendidOptions, StageTimings,
-};
+use splendid_core::{FidelityTier, FunctionOutput, PreparedModule, SplendidOptions};
 use splendid_ir::hash::Fnv64;
-use splendid_ir::Module;
+use splendid_ir::{FuncId, Module};
 use splendid_validate::{check_function, relower, ReasonKind, ValidateConfig, Verdict};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
 
 /// Leading comment stamped into every verified function.
 pub const VERIFIED_ANNOTATION: &str = "splendid: verified";
@@ -73,7 +68,7 @@ pub fn cert_cache_key(function_key: u64) -> u64 {
     h.finish()
 }
 
-/// What [`run_validation`] did, for the job result.
+/// What validating one job's functions did, for the job result.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ValidateOutcome {
     /// Functions stamped verified.
@@ -87,23 +82,21 @@ pub struct ValidateOutcome {
 /// `prepared.module.func_ids()` order (the slot order) and is mutated
 /// in place: fallback replaces entries, and every entry gets a verdict
 /// annotation. Returns the verdict tally.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_validation(
     prepared: &PreparedModule,
     functions: &mut [FunctionOutput],
     options: &SplendidOptions,
-    cache: &FunctionCache,
-    tiers: &BlobTiers,
-    certs: &LruCache<Certificate>,
+    caches: &Caches,
     stats: &StatsSink,
     expired: &dyn Fn() -> bool,
 ) -> ValidateOutcome {
-    let cfg = ValidateConfig::default();
-    // Fault-injected runs still validate (the annotations are the whole
-    // point of seeing a degraded run's verdicts) but never read or
-    // write certificates: a verdict observed under injection must not
-    // outlive the process, let alone reach a peer.
-    let persist = options.faults.is_none();
+    let run = Validation {
+        prepared,
+        options,
+        caches,
+        stats,
+        cfg: ValidateConfig::default(),
+    };
     let fids: Vec<_> = prepared.module.func_ids().collect();
     debug_assert_eq!(fids.len(), functions.len());
 
@@ -119,80 +112,127 @@ pub(crate) fn run_validation(
             // decides what happens to the job itself.
             break;
         }
-        let name = prepared
-            .module
-            .name_of(prepared.module.func(fid).name)
-            .to_string();
-        let fkey = if persist {
-            catch_unwind(AssertUnwindSafe(|| {
-                function_cache_key(prepared, fid, options)
-            }))
-            .ok()
-        } else {
-            None
-        };
-        let ckey = fkey.map(cert_cache_key);
+        // Fault-injected runs still validate (the annotations are the
+        // whole point of seeing a degraded run's verdicts) but have no
+        // key, so they never read or write certificates: a verdict
+        // observed under injection must not outlive the process, let
+        // alone reach a peer.
+        let ckey = cache_key(prepared, fid, options)
+            .and_then(Result::ok)
+            .map(cert_cache_key);
 
         // Certificate fast path: memory, then tiers.
         if let Some(ckey) = ckey {
-            let hit =
-                certs.read_through(ckey, || codec::decode_cert_record(&tiers.get(ckey)?).ok());
-            if let Some(cert) = hit {
-                if let Some(out) = replay_certificate(
-                    &cert, prepared, fid, i, functions, options, cache, tiers, stats,
-                ) {
-                    stats.add(|s| &s.certs_from_cache, 1);
-                    apply_verdict(&mut functions[i], out, stats, &mut outcome);
-                    continue;
-                }
-                // Replay failed (e.g. the recorded tier can no longer be
-                // derived): fall through and prove from scratch.
+            let hit = caches.certs.read_through(ckey, || {
+                codec::decode_cert_record(&caches.tiers.get(ckey)?).ok()
+            });
+            // The certificate replays when the slot is already at (or
+            // below) its recorded tier, or when the function can still
+            // be derived at that tier; the slot keeps its output either
+            // way. Otherwise prove from scratch.
+            if let Some(cert) =
+                hit.filter(|c| functions[i].tier >= c.tier || run.derive_at(fid, c.tier).is_some())
+            {
+                stats.add(|s| &s.certs_from_cache, 1);
+                apply_verdict(&mut functions[i], cert, stats, &mut outcome);
+                continue;
             }
         }
 
         stats.add(|s| &s.validations_run, 1);
-        let cert = prove_function(
-            prepared,
-            fid,
-            i,
-            &name,
-            functions,
-            options,
-            &cfg,
-            cache,
-            tiers,
-            stats,
-            &mut relowered,
-        );
+        let cert = run.prove(fid, i, functions, &mut relowered);
         if let Some(ckey) = ckey {
-            certs.insert(ckey, cert.clone());
-            tiers.put(ckey, &codec::encode_cert_record(&cert));
+            caches.certs.insert(ckey, cert.clone());
+            caches.tiers.put(ckey, &codec::encode_cert_record(&cert));
         }
         apply_verdict(&mut functions[i], cert, stats, &mut outcome);
     }
     outcome
 }
 
-/// Re-derive the output a certificate describes without running the
-/// checker. For the common case (`cert.tier` equals the slot's tier)
-/// the slot already holds it; after a remembered fallback the function
-/// is re-decompiled at the recorded tier through the normal cache path.
-#[allow(clippy::too_many_arguments)]
-fn replay_certificate(
-    cert: &Certificate,
-    prepared: &PreparedModule,
-    fid: splendid_ir::FuncId,
-    slot: usize,
-    functions: &[FunctionOutput],
-    options: &SplendidOptions,
-    cache: &FunctionCache,
-    tiers: &BlobTiers,
-    stats: &StatsSink,
-) -> Option<Certificate> {
-    if functions[slot].tier >= cert.tier {
-        return Some(cert.clone());
+/// What every check and fallback of one [`run_validation`] shares.
+struct Validation<'a> {
+    prepared: &'a PreparedModule,
+    options: &'a SplendidOptions,
+    caches: &'a Caches,
+    stats: &'a StatsSink,
+    cfg: ValidateConfig,
+}
+
+impl Validation<'_> {
+    /// Prove one function: check, and on a proven mismatch walk down the
+    /// fidelity ladder re-decompiling and re-checking until the verdict
+    /// is clean or the `Literal` floor still mismatches (quarantine).
+    fn prove(
+        &self,
+        fid: FuncId,
+        slot: usize,
+        functions: &mut [FunctionOutput],
+        relowered: &mut Option<Result<Module, String>>,
+    ) -> Certificate {
+        let prepared = self.prepared;
+        let name = prepared.module.name_of(prepared.module.func(fid).name);
+        loop {
+            let module = relowered.get_or_insert_with(|| relower(&print_unit(prepared, functions)));
+            let verdict = match module {
+                Ok(m) => check_function(&prepared.module, m, name, &self.cfg),
+                Err(e) => Verdict::Unverified(splendid_validate::Reason {
+                    kind: ReasonKind::Relower,
+                    detail: e.clone(),
+                }),
+            };
+            let tier = functions[slot].tier;
+            match verdict {
+                Verdict::Verified => {
+                    return Certificate {
+                        verified: true,
+                        tier,
+                        mismatch: false,
+                        reason: String::new(),
+                    }
+                }
+                Verdict::Unverified(reason) => {
+                    if reason.is_mismatch() {
+                        if let Some(out) = next_tier(tier).and_then(|t| self.derive_at(fid, t)) {
+                            self.stats.add(|s| &s.validate_fallbacks, 1);
+                            functions[slot] = out;
+                            *relowered = None;
+                            continue;
+                        }
+                        // Mismatch at the Literal floor (or the fallback
+                        // could not be derived): serve it, but say so.
+                        self.stats.add(|s| &s.validate_quarantined, 1);
+                    }
+                    return Certificate {
+                        verified: false,
+                        tier,
+                        mismatch: reason.is_mismatch(),
+                        reason: reason.to_string(),
+                    };
+                }
+            }
+        }
     }
-    derive_at(prepared, fid, options, cert.tier, cache, tiers, stats).map(|_| cert.clone())
+
+    /// Re-decompile one function with its start tier pinned, through the
+    /// cache layers (the bumped tier changes the options fingerprint, so
+    /// validated-fallback outputs get their own key space and are shared
+    /// across jobs and restarts like any other record). No deadline and
+    /// no panic retry: any failure is `None`.
+    fn derive_at(&self, fid: FuncId, tier: FidelityTier) -> Option<FunctionOutput> {
+        let opts = SplendidOptions {
+            start_tier: tier,
+            ..self.options.clone()
+        };
+        let key = cache_key(self.prepared, fid, &opts).and_then(Result::ok);
+        match self
+            .caches
+            .fetch_function(self.prepared, fid, &opts, key, None, self.stats)
+        {
+            Fetched::Cached(out) | Fetched::Decompiled(Ok(out)) => Some(out),
+            _ => None,
+        }
+    }
 }
 
 /// Stamp the verdict into the function body and tally it.
@@ -219,69 +259,6 @@ fn sanitize(reason: &str) -> String {
     reason.replace("*/", "* /").replace(['\n', '\r'], " ")
 }
 
-/// Prove one function: check, and on a proven mismatch walk down the
-/// fidelity ladder re-decompiling and re-checking until the verdict is
-/// clean or the `Literal` floor still mismatches (quarantine).
-#[allow(clippy::too_many_arguments)]
-fn prove_function(
-    prepared: &PreparedModule,
-    fid: splendid_ir::FuncId,
-    slot: usize,
-    name: &str,
-    functions: &mut [FunctionOutput],
-    options: &SplendidOptions,
-    cfg: &ValidateConfig,
-    cache: &FunctionCache,
-    tiers: &BlobTiers,
-    stats: &StatsSink,
-    relowered: &mut Option<Result<Module, String>>,
-) -> Certificate {
-    loop {
-        let module = relowered.get_or_insert_with(|| relower(&print_unit(prepared, functions)));
-        let verdict = match module {
-            Ok(m) => check_function(&prepared.module, m, name, cfg),
-            Err(e) => Verdict::Unverified(splendid_validate::Reason {
-                kind: ReasonKind::Relower,
-                detail: e.clone(),
-            }),
-        };
-        let tier = functions[slot].tier;
-        match verdict {
-            Verdict::Verified => {
-                return Certificate {
-                    verified: true,
-                    tier,
-                    mismatch: false,
-                    reason: String::new(),
-                }
-            }
-            Verdict::Unverified(reason) => {
-                if reason.is_mismatch() {
-                    if let Some(next) = next_tier(tier) {
-                        if let Some(out) =
-                            derive_at(prepared, fid, options, next, cache, tiers, stats)
-                        {
-                            stats.add(|s| &s.validate_fallbacks, 1);
-                            functions[slot] = out;
-                            *relowered = None;
-                            continue;
-                        }
-                    }
-                    // Mismatch at the Literal floor (or the fallback
-                    // could not be derived): serve it, but say so.
-                    stats.add(|s| &s.validate_quarantined, 1);
-                }
-                return Certificate {
-                    verified: false,
-                    tier,
-                    mismatch: reason.is_mismatch(),
-                    reason: reason.to_string(),
-                };
-            }
-        }
-    }
-}
-
 fn next_tier(tier: FidelityTier) -> Option<FidelityTier> {
     match tier {
         FidelityTier::Natural => Some(FidelityTier::Structured),
@@ -304,54 +281,6 @@ fn print_unit(prepared: &PreparedModule, functions: &[FunctionOutput]) -> String
         functions: functions.iter().map(|f| f.cfunc.clone()).collect(),
     };
     print_program(&program)
-}
-
-/// Re-decompile one function with its start tier pinned, through the
-/// function cache (the bumped tier changes the options fingerprint, so
-/// validated-fallback outputs get their own key space and are shared
-/// across jobs and restarts like any other record).
-fn derive_at(
-    prepared: &PreparedModule,
-    fid: splendid_ir::FuncId,
-    base: &SplendidOptions,
-    tier: FidelityTier,
-    cache: &FunctionCache,
-    tiers: &BlobTiers,
-    stats: &StatsSink,
-) -> Option<FunctionOutput> {
-    let opts = SplendidOptions {
-        start_tier: tier,
-        ..base.clone()
-    };
-    let caching = opts.faults.is_none();
-    let key = if caching {
-        catch_unwind(AssertUnwindSafe(|| {
-            function_cache_key(prepared, fid, &opts)
-        }))
-        .ok()
-    } else {
-        None
-    };
-    if let Some(k) = key {
-        if let Some(hit) = cache.read_through(k, || tiers.get_function(k).map(Arc::new)) {
-            stats.add(|s| &s.functions_from_cache, 1);
-            return Some((*hit).clone());
-        }
-    }
-    let out = catch_unwind(AssertUnwindSafe(|| {
-        let mut timings = StageTimings::default();
-        let fresh = decompile_function(prepared, fid, &opts, &mut timings);
-        stats.record_timings(&timings);
-        fresh
-    }))
-    .ok()?
-    .ok()?;
-    stats.add(|s| &s.functions_decompiled, 1);
-    if let Some(k) = key {
-        cache.insert(k, Arc::new(out.clone()));
-        tiers.put_function(k, &out);
-    }
-    Some(out)
 }
 
 /// Count verdict annotations in an already-assembled program — how the

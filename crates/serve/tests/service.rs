@@ -6,7 +6,7 @@ use splendid_core::{decompile, SplendidOptions};
 use splendid_ir::{printer::module_str, Inst, InstId, InstKind, Module, Type, Value};
 use splendid_polybench::Harness;
 use splendid_serve::{JobError, JobRequest, Scheduler, ServeConfig};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The three-kernel golden workload (compiled to parallel IR once).
 fn golden_suite() -> Vec<(String, Module)> {
@@ -287,6 +287,31 @@ fn timeout_errors_name_a_pipeline_stage() {
         ["queue", "parse", "prepare", "functions", "assemble"].contains(&stage),
         "stage attribution must name a known stage, got {stage:?}"
     );
+}
+
+/// A request's own deadline is enforced without any scheduler-wide
+/// `job_timeout`: the job expires in the queue, is counted once, and
+/// frees its admission slot.
+#[test]
+fn request_deadline_times_out_without_a_job_timeout() {
+    let scheduler = Scheduler::new(ServeConfig {
+        workers: 1,
+        job_timeout: None,
+        ..Default::default()
+    });
+    let ticket = scheduler
+        .admit(None, Some(Instant::now() + Duration::from_millis(1)))
+        .expect("an idle scheduler admits a 1 ms budget");
+    std::thread::sleep(Duration::from_millis(5));
+    let (name, module) = golden_suite().remove(0);
+    let err = scheduler
+        .submit_ticketed(ticket, JobRequest::from_module(name, module), None)
+        .wait()
+        .unwrap_err();
+    assert_eq!(err, JobError::TimedOut { stage: "queue" });
+    let stats = scheduler.stats();
+    assert_eq!(stats.jobs_timed_out, 1, "{stats}");
+    assert_eq!(stats.admission_pending, 0, "{stats}");
 }
 
 #[test]
