@@ -445,10 +445,6 @@ pub enum CStmt {
     Goto(String),
     /// `label:` (baseline decompilers only).
     Label(String),
-    /// `/* text */` — pipeline annotations (e.g. fidelity-tier
-    /// degradation notes). The lexer strips comments, so these survive
-    /// printing but vanish on recompilation.
-    Comment(String),
 }
 
 /// A function definition.
@@ -585,7 +581,6 @@ fn print_stmt(out: &mut String, stmt: &CStmt, level: usize) {
         }
         CStmt::OmpBarrier => writeln!(out, "#pragma omp barrier").unwrap(),
         CStmt::Goto(l) => writeln!(out, "goto {l};").unwrap(),
-        CStmt::Comment(text) => writeln!(out, "/* {text} */").unwrap(),
         CStmt::Label(_) => unreachable!("handled above"),
     }
 }

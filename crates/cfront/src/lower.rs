@@ -970,7 +970,6 @@ impl<'m> FuncLowerer<'m> {
                 self.cur = bb;
                 Ok(())
             }
-            CStmt::Comment(_) => Ok(()),
         }
     }
 }

@@ -483,7 +483,6 @@ fn free_vars_stmt(stmt: &CStmt, bound: &mut HashSet<String>, out: &mut Vec<Strin
         }
         CStmt::Return(Some(e)) => free_vars_expr(e, bound, out),
         CStmt::Return(None) | CStmt::OmpBarrier | CStmt::Goto(_) | CStmt::Label(_) => {}
-        CStmt::Comment(_) => {}
         CStmt::Block(b) => free_vars_stmts(b, bound, out),
         CStmt::OmpParallel { body, clauses } => {
             let mut inner_bound = bound.clone();
@@ -595,7 +594,6 @@ fn written_vars_stmt(stmt: &CStmt, out: &mut HashSet<String>) {
         }
         CStmt::Return(Some(e)) => written_vars_expr(e, out),
         CStmt::Return(None) | CStmt::OmpBarrier | CStmt::Goto(_) | CStmt::Label(_) => {}
-        CStmt::Comment(_) => {}
         CStmt::Block(b) => written_vars_stmts(b, out),
         CStmt::OmpParallel { body, .. } => written_vars_stmts(body, out),
         CStmt::OmpSimd { loop_stmt, .. } => written_vars_stmt(loop_stmt, out),

@@ -162,7 +162,7 @@ fn check_stmt(
             }
             check_stmt(loop_stmt, scope, prog, f)
         }
-        CStmt::OmpBarrier | CStmt::Goto(_) | CStmt::Label(_) | CStmt::Comment(_) => Ok(()),
+        CStmt::OmpBarrier | CStmt::Goto(_) | CStmt::Label(_) => Ok(()),
     }
 }
 

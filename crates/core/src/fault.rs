@@ -128,37 +128,6 @@ impl FaultPlan {
     }
 }
 
-/// Tiny deterministic generator (xorshift64*) for seeded fault
-/// campaigns; good enough for coverage, fully reproducible.
-#[derive(Debug, Clone)]
-pub struct FaultRng(u64);
-
-impl FaultRng {
-    /// Seeded generator; a zero seed is remapped to a fixed constant.
-    pub fn new(seed: u64) -> FaultRng {
-        FaultRng(if seed == 0 { 0x9E3779B97F4A7C15 } else { seed })
-    }
-
-    /// Next raw 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-
-    /// Uniform-ish value in `[0, bound)`.
-    pub fn below(&mut self, bound: u64) -> u64 {
-        if bound == 0 {
-            0
-        } else {
-            self.next_u64() % bound
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,14 +162,5 @@ mod tests {
         let err = plan.check(Stage::Detransform).unwrap_err();
         assert!(err.transient);
         assert!(err.is_recoverable());
-    }
-
-    #[test]
-    fn rng_is_deterministic() {
-        let mut a = FaultRng::new(42);
-        let mut b = FaultRng::new(42);
-        for _ in 0..16 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
     }
 }

@@ -50,10 +50,10 @@ pub mod pragma;
 pub mod structure;
 
 pub use error::{panic_message, Severity, SplendidError, Stage};
-pub use fault::{FaultKind, FaultPlan, FaultRng, FaultSpec};
+pub use fault::{FaultKind, FaultPlan, FaultSpec};
 pub use fingerprint::{function_fingerprint, module_fingerprints};
 pub use pipeline::{
-    assemble_output, decompile, decompile_function, decompile_timed, prepare_module,
+    assemble_output, decompile, decompile_function, decompile_timed, prepare_module, print_unit,
     DecompileOutput, FidelityTier, FunctionOutput, NamingStats, PreparedModule, SplendidOptions,
     StageTimings, Variant,
 };

@@ -15,8 +15,9 @@ use crate::fault::FaultPlan;
 use crate::literal::emit_literal;
 use crate::naming::{assign_names, assign_register_names, NameOrigin};
 use crate::structure::{structure_function, StructureOptions};
-use splendid_cfront::ast::{print_program, CFunc, CProgram, CStmt, CType};
+use splendid_cfront::ast::{print_func, CFunc};
 use splendid_ir::{FuncId, Module};
+use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -152,11 +153,9 @@ impl NamingStats {
 }
 
 /// Result of decompiling a module.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecompileOutput {
-    /// The reconstructed translation unit.
-    pub program: CProgram,
-    /// Pretty-printed C source.
+    /// Pretty-printed C source of the translation unit.
     pub source: String,
     /// Aggregate naming statistics.
     pub naming: NamingStats,
@@ -179,7 +178,7 @@ pub struct StageTimings {
     pub naming: Duration,
     /// Control-flow structuring + expression reconstruction (per function).
     pub structure: Duration,
-    /// C pretty-printing.
+    /// C pretty-printing (per function) and translation-unit assembly.
     pub emit: Duration,
     /// Functions that fell back to the structured tier.
     pub degraded_structured: u32,
@@ -222,33 +221,35 @@ pub struct PreparedModule {
     pub(crate) digests: std::sync::OnceLock<crate::fingerprint::ModuleDigests>,
 }
 
-impl PreparedModule {
-    /// Global declarations for the reconstructed translation unit.
-    pub fn c_globals(&self) -> Vec<(String, CType)> {
-        self.module
-            .globals
-            .iter()
-            .map(|g| {
-                (
-                    self.module.name_of(g.name).to_string(),
-                    ctype_of_mem(&g.mem),
-                )
-            })
-            .collect()
-    }
-}
-
 /// Result of decompiling a single function of a [`PreparedModule`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FunctionOutput {
-    /// The reconstructed C function.
-    pub cfunc: CFunc,
+    /// The reconstructed C function, printed: the header line, the
+    /// indented body, the closing brace and a trailing newline.
+    pub text: String,
     /// Naming statistics for this function alone.
     pub naming: NamingStats,
     /// `goto` statements emitted for this function.
     pub gotos: usize,
     /// The fidelity tier the function was actually emitted at.
     pub tier: FidelityTier,
+}
+
+impl FunctionOutput {
+    /// Insert `/* note */` as the first line of the function body. A
+    /// later note lands above an earlier one, so the ladder's
+    /// degradation note ends up below validation's verdict.
+    pub fn annotate(&mut self, note: &str) {
+        let at = self.text.find('\n').map_or(self.text.len(), |i| i + 1);
+        self.text.insert_str(at, &format!("  /* {note} */\n"));
+    }
+}
+
+/// What one successful fidelity-tier attempt emitted, before printing.
+struct Emitted {
+    cfunc: CFunc,
+    naming: NamingStats,
+    gotos: usize,
 }
 
 /// Run the module-wide stages (parallel-region detransformation and
@@ -290,7 +291,7 @@ fn attempt_tier(
     opts: &SplendidOptions,
     tier: FidelityTier,
     timings: &mut StageTimings,
-) -> Result<FunctionOutput, SplendidError> {
+) -> Result<Emitted, SplendidError> {
     let work = &prepared.module;
     let fname = work.name_of(work.func(fid).name).to_string();
 
@@ -301,14 +302,13 @@ fn attempt_tier(
         let start = Instant::now();
         let lit = contain(Stage::Emit, &fname, || emit_literal(work, work.func(fid)))??;
         timings.structure += start.elapsed();
-        return Ok(FunctionOutput {
+        return Ok(Emitted {
             cfunc: lit.cfunc,
             naming: NamingStats {
                 total_vars: lit.vars,
                 restored_vars: 0,
             },
             gotos: lit.gotos,
-            tier,
         });
     }
 
@@ -360,19 +360,19 @@ fn attempt_tier(
         .iter()
         .filter(|(_, o)| *o == NameOrigin::SourceVariable)
         .count();
-    Ok(FunctionOutput {
+    Ok(Emitted {
         cfunc: structured.cfunc,
         naming: NamingStats {
             total_vars: structured.variables.len(),
             restored_vars: restored,
         },
         gotos: structured.gotos,
-        tier,
     })
 }
 
 /// Decompile one function of a prepared module, walking the fidelity
-/// ladder from `opts.start_tier` down until a tier succeeds.
+/// ladder from `opts.start_tier` down until a tier succeeds, and print
+/// the tier that did.
 ///
 /// This is the reentrant unit of work the service layer schedules: it
 /// takes only shared references, touches no global state, and two calls
@@ -403,22 +403,27 @@ pub fn decompile_function(
             continue;
         }
         match attempt_tier(prepared, fid, opts, tier, timings) {
-            Ok(mut out) => {
+            Ok(emitted) => {
                 match tier {
                     // A *requested* Quick emit is not a degradation.
                     FidelityTier::Natural | FidelityTier::Quick => {}
                     FidelityTier::Structured => timings.degraded_structured += 1,
                     FidelityTier::Literal => timings.degraded_literal += 1,
                 }
+                let start = Instant::now();
+                let mut out = FunctionOutput {
+                    text: print_func(&emitted.cfunc),
+                    naming: emitted.naming,
+                    gotos: emitted.gotos,
+                    tier,
+                };
+                timings.emit += start.elapsed();
                 if tier > FidelityTier::Natural && tier != FidelityTier::Quick {
                     let why = first_error
                         .as_ref()
                         .map(|e| e.to_string())
                         .unwrap_or_else(|| "requested by caller".to_string());
-                    out.cfunc.body.insert(
-                        0,
-                        CStmt::Comment(format!("splendid: degraded to {tier} tier: {why}")),
-                    );
+                    out.annotate(&format!("splendid: degraded to {tier} tier: {why}"));
                 }
                 return Ok(out);
             }
@@ -438,6 +443,32 @@ pub fn decompile_function(
         .unwrap_or_else(|| SplendidError::fatal(Stage::Emit, "no fidelity tier attempted")))
 }
 
+/// Lay out a translation unit: one declaration line per global of
+/// `prepared`, a blank line when there are any, then the printed
+/// functions separated by blank lines.
+pub fn print_unit(prepared: &PreparedModule, functions: &[FunctionOutput]) -> String {
+    let module = &prepared.module;
+    let text_len: usize = functions.iter().map(|f| f.text.len() + 1).sum();
+    let mut out = String::with_capacity(text_len + 64 * module.globals.len());
+    for g in &module.globals {
+        let _ = writeln!(
+            out,
+            "{};",
+            ctype_of_mem(&g.mem).decl(module.name_of(g.name))
+        );
+    }
+    if !module.globals.is_empty() {
+        out.push('\n');
+    }
+    for (i, f) in functions.iter().enumerate() {
+        if i > 0 {
+            out.push('\n');
+        }
+        out.push_str(&f.text);
+    }
+    out
+}
+
 /// Assemble per-function outputs (in module function order) into the
 /// final [`DecompileOutput`].
 pub fn assemble_output(
@@ -445,25 +476,19 @@ pub fn assemble_output(
     functions: Vec<FunctionOutput>,
     timings: &mut StageTimings,
 ) -> DecompileOutput {
-    let mut program = CProgram {
-        globals: prepared.c_globals(),
-        ..Default::default()
-    };
-    let mut naming_stats = NamingStats::default();
-    let mut gotos = 0;
-    for f in functions {
-        naming_stats.total_vars += f.naming.total_vars;
-        naming_stats.restored_vars += f.naming.restored_vars;
-        gotos += f.gotos;
-        program.functions.push(f.cfunc);
-    }
     let start = Instant::now();
-    let source = print_program(&program);
+    let source = print_unit(prepared, &functions);
     timings.emit += start.elapsed();
+    let mut naming = NamingStats::default();
+    let mut gotos = 0;
+    for f in &functions {
+        naming.total_vars += f.naming.total_vars;
+        naming.restored_vars += f.naming.restored_vars;
+        gotos += f.gotos;
+    }
     DecompileOutput {
-        program,
         source,
-        naming: naming_stats,
+        naming,
         regions: prepared.regions.clone(),
         gotos,
     }
@@ -719,6 +744,23 @@ void mv() {
         assert!(s.matches("for (").count() >= 2, "{s}");
         assert!(s.contains("A[") && s.contains("]["), "2-D indexing:\n{s}");
         assert_eq!(out.gotos, 0, "{s}");
+    }
+
+    #[test]
+    fn annotations_open_the_body_latest_first() {
+        let mut out = FunctionOutput {
+            text: "long f(long n) {\n  return n;\n}\n".into(),
+            naming: NamingStats::default(),
+            gotos: 0,
+            tier: FidelityTier::Literal,
+        };
+        out.annotate("splendid: degraded to literal tier: x");
+        out.annotate("splendid: verified");
+        assert_eq!(
+            out.text,
+            "long f(long n) {\n  /* splendid: verified */\n  \
+             /* splendid: degraded to literal tier: x */\n  return n;\n}\n"
+        );
     }
 
     // ---- fidelity ladder ---------------------------------------------------

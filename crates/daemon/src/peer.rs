@@ -27,8 +27,8 @@
 //! entirely.
 
 use crate::client::DaemonClient;
-use splendid_core::FaultRng;
 use splendid_ir::hash::fnv64;
+use splendid_ir::rng::Rng;
 use splendid_serve::{CacheTier, TierCounters};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -64,7 +64,7 @@ struct Breaker {
     /// Deterministic jitter source, seeded from the peer address so two
     /// daemons pointed at the same dead peer don't probe in lockstep
     /// forever while staying reproducible per process configuration.
-    rng: FaultRng,
+    rng: Rng,
 }
 
 impl Breaker {
@@ -73,7 +73,7 @@ impl Breaker {
             state: BreakerState::Closed,
             consecutive_failures: 0,
             backoff: BREAKER_BACKOFF_BASE,
-            rng: FaultRng::new(fnv64(addr.as_bytes())),
+            rng: Rng::for_case(fnv64(addr.as_bytes()), 0),
         }
     }
 
@@ -124,7 +124,7 @@ impl Breaker {
     fn trip(&mut self) {
         // ±25% jitter: window ∈ [0.75, 1.25) × backoff.
         let nanos = u64::try_from(self.backoff.as_nanos()).unwrap_or(u64::MAX);
-        let jittered = nanos * 3 / 4 + self.rng.below(nanos / 2 + 1);
+        let jittered = nanos * 3 / 4 + self.rng.next_u64() % (nanos / 2 + 1);
         self.state = BreakerState::Open {
             until: Instant::now() + Duration::from_nanos(jittered),
         };

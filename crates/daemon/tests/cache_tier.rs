@@ -89,7 +89,7 @@ fn cache_put_validates_and_serves_bytes_back() {
     // byte-for-byte (the write-behind makes the readback eventual).
     let module = test_module(&[0.25, 0.5]);
     let output = decompile(&module, &SplendidOptions::default()).unwrap();
-    let blob = codec::encode_module_record(&output);
+    let blob = codec::encode_module_record(&output, &codec::ModuleCounts::default());
     assert!(client.cache_put(99, &blob).unwrap());
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {

@@ -1,17 +1,18 @@
-//! Seeded frame fuzzing, reusing core's deterministic [`FaultRng`]: the
+//! Seeded frame fuzzing from the workspace's one seeded generator
+//! ([`splendid_ir::rng::Rng`], one stream per seed): the
 //! assembler must recover every well-formed frame embedded in garbage,
 //! and a live daemon must answer a valid PING after arbitrary noise.
 
-use splendid_core::FaultRng;
 use splendid_daemon::protocol::{frame_bytes, kind, FrameAssembler, FrameEvent, MAGIC, VERSION};
 use splendid_daemon::{Daemon, DaemonClient, DaemonConfig, Response};
+use splendid_ir::rng::Rng;
 use std::time::Duration;
 
 /// Garbage that can never alias a frame boundary: scrub the magic's
 /// first byte so an embedded `b"SPLD"` cannot appear by chance (which
 /// would make the assembler legitimately swallow a following frame as
 /// that ghost frame's payload).
-fn garbage(rng: &mut FaultRng, len: usize) -> Vec<u8> {
+fn garbage(rng: &mut Rng, len: usize) -> Vec<u8> {
     (0..len)
         .map(|_| {
             let b = (rng.next_u64() & 0xFF) as u8;
@@ -27,7 +28,7 @@ fn garbage(rng: &mut FaultRng, len: usize) -> Vec<u8> {
 #[test]
 fn assembler_recovers_every_valid_frame_from_noise() {
     for seed in 0..64u64 {
-        let mut rng = FaultRng::new(seed);
+        let mut rng = Rng::for_case(seed, 0);
         let mut stream = Vec::new();
         let mut pings = 0u32;
         for _ in 0..32 {
@@ -97,7 +98,7 @@ fn cache_frames_earn_typed_answers_under_fuzz() {
     .unwrap();
 
     for seed in 300..316u64 {
-        let mut rng = FaultRng::new(seed);
+        let mut rng = Rng::for_case(seed, 0);
         let mut client = DaemonClient::connect_tcp(daemon.local_addr()).unwrap();
         client
             .set_read_timeout(Some(Duration::from_secs(10)))
@@ -185,7 +186,7 @@ fn cache_frames_earn_typed_answers_under_fuzz() {
 fn budget_and_busy_frames_earn_typed_answers_under_fuzz() {
     let daemon = Daemon::start(DaemonConfig::default()).unwrap();
     for seed in 400..416u64 {
-        let mut rng = FaultRng::new(seed);
+        let mut rng = Rng::for_case(seed, 0);
         let mut client = DaemonClient::connect_tcp(daemon.local_addr()).unwrap();
         client
             .set_read_timeout(Some(Duration::from_secs(10)))
@@ -239,7 +240,7 @@ fn budget_and_busy_frames_earn_typed_answers_under_fuzz() {
 fn daemon_answers_ping_after_socket_noise() {
     let daemon = Daemon::start(DaemonConfig::default()).unwrap();
     for seed in 100..108u64 {
-        let mut rng = FaultRng::new(seed);
+        let mut rng = Rng::for_case(seed, 0);
         let mut client = DaemonClient::connect_tcp(daemon.local_addr()).unwrap();
         client
             .set_read_timeout(Some(Duration::from_secs(10)))

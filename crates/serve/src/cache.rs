@@ -4,8 +4,9 @@
 //! canonically printed function IR, options fingerprint)` — see
 //! [`crate::scheduler`] for the exact key construction. One bounded LRU
 //! type, [`LruCache`], holds both kinds of value: the decompiled
-//! [`FunctionOutput`]s ([`FunctionCache`], shared via `Arc` so a hit
-//! costs one clone of a pointer, not of a C AST) and the validation
+//! [`FunctionOutput`]s — printed C plus per-function stats —
+//! ([`FunctionCache`], shared via `Arc` so the lock is held for one
+//! pointer clone, never a copy of the text) and the validation
 //! [`Certificate`](crate::validate::Certificate)s.
 //!
 //! The LRU is an intrusive doubly-linked list threaded through a slab of
@@ -275,7 +276,7 @@ impl TierCounters {
 /// One level of the cache hierarchy below the in-memory LRU.
 ///
 /// Tiers speak *encoded blobs* (see [`crate::codec`]), not decoded
-/// ASTs, so the same chain carries per-function records and whole-module
+/// values, so the same chain carries function, module and certificate
 /// records, and a network tier can forward payloads without
 /// understanding them. Implementations must be infallible at the
 /// signature level: errors are counted and reported as misses.
@@ -527,17 +528,11 @@ impl BlobTiers {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use splendid_cfront::ast::{CFunc, CType};
     use splendid_core::{FidelityTier, NamingStats};
 
     fn out(tag: usize) -> Arc<FunctionOutput> {
         Arc::new(FunctionOutput {
-            cfunc: CFunc {
-                name: format!("f{tag}"),
-                ret: CType::Void,
-                params: Vec::new(),
-                body: Vec::new(),
-            },
+            text: format!("void f{tag}() {{\n}}\n"),
             naming: NamingStats {
                 total_vars: tag,
                 restored_vars: 0,

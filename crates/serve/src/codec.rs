@@ -1,28 +1,36 @@
 //! Binary codec for persisted cache records.
 //!
 //! The disk and peer cache tiers carry opaque byte blobs; this module
-//! defines what's inside them. Two record kinds share a 6-byte header
+//! defines what's inside them. Three record kinds share a 6-byte header
 //! (`magic "SPCV" · format version · kind`):
 //!
-//! * **function records** — a [`FunctionOutput`] (the C AST plus its
-//!   per-function stats), keyed by [`crate::scheduler::function_cache_key`];
-//! * **module records** — a whole [`DecompileOutput`] (translation unit,
-//!   printed source, region reports), keyed by
+//! * **function records** — one [`FunctionOutput`]: the function's
+//!   printed C, its naming stats, `goto` count and fidelity tier, keyed
+//!   by [`crate::scheduler::function_cache_key`];
+//! * **module records** — a whole job's answer: the printed translation
+//!   unit, naming stats, region reports, `goto` count and the
+//!   [`ModuleCounts`] the job reported, keyed by
 //!   [`crate::scheduler::module_cache_key`]. These are what make warm
 //!   restarts fast: a hit answers a `Text` job before the module is even
-//!   parsed, skipping parse + detransform entirely.
+//!   parsed, skipping parse + detransform entirely;
+//! * **certificate records** — one validation
+//!   [`Certificate`](crate::validate::Certificate), keyed by
+//!   [`crate::validate::cert_cache_key`].
+//!
+//! Records hold the C as text, never as a syntax tree: text is what every
+//! reader serves, so decoding is a bounds check and a UTF-8 check.
 //!
 //! The encoding is hand-rolled little-endian (the workspace is
 //! dependency-free by design) and *versioned*: any header mismatch, or
 //! any structural surprise while decoding, yields `Err` — which every
-//! caller treats as a cache miss, never an error. Blobs written by a
-//! future format simply miss; blobs corrupted below the store's CRC
-//! granularity cannot decode into out-of-bounds values because every
-//! discriminant and length is checked, and recursion depth is capped.
+//! caller treats as a cache miss, never an error. Blobs written by
+//! another format version simply miss and are rewritten. Every length is
+//! checked against the bytes actually left before anything is allocated,
+//! every discriminant is checked, and text must be valid UTF-8, so a
+//! corrupted blob — or a peer's `CACHE_PUT` payload, which the daemon
+//! runs through [`validate_record`] — cannot decode into out-of-range
+//! values.
 
-use splendid_cfront::ast::{
-    CBinOp, CExpr, CFunc, CProgram, CStmt, CType, CUnOp, OmpClauses, Schedule,
-};
 use splendid_core::detransform::RegionReport;
 use splendid_core::{DecompileOutput, FidelityTier, FunctionOutput, NamingStats};
 
@@ -30,7 +38,9 @@ use splendid_core::{DecompileOutput, FidelityTier, FunctionOutput, NamingStats};
 pub const CODEC_MAGIC: [u8; 4] = *b"SPCV";
 /// Encoding version; bump on any layout change.
 /// v2: `OmpClauses.reduction` pairs + the `OmpSimd` statement tag.
-pub const CODEC_VERSION: u8 = 2;
+/// v3: functions and modules carry printed C instead of a C AST; module
+/// records carry their job's counts.
+pub const CODEC_VERSION: u8 = 3;
 /// Header kind byte for a function record.
 pub const KIND_FUNCTION: u8 = 0x01;
 /// Header kind byte for a module record.
@@ -39,11 +49,6 @@ pub const KIND_MODULE: u8 = 0x02;
 pub const KIND_CERT: u8 = 0x03;
 /// Header length (magic + version + kind).
 pub const CODEC_HEADER_LEN: usize = 6;
-/// Maximum AST nesting accepted while decoding (matches anything the
-/// structurer can realistically emit, with generous headroom).
-const MAX_DEPTH: u32 = 512;
-/// Maximum element count accepted for any single sequence.
-const MAX_SEQ: u32 = 4 * 1024 * 1024;
 
 /// Why a blob failed to decode. Callers treat any value as a miss.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,6 +68,20 @@ fn err<T>(what: &'static str) -> R<T> {
     Err(CodecError(what))
 }
 
+/// What a job reported about its functions, stored in its module record
+/// so a warm hit reports the same counts as the run that wrote it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ModuleCounts {
+    /// Functions in the module.
+    pub functions: usize,
+    /// Of those, how many were emitted below the requested tier.
+    pub degraded: usize,
+    /// Functions stamped verified.
+    pub verified: usize,
+    /// Functions stamped unverified.
+    pub unverified: usize,
+}
+
 // ---------------------------------------------------------------- writer
 
 struct Enc {
@@ -70,8 +89,8 @@ struct Enc {
 }
 
 impl Enc {
-    fn with_header(kind: u8) -> Enc {
-        let mut buf = Vec::with_capacity(256);
+    fn with_header(kind: u8, text_len: usize) -> Enc {
+        let mut buf = Vec::with_capacity(CODEC_HEADER_LEN + text_len + 64);
         buf.extend_from_slice(&CODEC_MAGIC);
         buf.push(CODEC_VERSION);
         buf.push(kind);
@@ -86,20 +105,8 @@ impl Enc {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-
     fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
+        self.buf.extend_from_slice(&(v as u64).to_le_bytes());
     }
 
     fn str(&mut self, s: &str) {
@@ -107,18 +114,20 @@ impl Enc {
         self.buf.extend_from_slice(s.as_bytes());
     }
 
-    fn seq_len(&mut self, n: usize) {
-        self.u32(n as u32);
+    fn naming(&mut self, n: &NamingStats) {
+        self.usize(n.total_vars);
+        self.usize(n.restored_vars);
     }
 
-    fn opt<T>(&mut self, v: &Option<T>, f: impl FnOnce(&mut Enc, &T)) {
-        match v {
-            None => self.u8(0),
-            Some(inner) => {
-                self.u8(1);
-                f(self, inner);
-            }
-        }
+    fn tier(&mut self, t: FidelityTier) {
+        self.u8(match t {
+            FidelityTier::Natural => 0,
+            FidelityTier::Structured => 1,
+            FidelityTier::Literal => 2,
+            // 3 extends the historical encoding: records written before
+            // the Quick tier existed keep decoding unchanged.
+            FidelityTier::Quick => 3,
+        });
     }
 }
 
@@ -149,6 +158,8 @@ impl<'a> Dec<'a> {
         })
     }
 
+    /// The next `n` bytes, borrowed: a length larger than what is left
+    /// fails here, before any caller allocates for it.
     fn take(&mut self, n: usize) -> R<&'a [u8]> {
         if self.buf.len() - self.pos < n {
             return err("truncated blob");
@@ -162,53 +173,58 @@ impl<'a> Dec<'a> {
         Ok(self.take(1)?[0])
     }
 
+    fn bool(&mut self) -> R<bool> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => err("invalid bool"),
+        }
+    }
+
     fn u32(&mut self) -> R<u32> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
-    fn u64(&mut self) -> R<u64> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn i64(&mut self) -> R<i64> {
-        Ok(self.u64()? as i64)
-    }
-
-    fn f64(&mut self) -> R<f64> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
     fn usize(&mut self) -> R<usize> {
-        usize::try_from(self.u64()?).or(err("usize overflow"))
+        let b = self.take(8)?;
+        let v = u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]);
+        usize::try_from(v).or(err("usize overflow"))
     }
 
     fn str(&mut self) -> R<String> {
-        let n = self.u32()?;
-        if n > MAX_SEQ {
-            return err("implausible string length");
-        }
-        let bytes = self.take(n as usize)?;
-        String::from_utf8(bytes.to_vec()).or(err("invalid UTF-8"))
+        let n = self.u32()? as usize;
+        let bytes = self.take(n)?;
+        std::str::from_utf8(bytes)
+            .map(str::to_owned)
+            .or(err("invalid UTF-8"))
     }
 
+    /// A sequence length, bounded by the bytes left (every element
+    /// takes at least one).
     fn seq_len(&mut self) -> R<usize> {
-        let n = self.u32()?;
-        if n > MAX_SEQ {
+        let n = self.u32()? as usize;
+        if n > self.buf.len() - self.pos {
             return err("implausible sequence length");
         }
-        Ok(n as usize)
+        Ok(n)
     }
 
-    fn opt<T>(&mut self, f: impl FnOnce(&mut Dec<'a>) -> R<T>) -> R<Option<T>> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(f(self)?)),
-            _ => err("invalid option tag"),
-        }
+    fn naming(&mut self) -> R<NamingStats> {
+        Ok(NamingStats {
+            total_vars: self.usize()?,
+            restored_vars: self.usize()?,
+        })
+    }
+
+    fn tier(&mut self) -> R<FidelityTier> {
+        Ok(match self.u8()? {
+            0 => FidelityTier::Natural,
+            1 => FidelityTier::Structured,
+            2 => FidelityTier::Literal,
+            3 => FidelityTier::Quick,
+            _ => return err("invalid fidelity tier"),
+        })
     }
 
     fn finished(&self) -> R<()> {
@@ -220,579 +236,63 @@ impl<'a> Dec<'a> {
     }
 }
 
-// ------------------------------------------------------------- C types
-
-fn enc_ctype(e: &mut Enc, t: &CType) {
-    match t {
-        CType::Void => e.u8(0),
-        CType::Int => e.u8(1),
-        CType::Long => e.u8(2),
-        CType::UInt64 => e.u8(3),
-        CType::Double => e.u8(4),
-        CType::Ptr(inner) => {
-            e.u8(5);
-            enc_ctype(e, inner);
-        }
-        CType::Array(elem, dims) => {
-            e.u8(6);
-            enc_ctype(e, elem);
-            e.seq_len(dims.len());
-            for d in dims {
-                e.usize(*d);
-            }
-        }
-    }
-}
-
-fn dec_ctype(d: &mut Dec<'_>, depth: u32) -> R<CType> {
-    if depth > MAX_DEPTH {
-        return err("type nesting too deep");
-    }
-    Ok(match d.u8()? {
-        0 => CType::Void,
-        1 => CType::Int,
-        2 => CType::Long,
-        3 => CType::UInt64,
-        4 => CType::Double,
-        5 => CType::Ptr(Box::new(dec_ctype(d, depth + 1)?)),
-        6 => {
-            let elem = Box::new(dec_ctype(d, depth + 1)?);
-            let n = d.seq_len()?;
-            let mut dims = Vec::with_capacity(n.min(64));
-            for _ in 0..n {
-                dims.push(d.usize()?);
-            }
-            CType::Array(elem, dims)
-        }
-        _ => return err("invalid type tag"),
-    })
-}
-
-fn enc_binop(e: &mut Enc, op: CBinOp) {
-    let tag = match op {
-        CBinOp::Add => 0u8,
-        CBinOp::Sub => 1,
-        CBinOp::Mul => 2,
-        CBinOp::Div => 3,
-        CBinOp::Rem => 4,
-        CBinOp::Lt => 5,
-        CBinOp::Le => 6,
-        CBinOp::Gt => 7,
-        CBinOp::Ge => 8,
-        CBinOp::Eq => 9,
-        CBinOp::Ne => 10,
-        CBinOp::LAnd => 11,
-        CBinOp::LOr => 12,
-        CBinOp::BAnd => 13,
-        CBinOp::BOr => 14,
-        CBinOp::BXor => 15,
-        CBinOp::Shl => 16,
-        CBinOp::Shr => 17,
-    };
-    e.u8(tag);
-}
-
-fn dec_binop(d: &mut Dec<'_>) -> R<CBinOp> {
-    Ok(match d.u8()? {
-        0 => CBinOp::Add,
-        1 => CBinOp::Sub,
-        2 => CBinOp::Mul,
-        3 => CBinOp::Div,
-        4 => CBinOp::Rem,
-        5 => CBinOp::Lt,
-        6 => CBinOp::Le,
-        7 => CBinOp::Gt,
-        8 => CBinOp::Ge,
-        9 => CBinOp::Eq,
-        10 => CBinOp::Ne,
-        11 => CBinOp::LAnd,
-        12 => CBinOp::LOr,
-        13 => CBinOp::BAnd,
-        14 => CBinOp::BOr,
-        15 => CBinOp::BXor,
-        16 => CBinOp::Shl,
-        17 => CBinOp::Shr,
-        _ => return err("invalid binary operator"),
-    })
-}
-
-fn enc_expr(e: &mut Enc, x: &CExpr) {
-    match x {
-        CExpr::Int(v) => {
-            e.u8(0);
-            e.i64(*v);
-        }
-        CExpr::Float(v) => {
-            e.u8(1);
-            e.f64(*v);
-        }
-        CExpr::Ident(s) => {
-            e.u8(2);
-            e.str(s);
-        }
-        CExpr::Index { base, indices } => {
-            e.u8(3);
-            enc_expr(e, base);
-            e.seq_len(indices.len());
-            for i in indices {
-                enc_expr(e, i);
-            }
-        }
-        CExpr::Call { name, args } => {
-            e.u8(4);
-            e.str(name);
-            e.seq_len(args.len());
-            for a in args {
-                enc_expr(e, a);
-            }
-        }
-        CExpr::Unary { op, expr } => {
-            e.u8(5);
-            e.u8(match op {
-                CUnOp::Neg => 0,
-                CUnOp::Not => 1,
-            });
-            enc_expr(e, expr);
-        }
-        CExpr::Binary { op, lhs, rhs } => {
-            e.u8(6);
-            enc_binop(e, *op);
-            enc_expr(e, lhs);
-            enc_expr(e, rhs);
-        }
-        CExpr::Cast { ty, expr } => {
-            e.u8(7);
-            enc_ctype(e, ty);
-            enc_expr(e, expr);
-        }
-        CExpr::Assign { lhs, op, rhs } => {
-            e.u8(8);
-            enc_expr(e, lhs);
-            e.opt(op, |e, o| enc_binop(e, *o));
-            enc_expr(e, rhs);
-        }
-    }
-}
-
-fn dec_expr(d: &mut Dec<'_>, depth: u32) -> R<CExpr> {
-    if depth > MAX_DEPTH {
-        return err("expression nesting too deep");
-    }
-    Ok(match d.u8()? {
-        0 => CExpr::Int(d.i64()?),
-        1 => CExpr::Float(d.f64()?),
-        2 => CExpr::Ident(d.str()?),
-        3 => {
-            let base = Box::new(dec_expr(d, depth + 1)?);
-            let n = d.seq_len()?;
-            let mut indices = Vec::with_capacity(n.min(64));
-            for _ in 0..n {
-                indices.push(dec_expr(d, depth + 1)?);
-            }
-            CExpr::Index { base, indices }
-        }
-        4 => {
-            let name = d.str()?;
-            let n = d.seq_len()?;
-            let mut args = Vec::with_capacity(n.min(64));
-            for _ in 0..n {
-                args.push(dec_expr(d, depth + 1)?);
-            }
-            CExpr::Call { name, args }
-        }
-        5 => {
-            let op = match d.u8()? {
-                0 => CUnOp::Neg,
-                1 => CUnOp::Not,
-                _ => return err("invalid unary operator"),
-            };
-            CExpr::Unary {
-                op,
-                expr: Box::new(dec_expr(d, depth + 1)?),
-            }
-        }
-        6 => {
-            let op = dec_binop(d)?;
-            let lhs = Box::new(dec_expr(d, depth + 1)?);
-            let rhs = Box::new(dec_expr(d, depth + 1)?);
-            CExpr::Binary { op, lhs, rhs }
-        }
-        7 => {
-            let ty = dec_ctype(d, depth + 1)?;
-            CExpr::Cast {
-                ty,
-                expr: Box::new(dec_expr(d, depth + 1)?),
-            }
-        }
-        8 => {
-            let lhs = Box::new(dec_expr(d, depth + 1)?);
-            let op = d.opt(dec_binop)?;
-            let rhs = Box::new(dec_expr(d, depth + 1)?);
-            CExpr::Assign { lhs, op, rhs }
-        }
-        _ => return err("invalid expression tag"),
-    })
-}
-
-fn enc_clauses(e: &mut Enc, c: &OmpClauses) {
-    e.opt(&c.schedule, |e, s| match s {
-        Schedule::Static => e.u8(0),
-        Schedule::StaticChunk(chunk) => {
-            e.u8(1);
-            e.u32(*chunk);
-        }
-    });
-    e.u8(u8::from(c.nowait));
-    e.seq_len(c.private.len());
-    for p in &c.private {
-        e.str(p);
-    }
-    e.seq_len(c.reduction.len());
-    for (op, var) in &c.reduction {
-        e.str(op);
-        e.str(var);
-    }
-}
-
-fn dec_clauses(d: &mut Dec<'_>) -> R<OmpClauses> {
-    let schedule = d.opt(|d| {
-        Ok(match d.u8()? {
-            0 => Schedule::Static,
-            1 => Schedule::StaticChunk(d.u32()?),
-            _ => return err("invalid schedule tag"),
-        })
-    })?;
-    let nowait = match d.u8()? {
-        0 => false,
-        1 => true,
-        _ => return err("invalid bool"),
-    };
-    let n = d.seq_len()?;
-    let mut private = Vec::with_capacity(n.min(64));
-    for _ in 0..n {
-        private.push(d.str()?);
-    }
-    let n = d.seq_len()?;
-    let mut reduction = Vec::with_capacity(n.min(64));
-    for _ in 0..n {
-        let op = d.str()?;
-        let var = d.str()?;
-        reduction.push((op, var));
-    }
-    Ok(OmpClauses {
-        schedule,
-        nowait,
-        private,
-        reduction,
-    })
-}
-
-fn enc_stmts(e: &mut Enc, stmts: &[CStmt]) {
-    e.seq_len(stmts.len());
-    for s in stmts {
-        enc_stmt(e, s);
-    }
-}
-
-fn dec_stmts(d: &mut Dec<'_>, depth: u32) -> R<Vec<CStmt>> {
-    let n = d.seq_len()?;
-    let mut out = Vec::with_capacity(n.min(256));
-    for _ in 0..n {
-        out.push(dec_stmt(d, depth)?);
-    }
-    Ok(out)
-}
-
-fn enc_stmt(e: &mut Enc, s: &CStmt) {
-    match s {
-        CStmt::Decl { name, ty, init } => {
-            e.u8(0);
-            e.str(name);
-            enc_ctype(e, ty);
-            e.opt(init, enc_expr);
-        }
-        CStmt::Expr(x) => {
-            e.u8(1);
-            enc_expr(e, x);
-        }
-        CStmt::If {
-            cond,
-            then_body,
-            else_body,
-        } => {
-            e.u8(2);
-            enc_expr(e, cond);
-            enc_stmts(e, then_body);
-            enc_stmts(e, else_body);
-        }
-        CStmt::For {
-            init,
-            cond,
-            step,
-            body,
-        } => {
-            e.u8(3);
-            e.opt(init, |e, s| enc_stmt(e, s));
-            e.opt(cond, enc_expr);
-            e.opt(step, enc_expr);
-            enc_stmts(e, body);
-        }
-        CStmt::While { cond, body } => {
-            e.u8(4);
-            enc_expr(e, cond);
-            enc_stmts(e, body);
-        }
-        CStmt::DoWhile { body, cond } => {
-            e.u8(5);
-            enc_stmts(e, body);
-            enc_expr(e, cond);
-        }
-        CStmt::Return(v) => {
-            e.u8(6);
-            e.opt(v, enc_expr);
-        }
-        CStmt::Block(body) => {
-            e.u8(7);
-            enc_stmts(e, body);
-        }
-        CStmt::OmpParallel { clauses, body } => {
-            e.u8(8);
-            enc_clauses(e, clauses);
-            enc_stmts(e, body);
-        }
-        CStmt::OmpFor { clauses, loop_stmt } => {
-            e.u8(9);
-            enc_clauses(e, clauses);
-            enc_stmt(e, loop_stmt);
-        }
-        CStmt::OmpParallelFor { clauses, loop_stmt } => {
-            e.u8(10);
-            enc_clauses(e, clauses);
-            enc_stmt(e, loop_stmt);
-        }
-        CStmt::OmpSimd { clauses, loop_stmt } => {
-            e.u8(15);
-            enc_clauses(e, clauses);
-            enc_stmt(e, loop_stmt);
-        }
-        CStmt::OmpBarrier => e.u8(11),
-        CStmt::Goto(label) => {
-            e.u8(12);
-            e.str(label);
-        }
-        CStmt::Label(label) => {
-            e.u8(13);
-            e.str(label);
-        }
-        CStmt::Comment(text) => {
-            e.u8(14);
-            e.str(text);
-        }
-    }
-}
-
-fn dec_stmt(d: &mut Dec<'_>, depth: u32) -> R<CStmt> {
-    if depth > MAX_DEPTH {
-        return err("statement nesting too deep");
-    }
-    Ok(match d.u8()? {
-        0 => CStmt::Decl {
-            name: d.str()?,
-            ty: dec_ctype(d, depth + 1)?,
-            init: d.opt(|d| dec_expr(d, depth + 1))?,
-        },
-        1 => CStmt::Expr(dec_expr(d, depth + 1)?),
-        2 => CStmt::If {
-            cond: dec_expr(d, depth + 1)?,
-            then_body: dec_stmts(d, depth + 1)?,
-            else_body: dec_stmts(d, depth + 1)?,
-        },
-        3 => CStmt::For {
-            init: d.opt(|d| Ok(Box::new(dec_stmt(d, depth + 1)?)))?,
-            cond: d.opt(|d| dec_expr(d, depth + 1))?,
-            step: d.opt(|d| dec_expr(d, depth + 1))?,
-            body: dec_stmts(d, depth + 1)?,
-        },
-        4 => CStmt::While {
-            cond: dec_expr(d, depth + 1)?,
-            body: dec_stmts(d, depth + 1)?,
-        },
-        5 => CStmt::DoWhile {
-            body: dec_stmts(d, depth + 1)?,
-            cond: dec_expr(d, depth + 1)?,
-        },
-        6 => CStmt::Return(d.opt(|d| dec_expr(d, depth + 1))?),
-        7 => CStmt::Block(dec_stmts(d, depth + 1)?),
-        8 => CStmt::OmpParallel {
-            clauses: dec_clauses(d)?,
-            body: dec_stmts(d, depth + 1)?,
-        },
-        9 => CStmt::OmpFor {
-            clauses: dec_clauses(d)?,
-            loop_stmt: Box::new(dec_stmt(d, depth + 1)?),
-        },
-        10 => CStmt::OmpParallelFor {
-            clauses: dec_clauses(d)?,
-            loop_stmt: Box::new(dec_stmt(d, depth + 1)?),
-        },
-        11 => CStmt::OmpBarrier,
-        12 => CStmt::Goto(d.str()?),
-        13 => CStmt::Label(d.str()?),
-        14 => CStmt::Comment(d.str()?),
-        15 => CStmt::OmpSimd {
-            clauses: dec_clauses(d)?,
-            loop_stmt: Box::new(dec_stmt(d, depth + 1)?),
-        },
-        _ => return err("invalid statement tag"),
-    })
-}
-
-fn enc_func(e: &mut Enc, f: &CFunc) {
-    e.str(&f.name);
-    enc_ctype(e, &f.ret);
-    e.seq_len(f.params.len());
-    for (name, ty) in &f.params {
-        e.str(name);
-        enc_ctype(e, ty);
-    }
-    enc_stmts(e, &f.body);
-}
-
-fn dec_func(d: &mut Dec<'_>) -> R<CFunc> {
-    let name = d.str()?;
-    let ret = dec_ctype(d, 0)?;
-    let n = d.seq_len()?;
-    let mut params = Vec::with_capacity(n.min(64));
-    for _ in 0..n {
-        let pname = d.str()?;
-        let ty = dec_ctype(d, 0)?;
-        params.push((pname, ty));
-    }
-    let body = dec_stmts(d, 0)?;
-    Ok(CFunc {
-        name,
-        ret,
-        params,
-        body,
-    })
-}
-
-fn enc_naming(e: &mut Enc, n: &NamingStats) {
-    e.usize(n.total_vars);
-    e.usize(n.restored_vars);
-}
-
-fn dec_naming(d: &mut Dec<'_>) -> R<NamingStats> {
-    Ok(NamingStats {
-        total_vars: d.usize()?,
-        restored_vars: d.usize()?,
-    })
-}
-
-fn enc_tier(e: &mut Enc, t: FidelityTier) {
-    e.u8(match t {
-        FidelityTier::Natural => 0,
-        FidelityTier::Structured => 1,
-        FidelityTier::Literal => 2,
-        // 3 extends the historical encoding: records written before the
-        // Quick tier existed keep decoding unchanged.
-        FidelityTier::Quick => 3,
-    });
-}
-
-fn dec_tier(d: &mut Dec<'_>) -> R<FidelityTier> {
-    Ok(match d.u8()? {
-        0 => FidelityTier::Natural,
-        1 => FidelityTier::Structured,
-        2 => FidelityTier::Literal,
-        3 => FidelityTier::Quick,
-        _ => return err("invalid fidelity tier"),
-    })
-}
-
 // ------------------------------------------------------------- records
 
 /// Encode a [`FunctionOutput`] as a function record blob.
 pub fn encode_function_record(out: &FunctionOutput) -> Vec<u8> {
-    let mut e = Enc::with_header(KIND_FUNCTION);
-    enc_func(&mut e, &out.cfunc);
-    enc_naming(&mut e, &out.naming);
+    let mut e = Enc::with_header(KIND_FUNCTION, out.text.len());
+    e.str(&out.text);
+    e.naming(&out.naming);
     e.usize(out.gotos);
-    enc_tier(&mut e, out.tier);
+    e.tier(out.tier);
     e.buf
 }
 
 /// Decode a function record blob. Any failure means "cache miss".
 pub fn decode_function_record(blob: &[u8]) -> R<FunctionOutput> {
     let mut d = Dec::expect_header(blob, KIND_FUNCTION)?;
-    let cfunc = dec_func(&mut d)?;
-    let naming = dec_naming(&mut d)?;
-    let gotos = d.usize()?;
-    let tier = dec_tier(&mut d)?;
+    let out = FunctionOutput {
+        text: d.str()?,
+        naming: d.naming()?,
+        gotos: d.usize()?,
+        tier: d.tier()?,
+    };
     d.finished()?;
-    Ok(FunctionOutput {
-        cfunc,
-        naming,
-        gotos,
-        tier,
-    })
+    Ok(out)
 }
 
-/// Encode a whole-job [`DecompileOutput`] as a module record blob.
-pub fn encode_module_record(out: &DecompileOutput) -> Vec<u8> {
-    let mut e = Enc::with_header(KIND_MODULE);
-    e.seq_len(out.program.defines.len());
-    for (name, v) in &out.program.defines {
-        e.str(name);
-        e.i64(*v);
-    }
-    e.seq_len(out.program.globals.len());
-    for (name, ty) in &out.program.globals {
-        e.str(name);
-        enc_ctype(&mut e, ty);
-    }
-    e.seq_len(out.program.functions.len());
-    for f in &out.program.functions {
-        enc_func(&mut e, f);
-    }
+/// Encode a whole job's [`DecompileOutput`] and counts as a module record
+/// blob.
+pub fn encode_module_record(out: &DecompileOutput, counts: &ModuleCounts) -> Vec<u8> {
+    let mut e = Enc::with_header(KIND_MODULE, out.source.len());
     e.str(&out.source);
-    enc_naming(&mut e, &out.naming);
-    e.seq_len(out.regions.len());
+    e.naming(&out.naming);
+    e.u32(out.regions.len() as u32);
     for r in &out.regions {
         e.str(&r.region_name);
         e.str(&r.caller_name);
         e.usize(r.setup_removed);
     }
     e.usize(out.gotos);
+    for n in [
+        counts.functions,
+        counts.degraded,
+        counts.verified,
+        counts.unverified,
+    ] {
+        e.usize(n);
+    }
     e.buf
 }
 
-/// Decode a module record blob. Any failure means "cache miss".
-pub fn decode_module_record(blob: &[u8]) -> R<DecompileOutput> {
+/// Decode a module record blob, counts included. Any failure means
+/// "cache miss".
+pub fn decode_module_record_with_counts(blob: &[u8]) -> R<(DecompileOutput, ModuleCounts)> {
     let mut d = Dec::expect_header(blob, KIND_MODULE)?;
-    let n = d.seq_len()?;
-    let mut defines = Vec::with_capacity(n.min(256));
-    for _ in 0..n {
-        let name = d.str()?;
-        let v = d.i64()?;
-        defines.push((name, v));
-    }
-    let n = d.seq_len()?;
-    let mut globals = Vec::with_capacity(n.min(256));
-    for _ in 0..n {
-        let name = d.str()?;
-        let ty = dec_ctype(&mut d, 0)?;
-        globals.push((name, ty));
-    }
-    let n = d.seq_len()?;
-    let mut functions = Vec::with_capacity(n.min(256));
-    for _ in 0..n {
-        functions.push(dec_func(&mut d)?);
-    }
     let source = d.str()?;
-    let naming = dec_naming(&mut d)?;
+    let naming = d.naming()?;
     let n = d.seq_len()?;
-    let mut regions = Vec::with_capacity(n.min(256));
+    let mut regions = Vec::with_capacity(n.min(64));
     for _ in 0..n {
         regions.push(RegionReport {
             region_name: d.str()?,
@@ -800,19 +300,25 @@ pub fn decode_module_record(blob: &[u8]) -> R<DecompileOutput> {
             setup_removed: d.usize()?,
         });
     }
-    let gotos = d.usize()?;
-    d.finished()?;
-    Ok(DecompileOutput {
-        program: CProgram {
-            defines,
-            globals,
-            functions,
-        },
+    let output = DecompileOutput {
         source,
         naming,
         regions,
-        gotos,
-    })
+        gotos: d.usize()?,
+    };
+    let counts = ModuleCounts {
+        functions: d.usize()?,
+        degraded: d.usize()?,
+        verified: d.usize()?,
+        unverified: d.usize()?,
+    };
+    d.finished()?;
+    Ok((output, counts))
+}
+
+/// Decode a module record blob's output. Any failure means "cache miss".
+pub fn decode_module_record(blob: &[u8]) -> R<DecompileOutput> {
+    decode_module_record_with_counts(blob).map(|(output, _)| output)
 }
 
 /// Encode a validation [`Certificate`](crate::validate::Certificate) as
@@ -821,9 +327,9 @@ pub fn decode_module_record(blob: &[u8]) -> R<DecompileOutput> {
 /// same way: a warm restart answers `verified` tags from disk without
 /// re-running the checker.
 pub fn encode_cert_record(cert: &crate::validate::Certificate) -> Vec<u8> {
-    let mut e = Enc::with_header(KIND_CERT);
+    let mut e = Enc::with_header(KIND_CERT, cert.reason.len());
     e.u8(u8::from(cert.verified));
-    enc_tier(&mut e, cert.tier);
+    e.tier(cert.tier);
     e.u8(u8::from(cert.mismatch));
     e.str(&cert.reason);
     e.buf
@@ -832,25 +338,14 @@ pub fn encode_cert_record(cert: &crate::validate::Certificate) -> Vec<u8> {
 /// Decode a cert record blob. Any failure means "cache miss".
 pub fn decode_cert_record(blob: &[u8]) -> R<crate::validate::Certificate> {
     let mut d = Dec::expect_header(blob, KIND_CERT)?;
-    let verified = match d.u8()? {
-        0 => false,
-        1 => true,
-        _ => return err("invalid bool"),
+    let cert = crate::validate::Certificate {
+        verified: d.bool()?,
+        tier: d.tier()?,
+        mismatch: d.bool()?,
+        reason: d.str()?,
     };
-    let tier = dec_tier(&mut d)?;
-    let mismatch = match d.u8()? {
-        0 => false,
-        1 => true,
-        _ => return err("invalid bool"),
-    };
-    let reason = d.str()?;
     d.finished()?;
-    Ok(crate::validate::Certificate {
-        verified,
-        tier,
-        mismatch,
-        reason,
-    })
+    Ok(cert)
 }
 
 /// Structurally validate a blob of any known kind without keeping the
@@ -859,7 +354,7 @@ pub fn decode_cert_record(blob: &[u8]) -> R<crate::validate::Certificate> {
 pub fn validate_record(blob: &[u8]) -> R<()> {
     match blob.get(5) {
         Some(&KIND_FUNCTION) => decode_function_record(blob).map(|_| ()),
-        Some(&KIND_MODULE) => decode_module_record(blob).map(|_| ()),
+        Some(&KIND_MODULE) => decode_module_record_with_counts(blob).map(|_| ()),
         Some(&KIND_CERT) => decode_cert_record(blob).map(|_| ()),
         Some(_) => err("unknown record kind"),
         None => err("blob shorter than header"),
@@ -869,83 +364,15 @@ pub fn validate_record(blob: &[u8]) -> R<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use splendid_cfront::ast::CExpr as E;
-
-    fn sample_func() -> CFunc {
-        CFunc {
-            name: "kernel_2mm".into(),
-            ret: CType::Void,
-            params: vec![
-                (
-                    "A".into(),
-                    CType::Array(Box::new(CType::Double), vec![16, 18]),
-                ),
-                ("alpha".into(), CType::Double),
-                ("n".into(), CType::Int),
-            ],
-            body: vec![
-                CStmt::Comment("splendid: natural tier".into()),
-                CStmt::OmpParallelFor {
-                    clauses: OmpClauses {
-                        schedule: Some(Schedule::StaticChunk(8)),
-                        nowait: true,
-                        private: vec!["j".into()],
-                        reduction: vec![("+".into(), "s".into())],
-                    },
-                    loop_stmt: Box::new(CStmt::For {
-                        init: Some(Box::new(CStmt::Decl {
-                            name: "i".into(),
-                            ty: CType::UInt64,
-                            init: Some(E::Int(0)),
-                        })),
-                        cond: Some(E::bin(CBinOp::Lt, E::ident("i"), E::ident("n"))),
-                        step: Some(E::Assign {
-                            lhs: Box::new(E::ident("i")),
-                            op: Some(CBinOp::Add),
-                            rhs: Box::new(E::Int(1)),
-                        }),
-                        body: vec![
-                            CStmt::If {
-                                cond: E::Unary {
-                                    op: CUnOp::Not,
-                                    expr: Box::new(E::ident("skip")),
-                                },
-                                then_body: vec![CStmt::Expr(E::Assign {
-                                    lhs: Box::new(E::Index {
-                                        base: Box::new(E::ident("A")),
-                                        indices: vec![E::ident("i"), E::Int(0)],
-                                    }),
-                                    op: None,
-                                    rhs: Box::new(E::Cast {
-                                        ty: CType::Double,
-                                        expr: Box::new(E::Call {
-                                            name: "exp".into(),
-                                            args: vec![E::Float(0.5)],
-                                        }),
-                                    }),
-                                })],
-                                else_body: vec![CStmt::Goto("done".into())],
-                            },
-                            CStmt::Label("done".into()),
-                            CStmt::OmpBarrier,
-                        ],
-                    }),
-                },
-                CStmt::DoWhile {
-                    body: vec![CStmt::Block(vec![CStmt::While {
-                        cond: E::Int(0),
-                        body: vec![],
-                    }])],
-                    cond: E::bin(CBinOp::Ne, E::ident("i"), E::Int(3)),
-                },
-                CStmt::Return(None),
-            ],
-        }
-    }
+    use crate::validate::Certificate;
+    use splendid_ir::rng::Rng;
 
     fn sample_output() -> FunctionOutput {
         FunctionOutput {
-            cfunc: sample_func(),
+            text: "void kernel_2mm(double A[16][18], double alpha) {\n  \
+                   /* splendid: degraded to structured tier: x */\n  \
+                   A[0][0] = alpha * 0.5;\n}\n"
+                .into(),
             naming: NamingStats {
                 total_vars: 7,
                 restored_vars: 5,
@@ -955,29 +382,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn function_record_roundtrip() {
-        let out = sample_output();
-        let blob = encode_function_record(&out);
-        let back = decode_function_record(&blob).unwrap();
-        assert_eq!(back.cfunc, out.cfunc);
-        assert_eq!(back.naming, out.naming);
-        assert_eq!(back.gotos, out.gotos);
-        assert_eq!(back.tier, out.tier);
-    }
-
-    #[test]
-    fn module_record_roundtrip() {
+    fn sample_module() -> (DecompileOutput, ModuleCounts) {
         let out = DecompileOutput {
-            program: CProgram {
-                defines: vec![("N".into(), 4000), ("M".into(), -1)],
-                globals: vec![(
-                    "A".into(),
-                    CType::Array(Box::new(CType::Double), vec![4000]),
-                )],
-                functions: vec![sample_func()],
-            },
-            source: "void kernel_2mm() { /* ... */ }\n".into(),
+            source: "double A[4000];\n\nvoid kernel_2mm() {\n  /* splendid: verified */\n}\n"
+                .into(),
             naming: NamingStats {
                 total_vars: 9,
                 restored_vars: 9,
@@ -989,103 +397,139 @@ mod tests {
             }],
             gotos: 0,
         };
-        let blob = encode_module_record(&out);
-        let back = decode_module_record(&blob).unwrap();
-        assert_eq!(back.program, out.program);
-        assert_eq!(back.source, out.source);
-        assert_eq!(back.naming, out.naming);
-        assert_eq!(back.regions.len(), 1);
-        assert_eq!(back.regions[0].region_name, "region_0");
-        assert_eq!(back.gotos, out.gotos);
+        let counts = ModuleCounts {
+            functions: 3,
+            degraded: 1,
+            verified: 2,
+            unverified: 1,
+        };
+        (out, counts)
+    }
+
+    fn sample_cert() -> Certificate {
+        Certificate {
+            verified: false,
+            tier: FidelityTier::Structured,
+            mismatch: true,
+            reason: "probe 1: global A[3]: source 1.0 vs re-lowered 2.0".into(),
+        }
+    }
+
+    type Decode = fn(&[u8]) -> R<()>;
+
+    /// One blob of every kind, each with the decoder of its own kind.
+    fn every_kind() -> Vec<(Vec<u8>, Decode)> {
+        let (module, counts) = sample_module();
+        vec![
+            (encode_function_record(&sample_output()), |b| {
+                decode_function_record(b).map(|_| ())
+            }),
+            (encode_module_record(&module, &counts), |b| {
+                decode_module_record_with_counts(b).map(|_| ())
+            }),
+            (encode_cert_record(&sample_cert()), |b| {
+                decode_cert_record(b).map(|_| ())
+            }),
+        ]
+    }
+
+    #[test]
+    fn records_roundtrip() {
+        let out = sample_output();
+        assert_eq!(
+            decode_function_record(&encode_function_record(&out)),
+            Ok(out)
+        );
+        let (module, counts) = sample_module();
+        let blob = encode_module_record(&module, &counts);
+        assert_eq!(decode_module_record(&blob), Ok(module.clone()));
+        assert_eq!(
+            decode_module_record_with_counts(&blob),
+            Ok((module, counts))
+        );
+        let cert = sample_cert();
+        assert_eq!(decode_cert_record(&encode_cert_record(&cert)), Ok(cert));
     }
 
     #[test]
     fn kind_confusion_is_rejected() {
-        let blob = encode_function_record(&sample_output());
-        assert!(decode_module_record(&blob).is_err());
-        assert!(validate_record(&blob).is_ok());
+        let blobs = every_kind();
+        for (i, (blob, _)) in blobs.iter().enumerate() {
+            assert!(validate_record(blob).is_ok());
+            for (j, (_, decode)) in blobs.iter().enumerate() {
+                assert_eq!(decode(blob).is_ok(), i == j, "blob {i} decoder {j}");
+            }
+        }
     }
 
     #[test]
     fn truncated_blobs_are_rejected_at_every_length() {
-        let blob = encode_function_record(&sample_output());
-        for n in 0..blob.len() {
-            assert!(
-                decode_function_record(&blob[..n]).is_err(),
-                "prefix of {n} bytes must not decode"
-            );
+        for (blob, decode) in every_kind() {
+            for n in 0..blob.len() {
+                assert!(
+                    decode(&blob[..n]).is_err() && validate_record(&blob[..n]).is_err(),
+                    "prefix of {n} bytes must not decode"
+                );
+            }
         }
     }
 
     #[test]
     fn trailing_garbage_is_rejected() {
-        let mut blob = encode_function_record(&sample_output());
-        blob.push(0);
-        assert!(decode_function_record(&blob).is_err());
+        for (mut blob, decode) in every_kind() {
+            blob.push(0);
+            assert!(decode(&blob).is_err());
+            assert!(validate_record(&blob).is_err());
+        }
     }
 
     #[test]
     fn foreign_version_is_rejected() {
+        for (mut blob, decode) in every_kind() {
+            // CODEC_VERSION - 1 is what the previous release wrote.
+            for version in [CODEC_VERSION - 1, CODEC_VERSION + 1] {
+                blob[4] = version;
+                assert!(decode(&blob).is_err());
+                assert!(validate_record(&blob).is_err());
+            }
+        }
+    }
+
+    #[test]
+    fn invalid_utf8_text_is_rejected() {
         let mut blob = encode_function_record(&sample_output());
-        blob[4] = CODEC_VERSION + 1;
-        assert!(decode_function_record(&blob).is_err());
+        // The text's first byte follows the header and its u32 length.
+        blob[CODEC_HEADER_LEN + 4] = 0xFF;
+        assert_eq!(
+            decode_function_record(&blob).unwrap_err().0,
+            "invalid UTF-8"
+        );
         assert!(validate_record(&blob).is_err());
     }
 
     #[test]
     fn mutated_discriminants_never_panic() {
-        // Flip every byte to an implausible value one at a time; the
+        // Every kind: first every byte set to an implausible value one at
+        // a time, then seeded runs of 1–4 random byte overwrites. The
         // decoder must return Err (or a different valid value), never
         // panic or loop.
-        let blob = encode_function_record(&sample_output());
-        for i in 0..blob.len() {
-            let mut m = blob.clone();
-            m[i] = 0xFF;
-            let _ = decode_function_record(&m);
+        for (kind, (blob, decode)) in every_kind().into_iter().enumerate() {
+            for i in 0..blob.len() {
+                let mut m = blob.clone();
+                m[i] = 0xFF;
+                let _ = decode(&m);
+                let _ = validate_record(&m);
+            }
+            let mut rng = Rng::for_case(0xC0DEC, kind as u64);
+            for _ in 0..2000 {
+                let mut m = blob.clone();
+                for _ in 0..1 + rng.below(4) {
+                    let at = rng.below(m.len() as u64) as usize;
+                    m[at] = rng.next_u64() as u8;
+                }
+                let _ = decode(&m);
+                let _ = validate_record(&m);
+            }
         }
-    }
-
-    #[test]
-    fn cert_record_roundtrip() {
-        let cert = crate::validate::Certificate {
-            verified: false,
-            tier: FidelityTier::Structured,
-            mismatch: true,
-            reason: "probe 1: global A[3]: source 1.0 vs re-lowered 2.0".into(),
-        };
-        let blob = encode_cert_record(&cert);
-        let back = decode_cert_record(&blob).unwrap();
-        assert_eq!(back, cert);
-        assert!(validate_record(&blob).is_ok());
-        // Truncations never decode.
-        for n in 0..blob.len() {
-            assert!(decode_cert_record(&blob[..n]).is_err());
-        }
-        // And a cert blob is not a function record.
-        assert!(decode_function_record(&blob).is_err());
-    }
-
-    #[test]
-    fn depth_bomb_is_rejected() {
-        // Hand-craft a record whose expression nests past MAX_DEPTH:
-        // header + stmts(len=1) + stmt tag Expr + deep unary chain.
-        let mut blob = Vec::new();
-        blob.extend_from_slice(&CODEC_MAGIC);
-        blob.push(CODEC_VERSION);
-        blob.push(KIND_FUNCTION);
-        blob.extend_from_slice(&1u32.to_le_bytes());
-        blob.push(b'f'); // name
-        blob.push(0); // ret = Void
-        blob.extend_from_slice(&0u32.to_le_bytes()); // no params
-        blob.extend_from_slice(&1u32.to_le_bytes()); // one stmt
-        blob.push(1); // CStmt::Expr
-        for _ in 0..2048 {
-            blob.push(5); // CExpr::Unary
-            blob.push(0); // Neg
-        }
-        blob.push(0); // CExpr::Int
-        blob.extend_from_slice(&0i64.to_le_bytes());
-        let e = decode_function_record(&blob).unwrap_err();
-        assert_eq!(e.0, "expression nesting too deep");
     }
 }

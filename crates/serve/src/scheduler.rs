@@ -754,27 +754,25 @@ fn run_job(request: JobRequest, state: Arc<JobState>, remote: PoolRemote) {
             let _ = state.module_key.set(key);
             let hit = tiers
                 .get(key)
-                .and_then(|blob| codec::decode_module_record(&blob).ok());
-            if let Some(output) = hit {
-                let functions = output.program.functions.len();
-                stats.add(|s| &s.functions_from_cache, functions as u64);
-                // Verdict annotations are baked into the record; report
-                // them as certificate hits (no check ran this process).
-                let verdicts = crate::validate::count_annotations(&output.program);
-                let tagged = (verdicts.verified + verdicts.unverified) as u64;
+                .and_then(|blob| codec::decode_module_record_with_counts(&blob).ok());
+            if let Some((output, counts)) = hit {
+                stats.add(|s| &s.functions_from_cache, counts.functions as u64);
+                // Verdicts are baked into the record; report them as
+                // certificate hits (no check ran this process).
+                let tagged = (counts.verified + counts.unverified) as u64;
                 if tagged > 0 {
                     stats.add(|s| &s.certs_from_cache, tagged);
-                    stats.add(|s| &s.functions_verified, verdicts.verified as u64);
-                    stats.add(|s| &s.functions_unverified, verdicts.unverified as u64);
+                    stats.add(|s| &s.functions_verified, counts.verified as u64);
+                    stats.add(|s| &s.functions_unverified, counts.unverified as u64);
                 }
                 state.complete(Ok(JobResult {
                     name: state.name.clone(),
                     output,
-                    functions,
-                    cached_functions: functions,
-                    degraded_functions: 0,
-                    verified_functions: verdicts.verified,
-                    unverified_functions: verdicts.unverified,
+                    functions: counts.functions,
+                    cached_functions: counts.functions,
+                    degraded_functions: counts.degraded,
+                    verified_functions: counts.verified,
+                    unverified_functions: counts.unverified,
                     wall: state.started.elapsed(),
                 }));
                 return;
@@ -1044,25 +1042,30 @@ fn attempt_retry(
 }
 
 fn finish(state: &JobState, prepared: &PreparedModule, output: DecompileOutput) {
-    // Fault-free Text jobs persist the assembled unit as a module
-    // record, so the next process (or a peer) answers the identical
-    // request without parsing. Write-behind: the put enqueues and the
-    // job completes immediately.
+    let counts = codec::ModuleCounts {
+        functions: prepared.module.functions.len(),
+        degraded: state.degraded.load(Ordering::Relaxed),
+        verified: state.verified.load(Ordering::Relaxed),
+        unverified: state.unverified.load(Ordering::Relaxed),
+    };
+    // Fault-free Text jobs persist the assembled unit and its counts as a
+    // module record, so the next process (or a peer) answers the
+    // identical request without parsing. Write-behind: the put enqueues
+    // and the job completes immediately.
     if let Some(&key) = state.module_key.get() {
         state
             .caches
             .tiers
-            .put(key, &codec::encode_module_record(&output));
+            .put(key, &codec::encode_module_record(&output, &counts));
     }
-    let functions = prepared.module.functions.len();
     state.complete(Ok(JobResult {
         name: state.name.clone(),
         output,
-        functions,
+        functions: counts.functions,
         cached_functions: state.cached.load(Ordering::Relaxed),
-        degraded_functions: state.degraded.load(Ordering::Relaxed),
-        verified_functions: state.verified.load(Ordering::Relaxed),
-        unverified_functions: state.unverified.load(Ordering::Relaxed),
+        degraded_functions: counts.degraded,
+        verified_functions: counts.verified,
+        unverified_functions: counts.unverified,
         wall: state.started.elapsed(),
     }));
 }

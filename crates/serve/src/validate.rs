@@ -27,8 +27,7 @@
 
 use crate::codec;
 use crate::scheduler::{cache_key, Caches, Fetched, StatsSink};
-use splendid_cfront::{print_program, CProgram, CStmt};
-use splendid_core::{FidelityTier, FunctionOutput, PreparedModule, SplendidOptions};
+use splendid_core::{print_unit, FidelityTier, FunctionOutput, PreparedModule, SplendidOptions};
 use splendid_ir::hash::Fnv64;
 use splendid_ir::{FuncId, Module};
 use splendid_validate::{check_function, relower, ReasonKind, ValidateConfig, Verdict};
@@ -128,14 +127,24 @@ pub(crate) fn run_validation(
             });
             // The certificate replays when the slot is already at (or
             // below) its recorded tier, or when the function can still
-            // be derived at that tier; the slot keeps its output either
-            // way. Otherwise prove from scratch.
-            if let Some(cert) =
-                hit.filter(|c| functions[i].tier >= c.tier || run.derive_at(fid, c.tier).is_some())
-            {
-                stats.add(|s| &s.certs_from_cache, 1);
-                apply_verdict(&mut functions[i], cert, stats, &mut outcome);
-                continue;
+            // be derived at that tier: the derived output is the one the
+            // certificate proved, so it replaces the slot's. Otherwise
+            // prove from scratch.
+            if let Some(cert) = hit {
+                let replay = if functions[i].tier >= cert.tier {
+                    true
+                } else if let Some(out) = run.derive_at(fid, cert.tier) {
+                    functions[i] = out;
+                    relowered = None;
+                    true
+                } else {
+                    false
+                };
+                if replay {
+                    stats.add(|s| &s.certs_from_cache, 1);
+                    apply_verdict(&mut functions[i], cert, stats, &mut outcome);
+                    continue;
+                }
             }
         }
 
@@ -173,6 +182,9 @@ impl Validation<'_> {
         let prepared = self.prepared;
         let name = prepared.module.name_of(prepared.module.func(fid).name);
         loop {
+            // Verdict annotations are not yet inserted at this point, and
+            // degradation comments are stripped by the re-lowering lexer,
+            // so the printed unit is exactly what a consumer would compile.
             let module = relowered.get_or_insert_with(|| relower(&print_unit(prepared, functions)));
             let verdict = match module {
                 Ok(m) => check_function(&prepared.module, m, name, &self.cfg),
@@ -235,7 +247,7 @@ impl Validation<'_> {
     }
 }
 
-/// Stamp the verdict into the function body and tally it.
+/// Stamp the verdict into the function's text and tally it.
 fn apply_verdict(
     out: &mut FunctionOutput,
     cert: Certificate,
@@ -251,7 +263,7 @@ fn apply_verdict(
         stats.add(|s| &s.functions_unverified, 1);
         format!("{UNVERIFIED_ANNOTATION}{}", sanitize(&cert.reason))
     };
-    out.cfunc.body.insert(0, CStmt::Comment(text));
+    out.annotate(&text);
 }
 
 /// Comment-safe, single-line rendering of a reason string.
@@ -267,39 +279,6 @@ fn next_tier(tier: FidelityTier) -> Option<FidelityTier> {
         FidelityTier::Structured => Some(FidelityTier::Literal),
         FidelityTier::Literal => None,
     }
-}
-
-/// Print the current state of the translation unit (globals + every
-/// function as it stands mid-validation). Verdict annotations are not
-/// yet inserted at this point, and degradation comments are stripped by
-/// the re-lowering lexer, so the printed unit is exactly what a
-/// consumer would compile.
-fn print_unit(prepared: &PreparedModule, functions: &[FunctionOutput]) -> String {
-    let program = CProgram {
-        defines: Vec::new(),
-        globals: prepared.c_globals(),
-        functions: functions.iter().map(|f| f.cfunc.clone()).collect(),
-    };
-    print_program(&program)
-}
-
-/// Count verdict annotations in an already-assembled program — how the
-/// whole-module fast path reports verdicts for a unit whose validation
-/// ran in a previous process.
-pub(crate) fn count_annotations(program: &CProgram) -> ValidateOutcome {
-    let mut outcome = ValidateOutcome::default();
-    for f in &program.functions {
-        for s in &f.body {
-            match s {
-                CStmt::Comment(t) if t == VERIFIED_ANNOTATION => outcome.verified += 1,
-                CStmt::Comment(t) if t.starts_with(UNVERIFIED_ANNOTATION) => {
-                    outcome.unverified += 1
-                }
-                _ => {}
-            }
-        }
-    }
-    outcome
 }
 
 #[cfg(test)]
@@ -318,27 +297,5 @@ mod tests {
         let s = sanitize("bad */ worse\nline");
         assert!(!s.contains("*/"));
         assert!(!s.contains('\n'));
-    }
-
-    #[test]
-    fn annotation_counting_matches_prefixes() {
-        use splendid_cfront::CFunc;
-        let mk = |comment: &str| CFunc {
-            name: "f".into(),
-            ret: splendid_cfront::CType::Void,
-            params: vec![],
-            body: vec![CStmt::Comment(comment.into()), CStmt::Return(None)],
-        };
-        let program = CProgram {
-            defines: vec![],
-            globals: vec![],
-            functions: vec![
-                mk(VERIFIED_ANNOTATION),
-                mk("splendid: UNVERIFIED: mismatch: probe 1"),
-                mk("splendid: degraded to literal tier: x"),
-            ],
-        };
-        let out = count_annotations(&program);
-        assert_eq!((out.verified, out.unverified), (1, 1));
     }
 }

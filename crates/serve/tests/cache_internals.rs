@@ -2,7 +2,6 @@
 //! multi-step access patterns, eviction counter accuracy, and the options
 //! fingerprint in the content-addressed key.
 
-use splendid_cfront::ast::{CFunc, CType};
 use splendid_cfront::OmpRuntime;
 use splendid_core::{
     prepare_module, FidelityTier, FunctionOutput, NamingStats, SplendidOptions, StageTimings,
@@ -14,12 +13,7 @@ use std::sync::Arc;
 
 fn out(tag: usize) -> Arc<FunctionOutput> {
     Arc::new(FunctionOutput {
-        cfunc: CFunc {
-            name: format!("f{tag}"),
-            ret: CType::Void,
-            params: Vec::new(),
-            body: Vec::new(),
-        },
+        text: format!("void f{tag}() {{\n}}\n"),
         naming: NamingStats {
             total_vars: tag,
             restored_vars: 0,

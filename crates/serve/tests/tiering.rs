@@ -4,7 +4,7 @@
 //! tier visibility in the stats text.
 
 use splendid_cachestore::StoreConfig;
-use splendid_core::SplendidOptions;
+use splendid_core::{FidelityTier, SplendidOptions};
 use splendid_ir::printer::module_str;
 use splendid_polybench::Harness;
 use splendid_serve::{BlobTiers, DiskTier, JobRequest, Scheduler, ServeConfig};
@@ -306,4 +306,92 @@ fn degraded_but_fault_free_output_is_persisted_and_reannotated() {
         let disk = stats.tiers.iter().find(|t| t.name == "disk").unwrap();
         assert!(disk.fills > 0, "fault-free runs persist: {stats}");
     }
+
+    // Every function of a Structured-tier job is degraded. After a
+    // restart the whole-module hit must report the cold run's counts and
+    // print the same C, annotations included.
+    let request = JobRequest {
+        options: SplendidOptions {
+            start_tier: FidelityTier::Structured,
+            validate: true,
+            ..Default::default()
+        },
+        ..JobRequest::from_text("jacobi", &text)
+    };
+    let run = || {
+        let scheduler = scheduler_with_disk(&dir, 2);
+        let res = scheduler.submit(request.clone()).wait().unwrap();
+        scheduler.flush_cache();
+        res
+    };
+    let (cold, warm) = (run(), run());
+    assert_eq!(cold.cached_functions, 0, "the cold run decompiles");
+    assert_eq!(warm.cached_functions, warm.functions, "the warm run hits");
+    assert_eq!(cold.degraded_functions, cold.functions);
+    assert!(cold.verified_functions > 0);
+    assert_eq!(warm.output.source, cold.output.source);
+    assert_eq!(
+        (
+            warm.functions,
+            warm.degraded_functions,
+            warm.verified_functions,
+            warm.unverified_functions
+        ),
+        (
+            cold.functions,
+            cold.degraded_functions,
+            cold.verified_functions,
+            cold.unverified_functions
+        )
+    );
+}
+
+#[test]
+fn replayed_certificate_serves_the_output_it_proved() {
+    // A certificate recording a fallback to Structured replays on a job
+    // whose slots are Natural: the function must be served at the tier
+    // the certificate proved, not at the tier a previous run found
+    // mismatching.
+    use splendid_core::{decompile_function, prepare_module, print_unit, StageTimings};
+    use splendid_serve::codec::encode_cert_record;
+    use splendid_serve::{cert_cache_key, function_cache_key, Certificate};
+
+    let dir = temp_dir("cert-replay");
+    let b = splendid_polybench::kernels::benchmark("gemm").unwrap();
+    let (module, _) = Harness::polly(b.sequential).unwrap();
+    let opts = SplendidOptions {
+        validate: true,
+        ..Default::default()
+    };
+    let structured = SplendidOptions {
+        start_tier: FidelityTier::Structured,
+        ..opts.clone()
+    };
+    let prepared = prepare_module(&module, &opts, &mut StageTimings::default()).unwrap();
+
+    let scheduler = scheduler_with_disk(&dir, 2);
+    let cert = Certificate {
+        verified: true,
+        tier: FidelityTier::Structured,
+        mismatch: false,
+        reason: String::new(),
+    };
+    let mut expected = Vec::new();
+    for fid in prepared.module.func_ids() {
+        let key = cert_cache_key(function_cache_key(&prepared, fid, &opts));
+        assert!(scheduler.cache_blob_put(key, &encode_cert_record(&cert)));
+        let mut out =
+            decompile_function(&prepared, fid, &structured, &mut StageTimings::default()).unwrap();
+        assert_eq!(out.tier, FidelityTier::Structured);
+        out.annotate("splendid: verified");
+        expected.push(out);
+    }
+    scheduler.flush_cache();
+
+    let res = scheduler.decompile_module("gemm", &module, &opts).unwrap();
+    assert_eq!(res.output.source, print_unit(&prepared, &expected));
+    assert_eq!(res.verified_functions, res.functions);
+    let stats = scheduler.stats();
+    assert_eq!(stats.validations_run, 0, "every verdict replays: {stats}");
+    assert_eq!(stats.certs_from_cache as usize, res.functions, "{stats}");
 }

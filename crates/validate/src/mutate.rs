@@ -169,11 +169,7 @@ impl Mutator {
             CStmt::OmpFor { loop_stmt, .. }
             | CStmt::OmpParallelFor { loop_stmt, .. }
             | CStmt::OmpSimd { loop_stmt, .. } => self.visit_stmt(loop_stmt),
-            CStmt::Return(None)
-            | CStmt::OmpBarrier
-            | CStmt::Goto(_)
-            | CStmt::Label(_)
-            | CStmt::Comment(_) => {}
+            CStmt::Return(None) | CStmt::OmpBarrier | CStmt::Goto(_) | CStmt::Label(_) => {}
         }
     }
 

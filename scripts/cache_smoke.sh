@@ -10,7 +10,9 @@
 #      and the daemon-wide disk-tier hit rate must exceed 90%,
 #   5. crash simulation: append torn garbage to the newest segment,
 #      then prove recovery — `splendid cache verify` exits 0, reports
-#      the dropped tail, and a fresh daemon still serves the store warm.
+#      the dropped tail, and a fresh daemon still serves the store warm,
+#   6. the C of every module is byte-identical across the cold, warm and
+#      post-recovery passes (`diff -r` of the three output directories).
 #
 # Usage: scripts/cache_smoke.sh [--addr HOST:PORT]
 set -euo pipefail
@@ -47,12 +49,14 @@ start_daemon() {
   exit 1
 }
 
-# `connect --stats FILE` reports "# session N: F function(s), C cached"
-# on stderr; sum F and C across the suite.
+# `connect --stats FILE` prints the module's C on stdout, kept as
+# $WORK/<pass>/<module>.c, and reports "# session N: F function(s),
+# C cached" on stderr; sum F and C across the suite.
 run_suite() {
-  local functions=0 cached=0 line
+  local pass="$1" functions=0 cached=0 line
+  mkdir -p "$WORK/$pass"
   for ir in "$IRDIR"/*.ir; do
-    line="$("$SPLENDID" connect --addr "$ADDR" --stats "$ir" 2>&1 >/dev/null)"
+    line="$("$SPLENDID" connect --addr "$ADDR" --stats "$ir" 2>&1 >"$WORK/$pass/$(basename "$ir" .ir).c")"
     functions=$((functions + $(sed -n 's/.*: \([0-9]*\) function(s).*/\1/p' <<<"$line")))
     cached=$((cached + $(sed -n 's/.* \([0-9]*\) cached.*/\1/p' <<<"$line")))
   done
@@ -72,7 +76,7 @@ stop_daemon() {
 
 echo "== cold pass: fresh store, everything decompiles for real =="
 start_daemon
-read -r COLD_FUNCTIONS COLD_CACHED <<<"$(run_suite)"
+read -r COLD_FUNCTIONS COLD_CACHED <<<"$(run_suite cold)"
 echo "cold: $COLD_FUNCTIONS function(s), $COLD_CACHED cached"
 if [ "$COLD_FUNCTIONS" -eq 0 ] || [ "$COLD_CACHED" -ne 0 ]; then
   echo "cold pass must decompile everything from scratch" >&2
@@ -82,7 +86,7 @@ stop_daemon
 
 echo "== warm restart: every function answers from the disk tier =="
 start_daemon
-read -r WARM_FUNCTIONS WARM_CACHED <<<"$(run_suite)"
+read -r WARM_FUNCTIONS WARM_CACHED <<<"$(run_suite warm)"
 echo "warm: $WARM_FUNCTIONS function(s), $WARM_CACHED cached"
 if [ "$WARM_CACHED" -ne "$WARM_FUNCTIONS" ]; then
   echo "warm restart served only $WARM_CACHED/$WARM_FUNCTIONS from cache" >&2
@@ -112,12 +116,18 @@ printf 'SREC torn tail \xDE\xAD\xBE\xEF' >> "$SEGMENT"
 
 echo "== post-recovery: the store still serves warm =="
 start_daemon
-read -r POST_FUNCTIONS POST_CACHED <<<"$(run_suite)"
+read -r POST_FUNCTIONS POST_CACHED <<<"$(run_suite post-recovery)"
 echo "post-recovery: $POST_FUNCTIONS function(s), $POST_CACHED cached"
 if [ "$POST_CACHED" -ne "$POST_FUNCTIONS" ]; then
   echo "recovery lost intact records: $POST_CACHED/$POST_FUNCTIONS cached" >&2
   exit 1
 fi
 stop_daemon
+
+echo "== the same C from every pass =="
+diff -r "$WORK/cold" "$WORK/warm"
+diff -r "$WORK/cold" "$WORK/post-recovery"
+echo "$(ls "$WORK/cold" | wc -l) module(s), $(cat "$WORK"/cold/*.c | wc -c) bytes of C," \
+  "printed identically cold, warm and after recovery"
 
 echo "cache smoke passed"
