@@ -4,10 +4,10 @@
 /// generation. Two stock profiles simulate Clang and GCC; they differ
 /// slightly in scalar float and loop-overhead costs, which is what makes
 /// some benchmarks (e.g. `mvt` in the paper's Figure 6) favor one compiler.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompilerProfile {
     /// Profile name (reported in experiment output).
-    pub name: String,
+    pub name: &'static str,
     /// Integer ALU op cost.
     pub int_cost: u64,
     /// Floating-point op cost.
@@ -34,7 +34,7 @@ impl CompilerProfile {
     /// A Clang-flavored profile.
     pub fn clang() -> CompilerProfile {
         CompilerProfile {
-            name: "clang".into(),
+            name: "clang",
             int_cost: 1,
             flop_cost: 4,
             fdiv_cost: 20,
@@ -53,7 +53,7 @@ impl CompilerProfile {
     /// expensive calls.
     pub fn gcc() -> CompilerProfile {
         CompilerProfile {
-            name: "gcc".into(),
+            name: "gcc",
             int_cost: 1,
             flop_cost: 3,
             fdiv_cost: 22,

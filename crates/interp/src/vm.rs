@@ -1,12 +1,12 @@
 //! The interpreter proper.
 
 use crate::machine::MachineConfig;
+use splendid_ir::eval::{self, EvalError};
 use splendid_ir::{
     BinOp, BlockId, Callee, CastOp, FPred, FuncId, GlobalInit, IPred, InstId, InstKind, Module,
     ReduceOp, Type, Value, VecTy,
 };
 use splendid_parallel::runtime::*;
-use std::collections::HashMap;
 
 /// A SIMD register: raw lane bits plus the vector type that interprets
 /// them. Lanes beyond `ty.lanes` are always zero, so derived equality is
@@ -130,6 +130,12 @@ impl std::fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
+impl From<EvalError> for ExecError {
+    fn from(e: EvalError) -> ExecError {
+        ExecError(e.to_string())
+    }
+}
+
 const STACK_BASE: u64 = 0x1000;
 const STACK_SIZE: u64 = 8 << 20;
 
@@ -140,8 +146,10 @@ pub struct Vm<'m> {
     mem: Vec<u8>,
     /// Stack bump pointer.
     sp: u64,
-    /// Global name symbol -> base address.
-    global_base: HashMap<splendid_ir::Symbol, u64>,
+    /// Base address of each global, indexed by [`splendid_ir::GlobalId`].
+    global_base: Vec<u64>,
+    /// Phi values of the block being entered, reused across block entries.
+    phi_scratch: Vec<(InstId, RtVal)>,
     /// Cycle accumulator (cost model).
     cycles: u64,
     /// Bytes moved by loads/stores (for the bandwidth ceiling).
@@ -164,7 +172,7 @@ impl<'m> Vm<'m> {
     /// Create a VM for `module`: allocates and initializes globals.
     pub fn new(module: &'m Module, config: MachineConfig) -> Vm<'m> {
         let mut mem = vec![0u8; (STACK_BASE + STACK_SIZE) as usize];
-        let mut global_base = HashMap::new();
+        let mut global_base = Vec::with_capacity(module.globals.len());
         let mut top = STACK_BASE + STACK_SIZE;
         for g in &module.globals {
             let size = g.mem.size_bytes();
@@ -181,7 +189,7 @@ impl<'m> Vm<'m> {
                     }
                 }
             }
-            global_base.insert(g.name, base);
+            global_base.push(base);
         }
         let fuel = config.fuel;
         Vm {
@@ -190,6 +198,7 @@ impl<'m> Vm<'m> {
             mem,
             sp: STACK_BASE,
             global_base,
+            phi_scratch: Vec::new(),
             cycles: 0,
             bytes: 0,
             insts_executed: 0,
@@ -208,12 +217,15 @@ impl<'m> Vm<'m> {
         self.insts_executed
     }
 
-    /// Base address of a global.
+    /// Base address of a global. Of two globals with one name the later
+    /// wins, as it does for `@name` in the IR parser.
     pub fn global_addr(&self, name: &str) -> Result<u64, ExecError> {
+        let sym = self.module.symbols.lookup(name);
         self.module
-            .symbols
-            .lookup(name)
-            .and_then(|sym| self.global_base.get(&sym).copied())
+            .globals
+            .iter()
+            .rposition(|g| Some(g.name) == sym)
+            .map(|i| self.global_base[i])
             .ok_or_else(|| ExecError(format!("unknown global '{name}'")))
     }
 
@@ -300,7 +312,8 @@ impl<'m> Vm<'m> {
         loop {
             // Phi nodes first, evaluated atomically.
             let block = f.block(cur);
-            let mut phi_updates: Vec<(InstId, RtVal)> = Vec::new();
+            let mut phi_updates = std::mem::take(&mut self.phi_scratch);
+            phi_updates.clear();
             for &i in &block.insts {
                 if let InstKind::Phi { incomings } = &f.inst(i).kind {
                     let p = prev
@@ -314,14 +327,15 @@ impl<'m> Vm<'m> {
                     break;
                 }
             }
-            for (i, v) in phi_updates {
+            for &(i, v) in &phi_updates {
                 frame.values[i.index()] = Some(v);
                 self.tick(1)?;
             }
+            self.phi_scratch = phi_updates;
 
             // Remaining instructions.
             let mut next_block: Option<BlockId> = None;
-            for &i in &block.insts.clone() {
+            for &i in &block.insts {
                 let inst = f.inst(i);
                 if matches!(inst.kind, InstKind::Phi { .. }) {
                     continue;
@@ -392,10 +406,7 @@ impl<'m> Vm<'m> {
                 .ok_or_else(|| ExecError(format!("argument ${a} out of range")))?,
             Value::ConstInt { val, .. } => RtVal::Int(val),
             Value::ConstF64(bits) => RtVal::F64(f64::from_bits(bits)),
-            Value::Global(g) => {
-                let name = self.module.globals[g.index()].name;
-                RtVal::Ptr(self.global_base[&name])
-            }
+            Value::Global(g) => RtVal::Ptr(self.global_base[g.index()]),
             Value::Function(f) => RtVal::Int(f.0 as i64), // function token
             Value::Undef(ty) => match ty {
                 Type::F64 => RtVal::F64(0.0),
@@ -414,64 +425,31 @@ impl<'m> Vm<'m> {
     ) -> Result<Option<RtVal>, ExecError> {
         let f = self.module.func(fid);
         let inst = f.inst(id);
-        let prof = self.config.profile.clone();
+        let prof = self.config.profile;
         match &inst.kind {
             InstKind::Bin { op, lhs, rhs } => {
                 let a = self.eval(frame, *lhs)?;
                 let b = self.eval(frame, *rhs)?;
                 if let Type::Vec(vt) = inst.ty {
                     let (va, vb) = (a.as_vec()?, b.as_vec()?);
+                    if vt.elem.is_float() != op.is_float() {
+                        let (opk, veck) = if op.is_float() {
+                            ("float", "int")
+                        } else {
+                            ("int", "float")
+                        };
+                        return Err(ExecError(format!(
+                            "{opk} opcode {} on {veck} vector",
+                            op.name()
+                        )));
+                    }
                     let mut r = VecVal::zero(vt);
-                    if vt.elem.is_float() {
-                        for i in 0..r.lanes() {
-                            let (x, y) = (va.lane_f64(i), vb.lane_f64(i));
-                            let v = match op {
-                                BinOp::FAdd => x + y,
-                                BinOp::FSub => x - y,
-                                BinOp::FMul => x * y,
-                                BinOp::FDiv => x / y,
-                                other => {
-                                    return Err(ExecError(format!(
-                                        "int opcode {} on float vector",
-                                        other.name()
-                                    )))
-                                }
-                            };
-                            r.set_f64(i, v);
-                        }
-                    } else {
-                        for i in 0..r.lanes() {
-                            let (x, y) = (va.lane_i64(i), vb.lane_i64(i));
-                            let v = match op {
-                                BinOp::Add => x.wrapping_add(y),
-                                BinOp::Sub => x.wrapping_sub(y),
-                                BinOp::Mul => x.wrapping_mul(y),
-                                BinOp::SDiv => {
-                                    if y == 0 {
-                                        return Err(ExecError("division by zero".into()));
-                                    }
-                                    x.wrapping_div(y)
-                                }
-                                BinOp::SRem => {
-                                    if y == 0 {
-                                        return Err(ExecError("remainder by zero".into()));
-                                    }
-                                    x.wrapping_rem(y)
-                                }
-                                BinOp::And => x & y,
-                                BinOp::Or => x | y,
-                                BinOp::Xor => x ^ y,
-                                BinOp::Shl => x.wrapping_shl(y as u32),
-                                BinOp::AShr => x.wrapping_shr(y as u32),
-                                other => {
-                                    return Err(ExecError(format!(
-                                        "float opcode {} on int vector",
-                                        other.name()
-                                    )))
-                                }
-                            };
-                            r.set_i64(i, v);
-                        }
+                    for i in 0..r.lanes() {
+                        r.bits[i] = if vt.elem.is_float() {
+                            eval::float_bin(*op, va.lane_f64(i), vb.lane_f64(i))?.to_bits()
+                        } else {
+                            eval::int_bin(*op, va.lane_i64(i), vb.lane_i64(i), Type::I64)? as u64
+                        };
                     }
                     let cost = if *op == BinOp::FDiv {
                         prof.fdiv_cost
@@ -481,39 +459,17 @@ impl<'m> Vm<'m> {
                     self.tick(cost)?;
                     return Ok(Some(RtVal::Vec(r)));
                 }
-                let (cost, r) = match op {
-                    BinOp::FAdd => (prof.flop_cost, RtVal::F64(a.as_f64()? + b.as_f64()?)),
-                    BinOp::FSub => (prof.flop_cost, RtVal::F64(a.as_f64()? - b.as_f64()?)),
-                    BinOp::FMul => (prof.flop_cost, RtVal::F64(a.as_f64()? * b.as_f64()?)),
-                    BinOp::FDiv => (prof.fdiv_cost, RtVal::F64(a.as_f64()? / b.as_f64()?)),
-                    int_op => {
-                        let x = a.as_int()?;
-                        let y = b.as_int()?;
-                        let r = match int_op {
-                            BinOp::Add => x.wrapping_add(y),
-                            BinOp::Sub => x.wrapping_sub(y),
-                            BinOp::Mul => x.wrapping_mul(y),
-                            BinOp::SDiv => {
-                                if y == 0 {
-                                    return Err(ExecError("division by zero".into()));
-                                }
-                                x.wrapping_div(y)
-                            }
-                            BinOp::SRem => {
-                                if y == 0 {
-                                    return Err(ExecError("remainder by zero".into()));
-                                }
-                                x.wrapping_rem(y)
-                            }
-                            BinOp::And => x & y,
-                            BinOp::Or => x | y,
-                            BinOp::Xor => x ^ y,
-                            BinOp::Shl => x.wrapping_shl(y as u32),
-                            BinOp::AShr => x.wrapping_shr(y as u32),
-                            _ => unreachable!(),
-                        };
-                        (prof.int_cost, RtVal::Int(r))
-                    }
+                let (cost, r) = if op.is_float() {
+                    let cost = if *op == BinOp::FDiv {
+                        prof.fdiv_cost
+                    } else {
+                        prof.flop_cost
+                    };
+                    let r = eval::float_bin(*op, a.as_f64()?, b.as_f64()?)?;
+                    (cost, RtVal::F64(r))
+                } else {
+                    let r = eval::int_bin(*op, a.as_int()?, b.as_int()?, inst.ty)?;
+                    (prof.int_cost, RtVal::Int(r))
                 };
                 self.tick(cost)?;
                 Ok(Some(r))
@@ -525,30 +481,14 @@ impl<'m> Vm<'m> {
                     (RtVal::Ptr(p), RtVal::Ptr(q)) => (p as i64, q as i64),
                     _ => (a.as_int()?, b.as_int()?),
                 };
-                let r = match pred {
-                    IPred::Eq => x == y,
-                    IPred::Ne => x != y,
-                    IPred::Slt => x < y,
-                    IPred::Sle => x <= y,
-                    IPred::Sgt => x > y,
-                    IPred::Sge => x >= y,
-                };
                 self.tick(prof.int_cost)?;
-                Ok(Some(RtVal::Int(r as i64)))
+                Ok(Some(RtVal::Int(eval::icmp(*pred, x, y) as i64)))
             }
             InstKind::FCmp { pred, lhs, rhs } => {
                 let a = self.eval(frame, *lhs)?.as_f64()?;
                 let b = self.eval(frame, *rhs)?.as_f64()?;
-                let r = match pred {
-                    FPred::Oeq => a == b,
-                    FPred::One => a != b,
-                    FPred::Olt => a < b,
-                    FPred::Ole => a <= b,
-                    FPred::Ogt => a > b,
-                    FPred::Oge => a >= b,
-                };
                 self.tick(prof.flop_cost)?;
-                Ok(Some(RtVal::Int(r as i64)))
+                Ok(Some(RtVal::Int(eval::fcmp(*pred, a, b) as i64)))
             }
             InstKind::Alloca { mem } => {
                 let size = (mem.size_bytes() + 7) & !7;
@@ -639,12 +579,12 @@ impl<'m> Vm<'m> {
                     match op {
                         CastOp::SiToFp => {
                             for i in 0..r.lanes() {
-                                r.set_f64(i, src.lane_i64(i) as f64);
+                                r.set_f64(i, eval::int_to_float(src.lane_i64(i)));
                             }
                         }
                         CastOp::FpToSi => {
                             for i in 0..r.lanes() {
-                                r.set_i64(i, src.lane_f64(i) as i64);
+                                r.set_i64(i, eval::float_to_int(src.lane_f64(i), Type::I64));
                             }
                         }
                         other => {
@@ -659,24 +599,13 @@ impl<'m> Vm<'m> {
                 }
                 self.tick(prof.int_cost)?;
                 let r = match op {
-                    CastOp::Sext | CastOp::Bitcast => v,
-                    CastOp::Zext => {
-                        let src_ty = f.value_type(*val);
-                        let x = v.as_int()?;
-                        let masked = match src_ty.int_bits() {
-                            Some(64) | None => x,
-                            Some(bits) => x & ((1i64 << bits) - 1),
-                        };
-                        RtVal::Int(masked)
+                    CastOp::Bitcast => v,
+                    CastOp::SiToFp => RtVal::F64(eval::int_to_float(v.as_int()?)),
+                    CastOp::FpToSi => RtVal::Int(eval::float_to_int(v.as_f64()?, inst.ty)),
+                    CastOp::Sext | CastOp::Zext | CastOp::Trunc => {
+                        let from = f.value_type(*val);
+                        RtVal::Int(eval::int_cast(*op, v.as_int()?, from, inst.ty))
                     }
-                    CastOp::Trunc => {
-                        let x = v.as_int()?;
-                        let bits = inst.ty.int_bits().unwrap_or(64);
-                        let shift = 64 - bits;
-                        RtVal::Int((x << shift) >> shift)
-                    }
-                    CastOp::SiToFp => RtVal::F64(v.as_int()? as f64),
-                    CastOp::FpToSi => RtVal::Int(v.as_f64()? as i64),
                 };
                 Ok(Some(r))
             }
@@ -752,21 +681,10 @@ impl<'m> Vm<'m> {
                     for i in 0..v.lanes() {
                         let x = v.lane_f64(i);
                         acc = match op {
-                            ReduceOp::Add => acc + x,
-                            ReduceOp::Min => {
-                                if x < acc {
-                                    x
-                                } else {
-                                    acc
-                                }
-                            }
-                            ReduceOp::Max => {
-                                if x > acc {
-                                    x
-                                } else {
-                                    acc
-                                }
-                            }
+                            ReduceOp::Add => eval::float_bin(BinOp::FAdd, acc, x)?,
+                            ReduceOp::Min if eval::fcmp(FPred::Olt, x, acc) => x,
+                            ReduceOp::Max if eval::fcmp(FPred::Ogt, x, acc) => x,
+                            ReduceOp::Min | ReduceOp::Max => acc,
                         };
                     }
                     RtVal::F64(acc)
@@ -775,9 +693,10 @@ impl<'m> Vm<'m> {
                     for i in 0..v.lanes() {
                         let x = v.lane_i64(i);
                         acc = match op {
-                            ReduceOp::Add => acc.wrapping_add(x),
-                            ReduceOp::Min => acc.min(x),
-                            ReduceOp::Max => acc.max(x),
+                            ReduceOp::Add => eval::int_bin(BinOp::Add, acc, x, Type::I64)?,
+                            ReduceOp::Min if eval::icmp(IPred::Slt, x, acc) => x,
+                            ReduceOp::Max if eval::icmp(IPred::Sgt, x, acc) => x,
+                            ReduceOp::Min | ReduceOp::Max => acc,
                         };
                     }
                     RtVal::Int(acc)
@@ -804,7 +723,7 @@ impl<'m> Vm<'m> {
         arg_values: &[Value],
         vals: Vec<RtVal>,
     ) -> Result<Option<RtVal>, ExecError> {
-        let prof = self.config.profile.clone();
+        let prof = self.config.profile;
         match name {
             "exp" | "sqrt" | "fabs" | "log" | "sin" | "cos" | "floor" => {
                 let x = vals
@@ -825,8 +744,13 @@ impl<'m> Vm<'m> {
                 Ok(Some(RtVal::F64(r)))
             }
             "pow" => {
-                let x = vals[0].as_f64()?;
-                let y = vals[1].as_f64()?;
+                let [x, y] = vals[..] else {
+                    return Err(ExecError(format!(
+                        "pow needs two arguments, got {}",
+                        vals.len()
+                    )));
+                };
+                let (x, y) = (x.as_f64()?, y.as_f64()?);
                 self.tick(prof.mathfn_cost)?;
                 Ok(Some(RtVal::F64(x.powf(y))))
             }
@@ -1215,6 +1139,23 @@ void k() {
         let mut vm = Vm::new(&m, MachineConfig::default());
         let r = vm.call_by_name("f", &[RtVal::F64(9.0)]).unwrap();
         assert_eq!(r, Some(RtVal::F64(3.0 + 2.0 + 8.0)));
+    }
+
+    #[test]
+    fn external_with_too_few_arguments_is_an_error() {
+        let src = r#"
+module "t"
+func @f($0:x f64) -> f64 {
+bb0 entry:
+  %0 = call f64 ext "pow"($0)
+  ret %0
+}
+"#;
+        let m = splendid_ir::parser::parse_module(src).unwrap();
+        splendid_ir::verify::verify_module(&m).unwrap();
+        let mut vm = Vm::new(&m, MachineConfig::default());
+        let e = vm.call_by_name("f", &[RtVal::F64(2.0)]).unwrap_err();
+        assert_eq!(e.0, "pow needs two arguments, got 1");
     }
 
     #[test]

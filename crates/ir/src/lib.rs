@@ -16,7 +16,9 @@
 //!   (Algorithms 1 and 2 in the paper) consume;
 //! * a [`builder::FuncBuilder`] for convenient construction, a textual
 //!   [`printer`] and [`parser`] with round-trip guarantees, and a
-//!   [`verify`] module enforcing SSA dominance and type rules.
+//!   [`verify`] module enforcing SSA dominance and type rules;
+//! * [`eval`], the one definition of what each binary operator, comparison
+//!   and cast computes, shared by the interpreter and the constant folder.
 //!
 //! All identifiers (function, block, parameter, global, and value names)
 //! are interned into a per-module [`SymbolTable`] and carried as 4-byte
@@ -38,6 +40,7 @@
 //! ```
 
 pub mod builder;
+pub mod eval;
 pub mod hash;
 pub mod inst;
 pub mod intern;

@@ -1,6 +1,6 @@
 //! Constant folding and algebraic simplification.
 
-use splendid_ir::{BinOp, CastOp, FPred, Function, IPred, InstId, InstKind, Type, Value};
+use splendid_ir::{eval, BinOp, CastOp, Function, InstId, InstKind, Type, Value};
 
 /// Fold constants and algebraic identities until a fixpoint. Returns the
 /// number of instructions folded.
@@ -27,25 +27,17 @@ pub fn fold_constants(f: &mut Function) -> usize {
 }
 
 /// The folded value of instruction `id`, if it can be computed or
-/// simplified away.
+/// simplified away. Constant operands are evaluated by
+/// [`splendid_ir::eval`], the same definitions the interpreter runs.
 pub fn fold_inst(f: &Function, id: InstId) -> Option<Value> {
     let inst = f.inst(id);
     match &inst.kind {
         InstKind::Bin { op, lhs, rhs } => fold_bin(*op, *lhs, *rhs, inst.ty),
         InstKind::ICmp { pred, lhs, rhs } => {
-            let (a, b) = (lhs.as_int()?, rhs.as_int()?);
-            Some(Value::bool(eval_ipred(*pred, a, b)))
+            Some(Value::bool(eval::icmp(*pred, lhs.as_int()?, rhs.as_int()?)))
         }
         InstKind::FCmp { pred, lhs, rhs } => {
-            let (a, b) = (lhs.as_f64()?, rhs.as_f64()?);
-            Some(Value::bool(match pred {
-                FPred::Oeq => a == b,
-                FPred::One => a != b,
-                FPred::Olt => a < b,
-                FPred::Ole => a <= b,
-                FPred::Ogt => a > b,
-                FPred::Oge => a >= b,
-            }))
+            Some(Value::bool(eval::fcmp(*pred, lhs.as_f64()?, rhs.as_f64()?)))
         }
         InstKind::Select {
             cond,
@@ -61,75 +53,15 @@ pub fn fold_inst(f: &Function, id: InstId) -> Option<Value> {
     }
 }
 
-/// Evaluate an integer predicate on constants.
-pub fn eval_ipred(pred: IPred, a: i64, b: i64) -> bool {
-    match pred {
-        IPred::Eq => a == b,
-        IPred::Ne => a != b,
-        IPred::Slt => a < b,
-        IPred::Sle => a <= b,
-        IPred::Sgt => a > b,
-        IPred::Sge => a >= b,
-    }
-}
-
-/// Evaluate an integer binary op on constants (wrapping), truncated to the
-/// result type's width.
-pub fn eval_int_bin(op: BinOp, a: i64, b: i64, ty: Type) -> Option<i64> {
-    let raw = match op {
-        BinOp::Add => a.wrapping_add(b),
-        BinOp::Sub => a.wrapping_sub(b),
-        BinOp::Mul => a.wrapping_mul(b),
-        BinOp::SDiv => {
-            if b == 0 {
-                return None;
-            }
-            a.wrapping_div(b)
-        }
-        BinOp::SRem => {
-            if b == 0 {
-                return None;
-            }
-            a.wrapping_rem(b)
-        }
-        BinOp::And => a & b,
-        BinOp::Or => a | b,
-        BinOp::Xor => a ^ b,
-        BinOp::Shl => a.wrapping_shl(b as u32),
-        BinOp::AShr => a.wrapping_shr(b as u32),
-        _ => return None,
-    };
-    Some(truncate_to(raw, ty))
-}
-
-/// Sign-truncate `v` to the width of integer type `ty`.
-pub fn truncate_to(v: i64, ty: Type) -> i64 {
-    match ty.int_bits() {
-        Some(64) | None => v,
-        // `i1` is kept canonical as 0/1 so boolean constants have a single
-        // representation.
-        Some(1) => v & 1,
-        Some(bits) => {
-            let shift = 64 - bits;
-            (v << shift) >> shift
-        }
-    }
-}
-
 fn fold_bin(op: BinOp, lhs: Value, rhs: Value, ty: Type) -> Option<Value> {
-    // Full constant folding.
+    // Full constant folding; an undefined result (division by zero) is
+    // left for the program to hit at run time.
     if let (Some(a), Some(b)) = (lhs.as_int(), rhs.as_int()) {
-        return eval_int_bin(op, a, b, ty).map(|v| Value::ConstInt { ty, val: v });
+        let val = eval::int_bin(op, a, b, ty).ok()?;
+        return Some(Value::ConstInt { ty, val });
     }
     if let (Some(a), Some(b)) = (lhs.as_f64(), rhs.as_f64()) {
-        let r = match op {
-            BinOp::FAdd => a + b,
-            BinOp::FSub => a - b,
-            BinOp::FMul => a * b,
-            BinOp::FDiv => a / b,
-            _ => return None,
-        };
-        return Some(Value::f64(r));
+        return eval::float_bin(op, a, b).ok().map(Value::f64);
     }
     // Algebraic identities (integer only; float identities would change
     // NaN/sign semantics).
@@ -192,50 +124,22 @@ fn fold_bin(op: BinOp, lhs: Value, rhs: Value, ty: Type) -> Option<Value> {
 }
 
 fn fold_cast(op: CastOp, val: Value, to: Type) -> Option<Value> {
-    match op {
-        CastOp::Sext | CastOp::Trunc => {
-            let v = val.as_int()?;
-            Some(Value::ConstInt {
-                ty: to,
-                val: truncate_to(v, to),
-            })
-        }
-        CastOp::Zext => {
-            let v = val.as_int()?;
-            // Zero-extend from the source width; source type is encoded in
-            // the constant itself.
-            let masked = match val {
-                Value::ConstInt { ty: src, .. } => match src.int_bits() {
-                    Some(64) | None => v,
-                    Some(bits) => v & ((1i64 << bits) - 1),
-                },
-                _ => v,
-            };
-            Some(Value::ConstInt {
-                ty: to,
-                val: masked,
-            })
-        }
-        CastOp::SiToFp => {
-            let v = val.as_int()?;
-            Some(Value::f64(v as f64))
-        }
-        CastOp::FpToSi => {
-            let v = val.as_f64()?;
-            Some(Value::ConstInt {
-                ty: to,
-                val: truncate_to(v as i64, to),
-            })
-        }
-        CastOp::Bitcast => None,
-    }
+    let val = match (op, val) {
+        // Reinterpreting a pointer-sized value leaves nothing to fold.
+        (CastOp::Bitcast, _) => return None,
+        (CastOp::SiToFp, _) => return Some(Value::f64(eval::int_to_float(val.as_int()?))),
+        (CastOp::FpToSi, _) => eval::float_to_int(val.as_f64()?, to),
+        (_, Value::ConstInt { ty: from, val }) => eval::int_cast(op, val, from, to),
+        _ => return None,
+    };
+    Some(Value::ConstInt { ty: to, val })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use splendid_ir::builder::FuncBuilder;
-    use splendid_ir::Module;
+    use splendid_ir::{IPred, Module};
 
     #[test]
     fn folds_arithmetic_chain() {
@@ -348,15 +252,6 @@ mod tests {
             })
             .unwrap();
         assert_eq!(ret, Value::f64(-5.0));
-    }
-
-    #[test]
-    fn truncation_semantics() {
-        assert_eq!(truncate_to(0x1_0000_0001, Type::I32), 1);
-        assert_eq!(truncate_to(255, Type::I8), -1);
-        assert_eq!(truncate_to(1, Type::I1), 1);
-        assert_eq!(truncate_to(2, Type::I1), 0);
-        assert_eq!(truncate_to(i64::MAX, Type::I64), i64::MAX);
     }
 
     #[test]
