@@ -12,18 +12,16 @@
 //! Phi nodes are resolved with two-phase parallel copies on each
 //! incoming edge (`t = src; ...; dst = t;`), which is immune to the
 //! classic swap/lost-copy hazards. Gep address computations are never
-//! materialized; they fold into `A[i][j]` index expressions at each use,
-//! mirroring the structurer's lvalue rules.
+//! materialized; they fold into `A[i][j]` index expressions at each use.
+//! Operands, addresses and expressions come from the same translator in
+//! `cmap` that the structurer uses.
 
-use crate::cmap::{self, ctype_of};
+use crate::cmap::{self, assign, ctype_of, ctype_of_mem, Operand, Translator};
 use crate::detransform::decode_marker;
 use crate::devectorize::decode_simd_marker;
 use crate::error::{SplendidError, Stage};
-use splendid_cfront::ast::{CBinOp, CExpr, CFunc, CStmt, CType};
-use splendid_ir::{
-    BinOp, BlockId, Callee, CastOp, Function, InstId, InstKind, MemType, Module, ReduceOp, Type,
-    Value,
-};
+use splendid_cfront::ast::{CBinOp, CExpr, CFunc, CStmt};
+use splendid_ir::{BlockId, Function, InstId, InstKind, Module, ReduceOp, Type, Value};
 use std::collections::{HashMap, HashSet};
 
 /// Result of literal-tier emission for one function.
@@ -35,13 +33,6 @@ pub struct LiteralFunc {
     pub gotos: usize,
     /// Local variables declared.
     pub vars: usize,
-}
-
-fn scalar_ctype(t: Type) -> CType {
-    match t {
-        Type::F64 => CType::Double,
-        _ => CType::Long,
-    }
 }
 
 /// Phi copies scheduled on one CFG edge: (dst, temp, incoming value).
@@ -58,49 +49,11 @@ struct LiteralEmitter<'a> {
     gotos: usize,
 }
 
-fn err(module: &Module, f: &Function, msg: impl Into<String>) -> SplendidError {
-    SplendidError::fatal(Stage::Emit, msg).in_function(module.name_of(f.name))
-}
-
 /// Emit `f` at the literal tier.
 pub fn emit_literal(module: &Module, f: &Function) -> Result<LiteralFunc, SplendidError> {
-    let owners = f.inst_blocks();
-
-    // Reject out-of-arena or unplaced operand references up front so the
-    // body emitters below can index freely.
-    for bb in f.block_ids() {
-        for &i in &f.block(bb).insts {
-            if i.index() >= f.insts.len() {
-                return Err(err(
-                    module,
-                    f,
-                    format!("block references out-of-arena inst %{}", i.0),
-                ));
-            }
-            let mut bad = None;
-            f.inst(i).kind.for_each_operand(|v| {
-                if let Value::Inst(d) = v {
-                    if d.index() >= f.insts.len() {
-                        bad = Some(format!("operand references out-of-arena inst %{}", d.0));
-                    } else if owners[d.index()].is_none() {
-                        bad = Some(format!("operand references unplaced inst %{}", d.0));
-                    }
-                }
-            });
-            if let Some(msg) = bad {
-                return Err(err(module, f, msg));
-            }
-            let mut bad_target = None;
-            for s in f.inst(i).kind.successors() {
-                if s.index() >= f.blocks.len() {
-                    bad_target = Some(format!("branch targets missing block bb{}", s.0));
-                }
-            }
-            if let Some(msg) = bad_target {
-                return Err(err(module, f, msg));
-            }
-        }
-    }
+    let err =
+        |msg: String| SplendidError::fatal(Stage::Emit, msg).in_function(module.name_of(f.name));
+    cmap::check_refs(module, f).map_err(err)?;
 
     // Pick a variable prefix that cannot collide with params, globals,
     // or function names ("v12" is someone's parameter surprisingly often
@@ -122,6 +75,11 @@ pub fn emit_literal(module: &Module, f: &Function) -> Result<LiteralFunc, Splend
     let mut names: Vec<Option<String>> = vec![None; f.insts.len()];
     let mut temps = HashMap::new();
     let mut decls: Vec<CStmt> = Vec::new();
+    let decl = |name: String, ty| CStmt::Decl {
+        name,
+        ty,
+        init: None,
+    };
     for bb in f.block_ids() {
         for &i in &f.block(bb).insts {
             let inst = f.inst(i);
@@ -130,70 +88,39 @@ pub fn emit_literal(module: &Module, f: &Function) -> Result<LiteralFunc, Splend
             {
                 continue;
             }
-            match &inst.kind {
-                InstKind::Alloca { mem } => {
-                    let name = format!("{vp}{}", i.0);
-                    let ty = match mem {
-                        MemType::Scalar(t) => scalar_ctype(*t),
-                        MemType::Array { elem, dims } => CType::Array(
-                            Box::new(scalar_ctype(*elem)),
-                            dims.iter().map(|&d| d as usize).collect(),
-                        ),
-                    };
-                    decls.push(CStmt::Decl {
-                        name: name.clone(),
-                        ty,
-                        init: None,
-                    });
-                    names[i.index()] = Some(name);
+            if !inst.has_result() || matches!(inst.kind, InstKind::Gep { .. }) {
+                continue; // geps fold at each use
+            }
+            let name = format!("{vp}{}", i.0);
+            let is_phi = matches!(inst.kind, InstKind::Phi { .. });
+            match (&inst.kind, inst.ty.vec_ty()) {
+                (InstKind::Alloca { mem }, _) => decls.push(decl(name.clone(), ctype_of_mem(mem))),
+                (_, Some(_)) if is_phi => {
+                    return Err(err(format!("vector phi %{} has no literal form", i.0)));
                 }
-                InstKind::Gep { .. } => {} // folded at each use
                 // Vector values become one scalar variable per lane
                 // (`v7_0 .. v7_3`): the lane-explicit bottom rung for IR
                 // the devectorizer did not recognize.
-                _ if inst.ty.is_vector() => {
-                    if matches!(inst.kind, InstKind::Phi { .. }) {
-                        return Err(err(
-                            module,
-                            f,
-                            format!("vector phi %{} has no literal form", i.0),
-                        ));
-                    }
-                    let name = format!("{vp}{}", i.0);
-                    let (lanes, lane_ty) = match inst.ty.vec_ty() {
-                        Some(vt) if vt.elem.is_float() => (vt.lanes, CType::Double),
-                        Some(vt) => (vt.lanes, CType::Long),
-                        None => unreachable!("is_vector implies vec_ty"),
-                    };
-                    for l in 0..lanes {
-                        decls.push(CStmt::Decl {
-                            name: format!("{name}_{l}"),
-                            ty: lane_ty.clone(),
-                            init: None,
-                        });
-                    }
-                    names[i.index()] = Some(name);
-                }
-                _ if inst.has_result() => {
-                    let name = format!("{vp}{}", i.0);
-                    decls.push(CStmt::Decl {
-                        name: name.clone(),
-                        ty: ctype_of(inst.ty),
-                        init: None,
+                (_, Some(vt)) => {
+                    let lane_ty = ctype_of(if vt.elem.is_float() {
+                        Type::F64
+                    } else {
+                        Type::I64
                     });
-                    names[i.index()] = Some(name.clone());
-                    if matches!(inst.kind, InstKind::Phi { .. }) {
+                    for l in 0..vt.lanes {
+                        decls.push(decl(format!("{name}_{l}"), lane_ty.clone()));
+                    }
+                }
+                (_, None) => {
+                    decls.push(decl(name.clone(), ctype_of(inst.ty)));
+                    if is_phi {
                         let t = format!("{tp}{}", i.0);
-                        decls.push(CStmt::Decl {
-                            name: t.clone(),
-                            ty: ctype_of(inst.ty),
-                            init: None,
-                        });
+                        decls.push(decl(t.clone(), ctype_of(inst.ty)));
                         temps.insert(i, t);
                     }
                 }
-                _ => {}
             }
+            names[i.index()] = Some(name);
         }
     }
     let vars = decls.len();
@@ -205,7 +132,7 @@ pub fn emit_literal(module: &Module, f: &Function) -> Result<LiteralFunc, Splend
             if let InstKind::Phi { incomings } = &f.inst(i).kind {
                 let dst = match &names[i.index()] {
                     Some(n) => n.clone(),
-                    None => return Err(err(module, f, format!("void phi %{}", i.0))),
+                    None => return Err(err(format!("void phi %{}", i.0))),
                 };
                 let tmp = temps
                     .get(&i)
@@ -235,7 +162,7 @@ pub fn emit_literal(module: &Module, f: &Function) -> Result<LiteralFunc, Splend
     em.gotos += 1;
     for bb in f.block_ids() {
         body.push(CStmt::Label(format!("L{}", bb.0)));
-        em.emit_block(bb, &mut body)?;
+        em.emit_block(bb, &mut body).map_err(err)?;
     }
 
     let cfunc = CFunc {
@@ -265,158 +192,42 @@ pub fn emit_literal(module: &Module, f: &Function) -> Result<LiteralFunc, Splend
 }
 
 impl<'a> LiteralEmitter<'a> {
-    fn name_of(&self, id: InstId) -> Result<String, SplendidError> {
-        self.names[id.index()].clone().ok_or_else(|| {
-            err(
-                self.module,
-                self.f,
-                format!("no variable for inst %{}", id.0),
-            )
-        })
+    fn name_of(&self, id: InstId) -> Result<String, String> {
+        self.names[id.index()]
+            .clone()
+            .ok_or_else(|| format!("no variable for inst %{}", id.0))
     }
 
-    /// The C expression for a value used as an operand. Instruction
-    /// results read their variable; geps fold into index expressions.
-    fn operand(&self, v: Value) -> Result<CExpr, SplendidError> {
-        match v {
-            Value::ConstInt { val, .. } => Ok(CExpr::Int(val)),
-            Value::ConstF64(bits) => Ok(CExpr::Float(f64::from_bits(bits))),
-            Value::Arg(a) => {
-                let p = self.f.params.get(a as usize).ok_or_else(|| {
-                    err(
-                        self.module,
-                        self.f,
-                        format!("operand references missing arg {a}"),
-                    )
-                })?;
-                Ok(CExpr::ident(self.module.name_of(p.name)))
-            }
-            Value::Global(g) => {
-                let glob = self.module.globals.get(g.index()).ok_or_else(|| {
-                    err(
-                        self.module,
-                        self.f,
-                        format!("missing global @{}", g.index()),
-                    )
-                })?;
-                Ok(CExpr::ident(self.module.name_of(glob.name)))
-            }
-            Value::Function(fid) => {
-                let func = self.module.functions.get(fid.index()).ok_or_else(|| {
-                    err(
-                        self.module,
-                        self.f,
-                        format!("missing function #{}", fid.index()),
-                    )
-                })?;
-                Ok(CExpr::ident(self.module.name_of(func.name)))
-            }
-            Value::Undef(t) => Ok(match t {
-                Type::F64 => CExpr::Float(0.0),
-                _ => CExpr::Int(0),
-            }),
-            Value::Inst(id) => match &self.f.inst(id).kind {
-                // An address used as a plain value prints as the indexed
-                // element it denotes, mirroring the structurer.
-                InstKind::Gep { .. } => self.lvalue(v),
-                _ => Ok(CExpr::ident(self.name_of(id)?)),
+    /// The shared translator: instruction results read their variable;
+    /// only geps fold into their uses, as index expressions.
+    fn tr(&self) -> Translator<'a, impl Fn(InstId) -> Result<Operand, String> + '_> {
+        Translator {
+            module: self.module,
+            f: self.f,
+            hook: |id: InstId| match self.f.inst(id).kind {
+                InstKind::Gep { .. } => Ok(Operand::Inline),
+                _ => self.name_of(id).map(Operand::Var),
             },
-        }
-    }
-
-    /// The C lvalue an address computes: `A[i][j]`, `p[0]`, `x`.
-    fn lvalue(&self, addr: Value) -> Result<CExpr, SplendidError> {
-        match addr {
-            Value::Global(_) => self.operand(addr),
-            Value::Arg(_) => Ok(CExpr::Index {
-                base: Box::new(self.operand(addr)?),
-                indices: vec![CExpr::Int(0)],
-            }),
-            Value::Inst(id) => match &self.f.inst(id).kind {
-                InstKind::Gep {
-                    elem,
-                    base,
-                    indices,
-                } => {
-                    let base_expr = match base {
-                        Value::Inst(b)
-                            if matches!(self.f.inst(*b).kind, InstKind::Alloca { .. }) =>
-                        {
-                            CExpr::ident(self.name_of(*b)?)
-                        }
-                        other => self.operand(*other)?,
-                    };
-                    let mut idx = indices
-                        .iter()
-                        .map(|i| self.operand(*i))
-                        .collect::<Result<Vec<_>, _>>()?;
-                    if matches!(elem, MemType::Array { .. }) && idx.first() == Some(&CExpr::Int(0))
-                    {
-                        idx.remove(0);
-                    }
-                    if idx.is_empty() {
-                        idx.push(CExpr::Int(0));
-                    }
-                    Ok(CExpr::Index {
-                        base: Box::new(base_expr),
-                        indices: idx,
-                    })
-                }
-                InstKind::Alloca { mem } => {
-                    let name = CExpr::ident(self.name_of(id)?);
-                    Ok(match mem {
-                        // A scalar alloca *is* the C variable.
-                        MemType::Scalar(_) => name,
-                        MemType::Array { .. } => CExpr::Index {
-                            base: Box::new(name),
-                            indices: vec![CExpr::Int(0)],
-                        },
-                    })
-                }
-                _ => Ok(CExpr::Index {
-                    base: Box::new(self.operand(addr)?),
-                    indices: vec![CExpr::Int(0)],
-                }),
-            },
-            other => Ok(CExpr::Index {
-                base: Box::new(self.operand(other)?),
-                indices: vec![CExpr::Int(0)],
-            }),
-        }
-    }
-
-    /// True when a value is vector-typed (lane-split in this tier).
-    fn is_vector_value(&self, v: Value) -> bool {
-        match v {
-            Value::Inst(id) => self.f.inst(id).ty.is_vector(),
-            Value::Undef(t) => t.is_vector(),
-            _ => false,
         }
     }
 
     /// Lane count of a vector-typed value.
-    fn lanes_of(&self, v: Value) -> Result<u8, SplendidError> {
+    fn lanes_of(&self, v: Value) -> Result<u8, String> {
         let lanes = match v {
             Value::Inst(id) => self.f.inst(id).ty.lanes(),
             Value::Undef(t) => t.lanes(),
             _ => None,
         };
-        lanes.ok_or_else(|| {
-            err(
-                self.module,
-                self.f,
-                format!("expected a vector value, got {v:?}"),
-            )
-        })
+        lanes.ok_or_else(|| format!("expected a vector value, got {v:?}"))
     }
 
     /// The per-lane variable of a vector-valued instruction.
-    fn lane_name(&self, id: InstId, lane: u8) -> Result<String, SplendidError> {
+    fn lane_name(&self, id: InstId, lane: u8) -> Result<String, String> {
         Ok(format!("{}_{lane}", self.name_of(id)?))
     }
 
     /// The C expression for one lane of a vector operand.
-    fn lane_operand(&self, v: Value, lane: u8) -> Result<CExpr, SplendidError> {
+    fn lane_operand(&self, v: Value, lane: u8) -> Result<CExpr, String> {
         match v {
             Value::Inst(id) if self.f.inst(id).ty.is_vector() => {
                 Ok(CExpr::ident(self.lane_name(id, lane)?))
@@ -425,18 +236,14 @@ impl<'a> LiteralEmitter<'a> {
                 Some(vt) if vt.elem.is_float() => CExpr::Float(0.0),
                 _ => CExpr::Int(0),
             }),
-            other => Err(err(
-                self.module,
-                self.f,
-                format!("non-vector operand {other:?} in a vector context"),
-            )),
+            other => Err(format!("non-vector operand {other:?} in a vector context")),
         }
     }
 
     /// The element lvalue `lane` steps past a wide access's address:
     /// `A[i]` -> `A[i + lane]`.
-    fn lane_lvalue(&self, ptr: Value, lane: u8) -> Result<CExpr, SplendidError> {
-        let base = self.lvalue(ptr)?;
+    fn lane_lvalue(&self, ptr: Value, lane: u8) -> Result<CExpr, String> {
+        let base = self.tr().lvalue(ptr)?;
         if lane == 0 {
             return Ok(base);
         }
@@ -447,83 +254,21 @@ impl<'a> LiteralEmitter<'a> {
                 }
                 Ok(CExpr::Index { base, indices })
             }
-            other => Err(err(
-                self.module,
-                self.f,
-                format!("wide access through non-indexable address {other:?}"),
+            other => Err(format!(
+                "wide access through non-indexable address {other:?}"
             )),
         }
-    }
-
-    fn rvalue(&self, id: InstId) -> Result<CExpr, SplendidError> {
-        let inst = self.f.inst(id);
-        match &inst.kind {
-            InstKind::Bin { op, lhs, rhs } => Ok(CExpr::bin(
-                cmap::binop(*op, inst.ty),
-                self.operand(*lhs)?,
-                self.operand(*rhs)?,
-            )),
-            InstKind::ICmp { pred, lhs, rhs } => Ok(CExpr::bin(
-                cmap::ipred(*pred),
-                self.operand(*lhs)?,
-                self.operand(*rhs)?,
-            )),
-            InstKind::FCmp { pred, lhs, rhs } => Ok(CExpr::bin(
-                cmap::fpred(*pred),
-                self.operand(*lhs)?,
-                self.operand(*rhs)?,
-            )),
-            InstKind::Load { ptr } => self.lvalue(*ptr),
-            InstKind::Cast { op, val } => Ok(cmap::cast(*op, self.operand(*val)?)),
-            InstKind::Call { callee, args } => {
-                let name = match callee {
-                    Callee::Func(fid) => {
-                        let callee_fn =
-                            self.module.functions.get(fid.index()).ok_or_else(|| {
-                                err(
-                                    self.module,
-                                    self.f,
-                                    format!("call to missing function #{}", fid.index()),
-                                )
-                            })?;
-                        self.module.name_of(callee_fn.name).to_string()
-                    }
-                    Callee::External(n) => self.module.name_of(*n).to_string(),
-                };
-                Ok(CExpr::Call {
-                    name,
-                    args: args
-                        .iter()
-                        .map(|a| self.operand(*a))
-                        .collect::<Result<Vec<_>, _>>()?,
-                })
-            }
-            other => Err(err(
-                self.module,
-                self.f,
-                format!("no literal expression for {other:?}"),
-            )),
-        }
-    }
-
-    fn assign(&self, name: String, rhs: CExpr) -> CStmt {
-        CStmt::Expr(CExpr::Assign {
-            lhs: Box::new(CExpr::Ident(name)),
-            op: None,
-            rhs: Box::new(rhs),
-        })
     }
 
     /// Phi parallel copies for the edge `from -> to`, then `goto L<to>`.
-    fn emit_edge(&mut self, from: BlockId, to: BlockId) -> Result<Vec<CStmt>, SplendidError> {
+    fn emit_edge(&mut self, from: BlockId, to: BlockId) -> Result<Vec<CStmt>, String> {
         let mut out = Vec::new();
-        if let Some(copies) = self.edge_copies.get(&(from, to)).cloned() {
-            for (_, tmp, val) in &copies {
-                let rhs = self.operand(*val)?;
-                out.push(self.assign(tmp.clone(), rhs));
+        if let Some(copies) = self.edge_copies.get(&(from, to)) {
+            for (_, tmp, val) in copies {
+                out.push(assign(CExpr::ident(tmp), self.tr().value(*val)?));
             }
-            for (dst, tmp, _) in &copies {
-                out.push(self.assign(dst.clone(), CExpr::ident(tmp.clone())));
+            for (dst, tmp, _) in copies {
+                out.push(assign(CExpr::ident(dst), CExpr::ident(tmp)));
             }
         }
         out.push(CStmt::Goto(format!("L{}", to.0)));
@@ -531,14 +276,16 @@ impl<'a> LiteralEmitter<'a> {
         Ok(out)
     }
 
-    fn emit_block(&mut self, bb: BlockId, out: &mut Vec<CStmt>) -> Result<(), SplendidError> {
-        for &i in &self.f.block(bb).insts.clone() {
-            let inst = self.f.inst(i);
+    fn emit_block(&mut self, bb: BlockId, out: &mut Vec<CStmt>) -> Result<(), String> {
+        let f = self.f;
+        for &i in &f.block(bb).insts {
+            let inst = f.inst(i);
             if decode_marker(&self.module.symbols, &inst.kind).is_some()
                 || decode_simd_marker(&self.module.symbols, &inst.kind).is_some()
             {
                 continue;
             }
+            let lane_var = |l| self.lane_name(i, l).map(CExpr::Ident);
             match &inst.kind {
                 InstKind::DbgValue { .. }
                 | InstKind::Nop
@@ -546,117 +293,81 @@ impl<'a> LiteralEmitter<'a> {
                 | InstKind::Alloca { .. }
                 | InstKind::Gep { .. } => {}
                 InstKind::Splat { val } => {
-                    let e = self.operand(*val)?;
+                    let e = self.tr().value(*val)?;
                     for l in 0..self.lanes_of(Value::Inst(i))? {
-                        out.push(self.assign(self.lane_name(i, l)?, e.clone()));
+                        out.push(assign(lane_var(l)?, e.clone()));
                     }
                 }
                 InstKind::ExtractLane { vec, lane } => {
                     let rhs = self.lane_operand(*vec, *lane)?;
-                    let name = self.name_of(i)?;
-                    out.push(self.assign(name, rhs));
+                    out.push(assign(CExpr::Ident(self.name_of(i)?), rhs));
                 }
                 InstKind::InsertLane { vec, val, lane } => {
                     for l in 0..self.lanes_of(Value::Inst(i))? {
                         let rhs = if l == *lane {
-                            self.operand(*val)?
+                            self.tr().value(*val)?
                         } else {
                             self.lane_operand(*vec, l)?
                         };
-                        out.push(self.assign(self.lane_name(i, l)?, rhs));
+                        out.push(assign(lane_var(l)?, rhs));
                     }
                 }
                 InstKind::Reduce { op, acc, vec } => {
                     // Ordered left-to-right fold, matching the
                     // interpreter's (and the scalar loop's) semantics.
-                    let name = self.name_of(i)?;
-                    out.push(self.assign(name.clone(), self.operand(*acc)?));
+                    let var = CExpr::Ident(self.name_of(i)?);
+                    out.push(assign(var.clone(), self.tr().value(*acc)?));
                     for l in 0..self.lanes_of(*vec)? {
                         let lane = self.lane_operand(*vec, l)?;
-                        match op {
-                            ReduceOp::Add => out.push(self.assign(
-                                name.clone(),
-                                CExpr::bin(CBinOp::Add, CExpr::ident(name.clone()), lane),
-                            )),
-                            ReduceOp::Min | ReduceOp::Max => {
-                                let cmp = if *op == ReduceOp::Min {
-                                    CBinOp::Lt
-                                } else {
-                                    CBinOp::Gt
-                                };
-                                out.push(CStmt::If {
-                                    cond: CExpr::bin(cmp, lane.clone(), CExpr::ident(name.clone())),
-                                    then_body: vec![self.assign(name.clone(), lane)],
-                                    else_body: vec![],
-                                });
+                        out.push(match op {
+                            ReduceOp::Add => {
+                                assign(var.clone(), CExpr::bin(CBinOp::Add, var.clone(), lane))
                             }
-                        }
+                            ReduceOp::Min | ReduceOp::Max => CStmt::If {
+                                cond: CExpr::bin(
+                                    if *op == ReduceOp::Min {
+                                        CBinOp::Lt
+                                    } else {
+                                        CBinOp::Gt
+                                    },
+                                    lane.clone(),
+                                    var.clone(),
+                                ),
+                                then_body: vec![assign(var.clone(), lane)],
+                                else_body: vec![],
+                            },
+                        });
                     }
                 }
                 InstKind::Load { ptr } if inst.ty.is_vector() => {
                     for l in 0..self.lanes_of(Value::Inst(i))? {
-                        let rhs = self.lane_lvalue(*ptr, l)?;
-                        out.push(self.assign(self.lane_name(i, l)?, rhs));
+                        out.push(assign(lane_var(l)?, self.lane_lvalue(*ptr, l)?));
                     }
                 }
-                InstKind::Store { val, ptr } if self.is_vector_value(*val) => {
+                InstKind::Store { val, ptr } if self.lanes_of(*val).is_ok() => {
                     for l in 0..self.lanes_of(*val)? {
                         let lhs = self.lane_lvalue(*ptr, l)?;
-                        let rhs = self.lane_operand(*val, l)?;
-                        out.push(CStmt::Expr(CExpr::Assign {
-                            lhs: Box::new(lhs),
-                            op: None,
-                            rhs: Box::new(rhs),
-                        }));
+                        out.push(assign(lhs, self.lane_operand(*val, l)?));
                     }
                 }
                 InstKind::Bin { op, lhs, rhs } if inst.ty.is_vector() => {
-                    let cop = match op {
-                        BinOp::Add | BinOp::FAdd => CBinOp::Add,
-                        BinOp::Sub | BinOp::FSub => CBinOp::Sub,
-                        BinOp::Mul | BinOp::FMul => CBinOp::Mul,
-                        BinOp::SDiv | BinOp::FDiv => CBinOp::Div,
-                        BinOp::SRem => CBinOp::Rem,
-                        BinOp::And => CBinOp::BAnd,
-                        BinOp::Or => CBinOp::BOr,
-                        BinOp::Xor => CBinOp::BXor,
-                        BinOp::Shl => CBinOp::Shl,
-                        BinOp::AShr => CBinOp::Shr,
-                    };
                     for l in 0..self.lanes_of(Value::Inst(i))? {
                         let e = CExpr::bin(
-                            cop,
+                            cmap::binop(*op, inst.ty),
                             self.lane_operand(*lhs, l)?,
                             self.lane_operand(*rhs, l)?,
                         );
-                        out.push(self.assign(self.lane_name(i, l)?, e));
+                        out.push(assign(lane_var(l)?, e));
                     }
                 }
                 InstKind::Cast { op, val } if inst.ty.is_vector() => {
                     for l in 0..self.lanes_of(Value::Inst(i))? {
-                        let e = self.lane_operand(*val, l)?;
-                        let e = match op {
-                            CastOp::SiToFp => CExpr::Cast {
-                                ty: CType::Double,
-                                expr: Box::new(e),
-                            },
-                            CastOp::FpToSi => CExpr::Cast {
-                                ty: CType::Long,
-                                expr: Box::new(e),
-                            },
-                            _ => e,
-                        };
-                        out.push(self.assign(self.lane_name(i, l)?, e));
+                        let e = cmap::cast(*op, self.lane_operand(*val, l)?);
+                        out.push(assign(lane_var(l)?, e));
                     }
                 }
                 InstKind::Store { val, ptr } => {
-                    let lhs = self.lvalue(*ptr)?;
-                    let rhs = self.operand(*val)?;
-                    out.push(CStmt::Expr(CExpr::Assign {
-                        lhs: Box::new(lhs),
-                        op: None,
-                        rhs: Box::new(rhs),
-                    }));
+                    out.push(assign(self.tr().lvalue(*ptr)?, self.tr().value(*val)?));
                 }
                 InstKind::Select {
                     cond,
@@ -664,14 +375,7 @@ impl<'a> LiteralEmitter<'a> {
                     else_val,
                 } => {
                     let name = self.name_of(i)?;
-                    let c = self.operand(*cond)?;
-                    let t = self.operand(*then_val)?;
-                    let e = self.operand(*else_val)?;
-                    out.push(CStmt::If {
-                        cond: c,
-                        then_body: vec![self.assign(name.clone(), t)],
-                        else_body: vec![self.assign(name, e)],
-                    });
+                    out.push(self.tr().select(&name, *cond, *then_val, *else_val)?);
                 }
                 InstKind::Br { target } => {
                     let stmts = self.emit_edge(bb, *target)?;
@@ -682,7 +386,7 @@ impl<'a> LiteralEmitter<'a> {
                     then_bb,
                     else_bb,
                 } => {
-                    let c = self.operand(*cond)?;
+                    let c = self.tr().value(*cond)?;
                     let then_body = self.emit_edge(bb, *then_bb)?;
                     let else_body = self.emit_edge(bb, *else_bb)?;
                     out.push(CStmt::If {
@@ -692,31 +396,23 @@ impl<'a> LiteralEmitter<'a> {
                     });
                 }
                 InstKind::Ret { val } => {
-                    let v = val.map(|v| self.operand(v)).transpose()?;
+                    let v = val.map(|v| self.tr().value(v)).transpose()?;
                     out.push(CStmt::Return(v));
                 }
                 InstKind::Unreachable => {
-                    out.push(CStmt::Return(match self.f.ret_ty {
+                    out.push(CStmt::Return(match f.ret_ty {
                         Type::Void => None,
                         Type::F64 => Some(CExpr::Float(0.0)),
                         _ => Some(CExpr::Int(0)),
                     }));
                 }
                 InstKind::Call { .. } if !inst.has_result() => {
-                    out.push(CStmt::Expr(self.rvalue(i)?));
+                    out.push(CStmt::Expr(self.tr().expr(i)?));
                 }
                 _ if inst.has_result() => {
-                    let name = self.name_of(i)?;
-                    let rhs = self.rvalue(i)?;
-                    out.push(self.assign(name, rhs));
+                    out.push(assign(CExpr::Ident(self.name_of(i)?), self.tr().expr(i)?));
                 }
-                other => {
-                    return Err(err(
-                        self.module,
-                        self.f,
-                        format!("no literal statement for {other:?}"),
-                    ));
-                }
+                other => return Err(format!("no literal statement for {other:?}")),
             }
         }
         Ok(())
@@ -726,7 +422,7 @@ impl<'a> LiteralEmitter<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use splendid_ir::{IPred, Inst};
+    use splendid_ir::{BinOp, IPred, Inst};
 
     fn simple_loop_module() -> Module {
         // long f(long n) { s = 0; for (i = 0; i < n; i++) s += i; return s; }

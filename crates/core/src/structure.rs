@@ -3,22 +3,23 @@
 //! Includes the **Loop-Rotate Detransformer** (paper §4.2): a rotated
 //! (bottom-tested, guarded) counted loop is rebuilt as a canonical `for`
 //! loop, and the guard check is removed when it is provably equivalent to
-//! the `for` loop's initial exit test. Expression reconstruction folds
-//! single-use pure values into compound expressions (so `B[i] = (A[i-1] +
-//! A[i] + A[i+1]) / 3.0;` comes back as one line), while multi-use values
-//! and loop-carried variables materialize as named C variables using the
-//! names chosen by [`crate::naming`].
+//! the `for` loop's initial exit test. Expressions come from the shared
+//! [`crate::cmap`] translator, whose hook here folds single-use pure
+//! values into compound expressions (so `B[i] = (A[i-1] + A[i] +
+//! A[i+1]) / 3.0;` comes back as one line), while multi-use values,
+//! selects and loop-carried variables materialize as named C variables
+//! using the names chosen by [`crate::naming`].
 
-use crate::cmap::{self, ctype_of};
+use crate::cmap::{self, assign, ctype_of, Operand, Translator};
 use crate::detransform::{decode_marker, MarkerInfo};
 use crate::devectorize::{decode_simd_marker, SimdMarkerInfo};
 use crate::error::{SplendidError, Stage};
 use crate::naming::{NameOrigin, Naming};
 use splendid_analysis::domtree::{ipostdoms, DomTree};
 use splendid_analysis::indvar::{recognize_counted_loop, CountedLoop};
-use splendid_analysis::loops::{LoopId, LoopInfo};
+use splendid_analysis::loops::{Loop, LoopId, LoopInfo};
 use splendid_cfront::ast::*;
-use splendid_ir::{BlockId, Callee, Function, InstId, InstKind, Module, Value};
+use splendid_ir::{BlockId, Function, InstId, InstKind, Module, Value};
 use std::collections::{HashMap, HashSet};
 
 /// Options controlling the structurer (wired to the paper's variants and
@@ -76,7 +77,9 @@ struct Structurer<'a> {
     owners: Vec<Option<BlockId>>,
     /// Position of each instruction within its block.
     pos_in_block: HashMap<InstId, usize>,
-    use_counts: HashMap<InstId, usize>,
+    /// Per value: how many operands of placed instructions read it, and
+    /// the last instruction that does (the only one when the count is 1).
+    uses: HashMap<InstId, (usize, InstId)>,
     counted: HashMap<BlockId, (LoopId, CountedLoop)>,
     /// Instructions absorbed into structured constructs (for-headers,
     /// conditions) — never emitted as statements.
@@ -93,8 +96,8 @@ struct Structurer<'a> {
     gotos: usize,
     pending_pragma: Option<MarkerInfo>,
     pending_simd: Option<SimdMarkerInfo>,
-    /// First structural defect encountered (IR shape the expression
-    /// reconstructor has no rule for). Recorded instead of panicking;
+    /// First structural defect encountered (IR shape the translator has
+    /// no rule for). Recorded instead of panicking;
     /// turns the whole structuring attempt into a recoverable error so
     /// the fidelity ladder can degrade the function.
     diag: std::cell::RefCell<Option<String>>,
@@ -107,6 +110,9 @@ pub fn structure_function(
     naming: &Naming,
     opts: &StructureOptions,
 ) -> Result<StructuredFunc, SplendidError> {
+    let name = module.name_of(f.name);
+    let error = |msg| SplendidError::recoverable(Stage::Structure, msg).in_function(name);
+    cmap::check_refs(module, f).map_err(error)?;
     let dt = DomTree::compute(f);
     let li = LoopInfo::compute(f, &dt);
     let ipdom = ipostdoms(f);
@@ -118,14 +124,16 @@ pub fn structure_function(
             pos_in_block.insert(i, k);
         }
     }
-    let mut use_counts: HashMap<InstId, usize> = HashMap::new();
+    let mut uses: HashMap<InstId, (usize, InstId)> = HashMap::new();
     for (idx, inst) in f.insts.iter().enumerate() {
         if owners[idx].is_none() || matches!(inst.kind, InstKind::DbgValue { .. }) {
             continue;
         }
+        let user = InstId(idx as u32);
         inst.kind.for_each_operand(|v| {
             if let Value::Inst(d) = v {
-                *use_counts.entry(d).or_insert(0) += 1;
+                let e = uses.entry(d).or_insert((0, user));
+                *e = (e.0 + 1, user);
             }
         });
     }
@@ -146,7 +154,7 @@ pub fn structure_function(
         ipdom,
         owners,
         pos_in_block,
-        use_counts,
+        uses,
         counted,
         absorbed: HashSet::new(),
         materialized: HashSet::new(),
@@ -163,13 +171,6 @@ pub fn structure_function(
 
     let mut body = Vec::new();
     s.emit_region(f.entry, None, None, &mut body);
-    // Insert labels where gotos landed.
-    if !s.need_label.is_empty() {
-        // Labels are emitted inline during the walk; nothing to patch here
-        // because emit_region pushes Label stmts on first visit of labeled
-        // blocks. (Gotos to already-emitted blocks would need relocation;
-        // we only ever goto forward in practice.)
-    }
 
     if !s.hoisted.is_empty() {
         let decls: Vec<CStmt> = std::mem::take(&mut s.hoisted)
@@ -191,14 +192,12 @@ pub fn structure_function(
     let mut variables: Vec<(String, NameOrigin)> =
         s.var_origins.iter().map(|(n, o)| (n.clone(), *o)).collect();
     variables.sort();
-    if let Some(msg) = s.diag.borrow().clone() {
-        return Err(
-            SplendidError::recoverable(Stage::Structure, msg).in_function(module.name_of(f.name))
-        );
+    if let Some(msg) = s.diag.take() {
+        return Err(error(msg));
     }
     Ok(StructuredFunc {
         cfunc: CFunc {
-            name: module.name_of(f.name).to_string(),
+            name: name.to_string(),
             ret: ctype_of(f.ret_ty),
             params,
             body,
@@ -234,61 +233,65 @@ impl<'a> Structurer<'a> {
             .unwrap_or_else(|| format!("v{}", id.0))
     }
 
+    /// Where `id`'s variable name came from (Figure-8 metric).
+    fn origin(&self, id: InstId) -> NameOrigin {
+        self.naming
+            .names
+            .get(&id)
+            .map(|(_, o)| *o)
+            .unwrap_or(NameOrigin::Register)
+    }
+
+    /// Record `id`'s variable and the origin of its name.
+    fn note_var(&mut self, id: InstId) -> String {
+        let name = self.name_of(id);
+        let origin = self.origin(id);
+        self.var_origins.entry(name.clone()).or_insert(origin);
+        self.materialized.insert(id);
+        name
+    }
+
+    fn use_count(&self, id: InstId) -> usize {
+        self.uses.get(&id).map_or(0, |u| u.0)
+    }
+
     /// Whether `id` can be folded into its (single) use.
     fn inlinable(&self, id: InstId) -> bool {
+        let inst = self.f.inst(id);
         if !self.opts.inline_expressions {
             // Geps must still fold (there is no address-of in the AST).
-            return matches!(self.f.inst(id).kind, InstKind::Gep { .. });
+            return matches!(inst.kind, InstKind::Gep { .. });
         }
-        if self.absorbed.contains(&id) {
-            return true; // absorbed IV increments/conditions fold freely
-        }
-        let inst = self.f.inst(id);
         match inst.kind {
             InstKind::Gep { .. } => return true, // always folded into Index
             InstKind::Phi { .. }
+            | InstKind::Select { .. }
             | InstKind::Call { .. }
             | InstKind::Alloca { .. }
             | InstKind::Store { .. } => return false,
             _ => {}
         }
-        if self.use_counts.get(&id).copied().unwrap_or(0) != 1 {
-            return false;
+        if self.absorbed.contains(&id) {
+            return true; // absorbed IV increments/conditions fold freely
         }
         // The single use must be later in the same block, with no pinning
         // instruction (store or call) in between when the value is a load.
-        let def_bb = match self.owners[id.index()] {
-            Some(b) => b,
-            None => return false,
+        let Some(&(1, user)) = self.uses.get(&id) else {
+            return false;
         };
-        let def_pos = self.pos_in_block[&id];
-        let mut user: Option<InstId> = None;
-        for (uidx, uinst) in self.f.insts.iter().enumerate() {
-            if self.owners[uidx].is_none() || matches!(uinst.kind, InstKind::DbgValue { .. }) {
-                continue;
-            }
-            let mut uses_it = false;
-            uinst.kind.for_each_operand(|v| {
-                if v == Value::Inst(id) {
-                    uses_it = true;
-                }
-            });
-            if uses_it {
-                user = Some(InstId(uidx as u32));
-                break;
-            }
-        }
-        let Some(user) = user else { return false };
+        let Some(def_bb) = self.owners[id.index()] else {
+            return false;
+        };
         if self.owners[user.index()] != Some(def_bb) {
             return false;
         }
+        let def_pos = self.pos_in_block[&id];
         let use_pos = self.pos_in_block[&user];
         if use_pos <= def_pos {
             return false;
         }
         if matches!(inst.kind, InstKind::Load { .. }) {
-            for k in def_pos + 1..use_pos {
-                let between = self.f.block(def_bb).insts[k];
+            for &between in &self.f.block(def_bb).insts[def_pos + 1..use_pos] {
                 if matches!(
                     self.f.inst(between).kind,
                     InstKind::Store { .. } | InstKind::Call { .. }
@@ -300,201 +303,81 @@ impl<'a> Structurer<'a> {
         true
     }
 
-    fn expr_of_value(&self, v: Value) -> CExpr {
-        match v {
-            Value::ConstInt { val, .. } => CExpr::Int(val),
-            Value::ConstF64(bits) => CExpr::Float(f64::from_bits(bits)),
-            Value::Arg(a) => CExpr::ident(self.module.name_of(self.f.params[a as usize].name)),
-            Value::Global(g) => {
-                CExpr::ident(self.module.name_of(self.module.globals[g.index()].name))
-            }
-            Value::Function(fid) => {
-                CExpr::ident(self.module.name_of(self.module.functions[fid.index()].name))
-            }
-            Value::Undef(_) => CExpr::Int(0),
-            Value::Inst(id) => {
-                if self.materialized.contains(&id) || !self.inlinable(id) {
-                    CExpr::ident(self.name_of(id))
+    /// The shared translator: a value reads its variable once
+    /// materialized or when it cannot fold into its use, and inlines
+    /// otherwise.
+    fn tr(&self) -> Translator<'a, impl Fn(InstId) -> Result<Operand, String> + '_> {
+        Translator {
+            module: self.module,
+            f: self.f,
+            hook: |id: InstId| {
+                Ok(if self.materialized.contains(&id) || !self.inlinable(id) {
+                    Operand::Var(self.name_of(id))
                 } else {
-                    self.expr_of_inst(id)
-                }
-            }
+                    Operand::Inline
+                })
+            },
         }
     }
 
-    fn expr_of_inst(&self, id: InstId) -> CExpr {
-        let inst = self.f.inst(id);
-        match &inst.kind {
-            InstKind::Bin { op, lhs, rhs } => CExpr::bin(
-                cmap::binop(*op, inst.ty),
-                self.expr_of_value(*lhs),
-                self.expr_of_value(*rhs),
-            ),
-            InstKind::ICmp { pred, lhs, rhs } => CExpr::bin(
-                cmap::ipred(*pred),
-                self.expr_of_value(*lhs),
-                self.expr_of_value(*rhs),
-            ),
-            InstKind::FCmp { pred, lhs, rhs } => CExpr::bin(
-                cmap::fpred(*pred),
-                self.expr_of_value(*lhs),
-                self.expr_of_value(*rhs),
-            ),
-            InstKind::Load { ptr } => self.lvalue_of(*ptr),
-            InstKind::Gep { .. } => self.lvalue_of(Value::Inst(id)),
-            InstKind::Cast { op, val } => cmap::cast(*op, self.expr_of_value(*val)),
-            InstKind::Select {
-                cond,
-                then_val,
-                else_val,
-            } => {
-                // The subset has no ternary; encode as arithmetic select is
-                // ugly — use a call-like helper only if ever needed. Our
-                // pipelines do not produce selects that reach emission, but
-                // fall back to a conditional expression via (cond ? a : b)
-                // printed as a call.
-                CExpr::Call {
-                    name: "__select".into(),
-                    args: vec![
-                        self.expr_of_value(*cond),
-                        self.expr_of_value(*then_val),
-                        self.expr_of_value(*else_val),
-                    ],
-                }
-            }
-            InstKind::Call { callee, args } => {
-                let name = match callee {
-                    Callee::Func(fid) => self
-                        .module
-                        .name_of(self.module.functions[fid.index()].name)
-                        .to_string(),
-                    Callee::External(n) => self.module.name_of(*n).to_string(),
-                };
-                CExpr::Call {
-                    name,
-                    args: args.iter().map(|a| self.expr_of_value(*a)).collect(),
-                }
-            }
-            InstKind::Phi { .. } => CExpr::ident(self.name_of(id)),
-            other => {
-                self.note(format!("no expression for {other:?}"));
-                CExpr::Int(0)
-            }
-        }
-    }
-
-    /// Build the C lvalue an address computes: `A[i][j]`, `p[i]`, `x`.
-    fn lvalue_of(&self, addr: Value) -> CExpr {
-        match addr {
-            Value::Global(g) => {
-                let glob = &self.module.globals[g.index()];
-                CExpr::ident(self.module.name_of(glob.name))
-            }
-            Value::Arg(a) => CExpr::Index {
-                base: Box::new(CExpr::ident(
-                    self.module.name_of(self.f.params[a as usize].name),
-                )),
-                indices: vec![CExpr::Int(0)],
-            },
-            Value::Inst(id) => match &self.f.inst(id).kind {
-                InstKind::Gep {
-                    elem,
-                    base,
-                    indices,
-                } => {
-                    let base_expr = match base {
-                        Value::Global(g) => {
-                            CExpr::ident(self.module.name_of(self.module.globals[g.index()].name))
-                        }
-                        Value::Arg(a) => {
-                            CExpr::ident(self.module.name_of(self.f.params[*a as usize].name))
-                        }
-                        Value::Inst(b) => {
-                            if matches!(self.f.inst(*b).kind, InstKind::Alloca { .. }) {
-                                CExpr::ident(self.name_of(*b))
-                            } else {
-                                self.expr_of_value(*base)
-                            }
-                        }
-                        other => self.expr_of_value(*other),
-                    };
-                    // For array geps the first index is the object index
-                    // (almost always 0): drop it when zero.
-                    let mut idx: Vec<CExpr> =
-                        indices.iter().map(|i| self.expr_of_value(*i)).collect();
-                    if matches!(elem, splendid_ir::MemType::Array { .. })
-                        && idx.first() == Some(&CExpr::Int(0))
-                    {
-                        idx.remove(0);
-                    }
-                    if idx.is_empty() {
-                        idx.push(CExpr::Int(0));
-                    }
-                    CExpr::Index {
-                        base: Box::new(base_expr),
-                        indices: idx,
-                    }
-                }
-                _ => CExpr::Index {
-                    base: Box::new(self.expr_of_value(addr)),
-                    indices: vec![CExpr::Int(0)],
-                },
-            },
-            other => CExpr::Index {
-                base: Box::new(self.expr_of_value(other)),
-                indices: vec![CExpr::Int(0)],
-            },
-        }
+    /// A translated expression; a translator error becomes the
+    /// function's structural defect.
+    fn noted(&self, r: Result<CExpr, String>) -> CExpr {
+        r.unwrap_or_else(|msg| {
+            self.note(msg);
+            CExpr::Int(0)
+        })
     }
 
     // ---- statements -------------------------------------------------------
 
-    /// Emit a declaration for a name seen for the first time — in place,
-    /// or (under `hoist_decls`) as a function-top declaration plus an
-    /// in-place assignment when there is an initializer.
-    fn declare(&mut self, name: String, ty: CType, init: Option<CExpr>, out: &mut Vec<CStmt>) {
-        if self.opts.hoist_decls {
-            self.hoisted.push((name.clone(), ty));
-            if let Some(e) = init {
-                out.push(CStmt::Expr(CExpr::Assign {
-                    lhs: Box::new(CExpr::ident(name)),
-                    op: None,
-                    rhs: Box::new(e),
-                }));
-            }
-        } else {
+    /// Define the variable `name`: declare it on first sight — in place,
+    /// or (under `hoist_decls`) at the function top plus an in-place
+    /// assignment of `init` — and assign `init` on every later sight.
+    fn define(&mut self, name: String, ty: CType, init: Option<CExpr>, out: &mut Vec<CStmt>) {
+        let first = self.declared.insert(name.clone());
+        if first && !self.opts.hoist_decls {
             out.push(CStmt::Decl { name, ty, init });
+            return;
+        }
+        if first {
+            self.hoisted.push((name.clone(), ty));
+        }
+        if let Some(e) = init {
+            out.push(assign(CExpr::Ident(name), e));
         }
     }
 
     /// Emit a materialized definition: `ty name = expr;` or `name = expr;`.
+    /// A select is never an expression: its variable is declared, then
+    /// assigned in both arms of an `if`.
     fn materialize(&mut self, id: InstId, out: &mut Vec<CStmt>) {
-        let name = self.name_of(id);
-        let expr = self.expr_of_inst(id);
-        self.materialized.insert(id);
-        let origin = self
-            .naming
-            .names
-            .get(&id)
-            .map(|(_, o)| *o)
-            .unwrap_or(NameOrigin::Register);
-        self.var_origins.entry(name.clone()).or_insert(origin);
-        if self.declared.insert(name.clone()) {
-            let ty = ctype_of(self.f.inst(id).ty);
-            self.declare(name, ty, Some(expr), out);
+        let inst = self.f.inst(id);
+        let ty = ctype_of(inst.ty);
+        let name = self.note_var(id);
+        if let InstKind::Select {
+            cond,
+            then_val,
+            else_val,
+        } = inst.kind
+        {
+            let stmt = self.tr().select(&name, cond, then_val, else_val);
+            self.define(name, ty, None, out);
+            match stmt {
+                Ok(s) => out.push(s),
+                Err(msg) => self.note(msg),
+            }
         } else {
-            out.push(CStmt::Expr(CExpr::Assign {
-                lhs: Box::new(CExpr::Ident(name)),
-                op: None,
-                rhs: Box::new(expr),
-            }));
+            let expr = self.noted(self.tr().expr(id));
+            self.define(name, ty, Some(expr), out);
         }
     }
 
     /// Emit the non-terminator statements of one block.
     fn emit_block_stmts(&mut self, bb: BlockId, out: &mut Vec<CStmt>) {
-        for &i in &self.f.block(bb).insts.clone() {
-            let inst = self.f.inst(i);
+        let f = self.f;
+        for &i in &f.block(bb).insts {
+            let inst = f.inst(i);
             if inst.kind.is_terminator()
                 || self.absorbed.contains(&i)
                 || matches!(
@@ -520,43 +403,30 @@ impl<'a> Structurer<'a> {
             }
             match &inst.kind {
                 InstKind::Store { val, ptr } => {
-                    let lhs = self.lvalue_of(*ptr);
-                    let rhs = self.expr_of_value(*val);
-                    out.push(CStmt::Expr(CExpr::Assign {
-                        lhs: Box::new(lhs),
-                        op: None,
-                        rhs: Box::new(rhs),
-                    }));
+                    let lhs = self.noted(self.tr().lvalue(*ptr));
+                    let rhs = self.noted(self.tr().value(*val));
+                    out.push(assign(lhs, rhs));
                 }
                 InstKind::Call { .. } => {
-                    if inst.has_result() && self.use_counts.get(&i).copied().unwrap_or(0) > 0 {
+                    if inst.has_result() && self.use_count(i) > 0 {
                         self.materialize(i, out);
                     } else {
-                        let e = self.expr_of_inst(i);
+                        let e = self.noted(self.tr().expr(i));
                         out.push(CStmt::Expr(e));
                     }
                 }
                 InstKind::Alloca { mem } => {
-                    // Local (array) storage: declare it.
+                    // Local storage: declare it.
                     let name = self.name_of(i);
                     self.materialized.insert(i);
                     self.var_origins
                         .entry(name.clone())
                         .or_insert(NameOrigin::Register);
-                    let ty = match mem {
-                        splendid_ir::MemType::Array { elem, dims } => CType::Array(
-                            Box::new(ctype_of(*elem)),
-                            dims.iter().map(|d| *d as usize).collect(),
-                        ),
-                        splendid_ir::MemType::Scalar(t) => ctype_of(*t),
-                    };
-                    if self.declared.insert(name.clone()) {
-                        self.declare(name, ty, None, out);
-                    }
+                    self.define(name, cmap::ctype_of_mem(mem), None, out);
                 }
                 _ => {
                     // Pure value: emit only when not folded into a use.
-                    if !self.inlinable(i) && self.use_counts.get(&i).copied().unwrap_or(0) > 0 {
+                    if !self.inlinable(i) && self.use_count(i) > 0 {
                         self.materialize(i, out);
                     }
                 }
@@ -656,7 +526,7 @@ impl<'a> Structurer<'a> {
                     }
                     // Plain if/else via the immediate post-dominator.
                     let join = self.ipdom[bb.index()];
-                    let cond_expr = self.expr_of_value(cond);
+                    let cond_expr = self.noted(self.tr().value(cond));
                     let mut then_body = Vec::new();
                     let mut else_body = Vec::new();
                     if Some(then_bb) != join {
@@ -676,7 +546,7 @@ impl<'a> Structurer<'a> {
                     }
                 }
                 InstKind::Ret { val } => {
-                    out.push(CStmt::Return(val.map(|v| self.expr_of_value(v))));
+                    out.push(CStmt::Return(val.map(|v| self.noted(self.tr().value(v)))));
                     return;
                 }
                 InstKind::Unreachable => return,
@@ -733,7 +603,7 @@ impl<'a> Structurer<'a> {
             Some(Some(exit))
         } else {
             // Keep the guard as an `if` around the do-while form.
-            let cond_expr = self.expr_of_value(cond);
+            let cond_expr = self.noted(self.tr().value(cond));
             let mut inner = Vec::new();
             self.emit_do_while(lid, &cl, &mut inner);
             let (then_body, else_body) = if loop_on_true {
@@ -782,6 +652,64 @@ impl<'a> Structurer<'a> {
         enter_pred == cont_pred
     }
 
+    /// The loop prologue both counted-loop forms share. Absorbs the IV
+    /// phi, its increment and the latch compare (`iv.next` reads inside
+    /// the body print as `iv + step`), and materializes loop-carried
+    /// (non-IV) header phis as variables initialized before the loop.
+    /// Returns the IV's name and the carried phis' in-loop incomings.
+    fn loop_prologue(
+        &mut self,
+        l: &Loop,
+        cl: &CountedLoop,
+        out: &mut Vec<CStmt>,
+    ) -> (String, Vec<(InstId, Value)>) {
+        self.absorbed.insert(cl.iv);
+        self.absorbed.insert(cl.next);
+        self.absorbed.insert(cl.cmp);
+        let iv_name = self.note_var(cl.iv);
+        self.materialized.remove(&cl.next);
+
+        let f = self.f;
+        let mut latch_assigns = Vec::new();
+        for &i in &f.block(l.header).insts {
+            let InstKind::Phi { incomings } = &f.inst(i).kind else {
+                break;
+            };
+            if i == cl.iv {
+                continue;
+            }
+            let name = self.note_var(i);
+            for &(from, v) in incomings {
+                if l.contains(from) {
+                    latch_assigns.push((i, v));
+                } else {
+                    let init = self.noted(self.tr().value(v));
+                    self.define(name.clone(), ctype_of(f.inst(i).ty), Some(init), out);
+                }
+            }
+        }
+        (iv_name, latch_assigns)
+    }
+
+    /// Loop-carried variable updates at the end of a loop body. A
+    /// self-update is skipped when the value already materialized under
+    /// the same name (web-shared naming).
+    fn latch_updates(&mut self, latch_assigns: Vec<(InstId, Value)>, body: &mut Vec<CStmt>) {
+        for (phi, v) in latch_assigns {
+            let name = self.name_of(phi);
+            let rhs = self.noted(self.tr().value(v));
+            if rhs == CExpr::ident(name.clone()) {
+                continue;
+            }
+            if let Value::Inst(d) = v {
+                if self.materialized.contains(&d) && self.name_of(d) == name {
+                    continue;
+                }
+            }
+            body.push(assign(CExpr::Ident(name), rhs));
+        }
+    }
+
     /// Emit the canonical `for` reconstruction of a counted loop, wrapping
     /// it in pending OpenMP pragmas if any.
     fn emit_counted_loop(&mut self, lid: LoopId, cl: &CountedLoop, out: &mut Vec<CStmt>) {
@@ -790,73 +718,11 @@ impl<'a> Structurer<'a> {
         let pragma = self.pending_pragma.take();
         let simd = self.pending_simd.take();
         let l = self.li.get(lid).clone();
-        // Absorb the loop plumbing.
-        self.absorbed.insert(cl.iv);
-        self.absorbed.insert(cl.next);
-        self.absorbed.insert(cl.cmp);
-
-        let iv_name = self.name_of(cl.iv);
-        let iv_origin = self
-            .naming
-            .names
-            .get(&cl.iv)
-            .map(|(_, o)| *o)
-            .unwrap_or(NameOrigin::Register);
-        self.var_origins.entry(iv_name.clone()).or_insert(iv_origin);
-        self.materialized.insert(cl.iv);
-        // `iv.next` reads inside the body print as `iv + step`.
-        self.materialized.remove(&cl.next);
-
-        // Loop-carried (non-IV) phis materialize as variables around the
-        // loop.
-        let mut pre_stmts = Vec::new();
-        let mut latch_assigns: Vec<(InstId, Value)> = Vec::new();
-        for &i in &self.f.block(l.header).insts.clone() {
-            if let InstKind::Phi { incomings } = self.f.inst(i).kind.clone() {
-                if i == cl.iv {
-                    continue;
-                }
-                let name = self.name_of(i);
-                let origin = self
-                    .naming
-                    .names
-                    .get(&i)
-                    .map(|(_, o)| *o)
-                    .unwrap_or(NameOrigin::Register);
-                self.var_origins.entry(name.clone()).or_insert(origin);
-                self.materialized.insert(i);
-                for (from, v) in incomings {
-                    if l.contains(from) {
-                        latch_assigns.push((i, v));
-                    } else {
-                        let init = self.expr_of_value(v);
-                        if self.declared.insert(name.clone()) {
-                            let ty = ctype_of(self.f.inst(i).ty);
-                            self.declare(name.clone(), ty, Some(init), &mut pre_stmts);
-                        } else {
-                            pre_stmts.push(CStmt::Expr(CExpr::Assign {
-                                lhs: Box::new(CExpr::ident(name.clone())),
-                                op: None,
-                                rhs: Box::new(init),
-                            }));
-                        }
-                    }
-                }
-            } else {
-                break;
-            }
-        }
-        out.extend(pre_stmts);
+        let (iv_name, latch_assigns) = self.loop_prologue(&l, cl, out);
 
         // The for-header pieces.
-        let cont_pred = if cl.continue_on_true {
-            cl.pred
-        } else {
-            cl.pred.negated()
-        };
-        let cmp_op = cmap::ipred(cont_pred);
-        let init_expr = self.expr_of_value(cl.init);
-        let bound_expr = self.expr_of_value(cl.bound);
+        let init_expr = self.noted(self.tr().value(cl.init));
+        let bound_expr = self.noted(self.tr().value(cl.bound));
         let declare_in_header = !self.declared.contains(&iv_name);
         let init_stmt: CStmt = if declare_in_header && !self.opts.hoist_decls {
             CStmt::Decl {
@@ -871,25 +737,17 @@ impl<'a> Structurer<'a> {
                 self.declared.insert(iv_name.clone());
                 self.hoisted.push((iv_name.clone(), CType::UInt64));
             }
-            CStmt::Expr(CExpr::Assign {
-                lhs: Box::new(CExpr::ident(iv_name.clone())),
-                op: None,
-                rhs: Box::new(init_expr),
-            })
+            assign(CExpr::ident(iv_name.clone()), init_expr)
         };
-        let cond_expr = CExpr::bin(cmp_op, CExpr::ident(iv_name.clone()), bound_expr);
+        let cond_expr = CExpr::bin(
+            cmap::ipred(continue_pred(cl)),
+            CExpr::ident(iv_name.clone()),
+            bound_expr,
+        );
         let step_expr = CExpr::Assign {
             lhs: Box::new(CExpr::ident(iv_name.clone())),
             op: None,
-            rhs: Box::new(CExpr::bin(
-                if cl.step >= 0 {
-                    CBinOp::Add
-                } else {
-                    CBinOp::Sub
-                },
-                CExpr::ident(iv_name.clone()),
-                CExpr::Int(cl.step.abs()),
-            )),
+            rhs: Box::new(offset(&iv_name, cl.step)),
         };
 
         // Body: a general region walk starting at the header (the walk
@@ -901,26 +759,7 @@ impl<'a> Structurer<'a> {
         };
         let mut body = Vec::new();
         self.emit_region(l.header, None, Some(ctx), &mut body);
-        // Loop-carried variable updates at the end of the body.
-        for (phi, v) in latch_assigns {
-            let name = self.name_of(phi);
-            let rhs = self.expr_of_value(v);
-            // Skip the self-update when the value already materialized
-            // under the same name (web-shared naming).
-            if rhs == CExpr::ident(name.clone()) {
-                continue;
-            }
-            if let Value::Inst(d) = v {
-                if self.materialized.contains(&d) && self.name_of(d) == name {
-                    continue;
-                }
-            }
-            body.push(CStmt::Expr(CExpr::Assign {
-                lhs: Box::new(CExpr::ident(name)),
-                op: None,
-                rhs: Box::new(rhs),
-            }));
-        }
+        self.latch_updates(latch_assigns, &mut body);
 
         let for_stmt = CStmt::For {
             init: Some(Box::new(init_stmt)),
@@ -947,75 +786,11 @@ impl<'a> Structurer<'a> {
     /// SSA dominance holds; the fault campaign caught exactly that.
     fn emit_do_while(&mut self, lid: LoopId, cl: &CountedLoop, out: &mut Vec<CStmt>) {
         let l = self.li.get(lid).clone();
-        // Absorb the loop plumbing.
-        self.absorbed.insert(cl.iv);
-        self.absorbed.insert(cl.next);
-        self.absorbed.insert(cl.cmp);
-
-        let iv_name = self.name_of(cl.iv);
-        let iv_origin = self
-            .naming
-            .names
-            .get(&cl.iv)
-            .map(|(_, o)| *o)
-            .unwrap_or(NameOrigin::Register);
-        self.var_origins.entry(iv_name.clone()).or_insert(iv_origin);
-        self.materialized.insert(cl.iv);
-        // `iv.next` reads inside the body print as `iv + step`.
-        self.materialized.remove(&cl.next);
-
-        // Loop-carried (non-IV) phis materialize as variables around the
-        // loop, exactly as in the `for` reconstruction.
-        let mut pre_stmts = Vec::new();
-        let mut latch_assigns: Vec<(InstId, Value)> = Vec::new();
-        for &i in &self.f.block(l.header).insts.clone() {
-            if let InstKind::Phi { incomings } = self.f.inst(i).kind.clone() {
-                if i == cl.iv {
-                    continue;
-                }
-                let name = self.name_of(i);
-                let origin = self
-                    .naming
-                    .names
-                    .get(&i)
-                    .map(|(_, o)| *o)
-                    .unwrap_or(NameOrigin::Register);
-                self.var_origins.entry(name.clone()).or_insert(origin);
-                self.materialized.insert(i);
-                for (from, v) in incomings {
-                    if l.contains(from) {
-                        latch_assigns.push((i, v));
-                    } else {
-                        let init = self.expr_of_value(v);
-                        if self.declared.insert(name.clone()) {
-                            let ty = ctype_of(self.f.inst(i).ty);
-                            self.declare(name.clone(), ty, Some(init), &mut pre_stmts);
-                        } else {
-                            pre_stmts.push(CStmt::Expr(CExpr::Assign {
-                                lhs: Box::new(CExpr::ident(name.clone())),
-                                op: None,
-                                rhs: Box::new(init),
-                            }));
-                        }
-                    }
-                }
-            } else {
-                break;
-            }
-        }
-        out.extend(pre_stmts);
+        let (iv_name, latch_assigns) = self.loop_prologue(&l, cl, out);
 
         // Initialize the IV before the loop.
-        let init = self.expr_of_value(cl.init);
-        if self.declared.insert(iv_name.clone()) {
-            self.declare(iv_name.clone(), CType::UInt64, Some(init), out);
-        } else {
-            out.push(CStmt::Expr(CExpr::Assign {
-                lhs: Box::new(CExpr::ident(iv_name.clone())),
-                op: None,
-                rhs: Box::new(init),
-            }));
-        }
+        let init = self.noted(self.tr().value(cl.init));
+        self.define(iv_name.clone(), CType::UInt64, Some(init), out);
 
         let ctx = LoopCtx {
             header: l.header,
@@ -1024,63 +799,24 @@ impl<'a> Structurer<'a> {
         };
         let mut body = Vec::new();
         self.emit_region(l.header, None, Some(ctx), &mut body);
-        // Loop-carried variable updates at the end of the body (before the
-        // IV step, which they may read).
-        for (phi, v) in latch_assigns {
-            let name = self.name_of(phi);
-            let rhs = self.expr_of_value(v);
-            if rhs == CExpr::ident(name.clone()) {
-                continue;
-            }
-            if let Value::Inst(d) = v {
-                if self.materialized.contains(&d) && self.name_of(d) == name {
-                    continue;
-                }
-            }
-            body.push(CStmt::Expr(CExpr::Assign {
-                lhs: Box::new(CExpr::ident(name)),
-                op: None,
-                rhs: Box::new(rhs),
-            }));
-        }
-        // The explicit IV step closes the body.
-        body.push(CStmt::Expr(CExpr::Assign {
-            lhs: Box::new(CExpr::ident(iv_name.clone())),
-            op: None,
-            rhs: Box::new(CExpr::bin(
-                if cl.step >= 0 {
-                    CBinOp::Add
-                } else {
-                    CBinOp::Sub
-                },
-                CExpr::ident(iv_name.clone()),
-                CExpr::Int(cl.step.abs()),
-            )),
-        }));
+        // Loop-carried updates come before the IV step, which they may
+        // read; the explicit IV step closes the body.
+        self.latch_updates(latch_assigns, &mut body);
+        body.push(assign(
+            CExpr::ident(iv_name.clone()),
+            offset(&iv_name, cl.step),
+        ));
 
         // Continue test against the updated IV. After the step, `iv` holds
         // what the latch compare called `next`; when the compare tested the
         // pre-increment value instead, undo the step in the test.
-        let cont_pred = if cl.continue_on_true {
-            cl.pred
-        } else {
-            cl.pred.negated()
-        };
-        let cmp_op = cmap::ipred(cont_pred);
         let tested = if cl.cmp_uses_next {
-            CExpr::ident(iv_name.clone())
+            CExpr::ident(iv_name)
         } else {
-            CExpr::bin(
-                if cl.step >= 0 {
-                    CBinOp::Sub
-                } else {
-                    CBinOp::Add
-                },
-                CExpr::ident(iv_name.clone()),
-                CExpr::Int(cl.step.abs()),
-            )
+            offset(&iv_name, -cl.step)
         };
-        let cond = CExpr::bin(cmp_op, tested, self.expr_of_value(cl.bound));
+        let bound = self.noted(self.tr().value(cl.bound));
+        let cond = CExpr::bin(cmap::ipred(continue_pred(cl)), tested, bound);
         out.push(CStmt::DoWhile { body, cond });
         for b in l.blocks {
             self.visited.insert(b);
@@ -1094,34 +830,19 @@ impl<'a> Structurer<'a> {
         let l = self.li.get(lid).clone();
         let exit = l.exits.first().copied();
         if let Some((_, cl)) = self.counted.get(&l.header).cloned() {
-            if cl.bottom_tested && self.opts.detransform_rotation {
-                // Rotated loop entered without a guard: the compiler proved
-                // it non-empty; the for form is equivalent and natural.
-                self.emit_counted_loop(lid, &cl, out);
-                return exit;
-            }
-            if cl.bottom_tested {
+            if cl.bottom_tested && !self.opts.detransform_rotation {
                 self.emit_do_while(lid, &cl, out);
-                return exit;
+            } else {
+                // A top-tested header holds phi + cmp + condbr with the
+                // body hanging off it; a rotated loop entered without a
+                // guard was proven non-empty. Both read as a `for`.
+                self.emit_counted_loop(lid, &cl, out);
             }
-            // Top-tested counted loop (rotation did not fire).
-            self.emit_counted_loop_top_tested(lid, &cl, out);
             return exit;
         }
         // Not counted: structure as a while(1)-free goto fallback.
         self.emit_unstructured_loop(lid, out);
         exit
-    }
-
-    fn emit_counted_loop_top_tested(
-        &mut self,
-        lid: LoopId,
-        cl: &CountedLoop,
-        out: &mut Vec<CStmt>,
-    ) {
-        // The header holds phi + cmp + condbr; the body hangs off it. The
-        // canonical-for emission already handles exactly this shape.
-        self.emit_counted_loop(lid, cl, out);
     }
 
     fn emit_unstructured_loop(&mut self, lid: LoopId, out: &mut Vec<CStmt>) {
@@ -1145,7 +866,7 @@ impl<'a> Structurer<'a> {
                     then_bb,
                     else_bb,
                 } => {
-                    let c = self.expr_of_value(cond);
+                    let c = self.noted(self.tr().value(cond));
                     out.push(CStmt::If {
                         cond: c,
                         then_body: vec![CStmt::Goto(format!("bb{}", then_bb.0))],
@@ -1207,4 +928,19 @@ impl<'a> Structurer<'a> {
             },
         }
     }
+}
+
+/// The predicate under which a counted loop keeps iterating.
+fn continue_pred(cl: &CountedLoop) -> splendid_ir::IPred {
+    if cl.continue_on_true {
+        cl.pred
+    } else {
+        cl.pred.negated()
+    }
+}
+
+/// `iv + step`, or `iv - |step|` for a negative step.
+fn offset(iv: &str, step: i64) -> CExpr {
+    let op = if step >= 0 { CBinOp::Add } else { CBinOp::Sub };
+    CExpr::bin(op, CExpr::ident(iv), CExpr::Int(step.abs()))
 }

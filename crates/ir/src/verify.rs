@@ -31,8 +31,20 @@ fn err<T>(func: &str, msg: impl Into<String>) -> Result<T, VerifyError> {
     })
 }
 
-/// Verify every function in the module.
+/// Verify every function in the module, and that no two globals or
+/// functions share a name: the parser, the interpreter and the emitted C
+/// resolve a name to one definition, and would disagree on which.
 pub fn verify_module(module: &Module) -> Result<(), VerifyError> {
+    let mut seen = HashSet::new();
+    let names = module.globals.iter().map(|g| (g.name, "global"));
+    for (name, what) in names.chain(module.functions.iter().map(|f| (f.name, "function"))) {
+        if !seen.insert(name) {
+            return err(
+                "",
+                format!("duplicate {what} name @{}", module.name_of(name)),
+            );
+        }
+    }
     for (i, f) in module.functions.iter().enumerate() {
         let fname = module.name_of(f.name);
         verify_function(f).map_err(|mut e| {
@@ -457,6 +469,41 @@ mod tests {
         let s = b.bin(BinOp::Add, Type::I64, b.arg(0), Value::i64(1), "");
         b.ret(Some(s));
         verify_function(&b.into_func()).unwrap();
+    }
+
+    #[test]
+    fn rejects_duplicate_global_and_function_names() {
+        // The parser binds `@A` to the later global, but a by-name lookup
+        // finds the earlier one.
+        let text = "module \"dup\"
+global @A : [2 x f64] = zero
+global @A : [4 x f64] = splat 1.5
+
+func @f() -> f64 {
+bb0 entry:
+  %0 = gep [4 x f64], @A, i64 0, i64 1
+  %1 = load f64, %0
+  ret %1
+}
+";
+        let m = crate::parser::parse_module(text).unwrap();
+        let e = verify_module(&m).unwrap_err();
+        assert_eq!(e.msg, "duplicate global name @A", "{e}");
+
+        let twice = "module \"dupf\"
+func @f() -> i64 {
+bb0 entry:
+  ret i64 1
+}
+
+func @f() -> i64 {
+bb0 entry:
+  ret i64 2
+}
+";
+        let m = crate::parser::parse_module(twice).unwrap();
+        let e = verify_module(&m).unwrap_err();
+        assert_eq!(e.msg, "duplicate function name @f", "{e}");
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Panic-freedom sweep: `prepare_module` and `decompile_function` must
 //! never unwind — not on the difftest generator corpus, not on the full
 //! PolyBench suite, and not on deliberately malformed IR. Failures are
-//! allowed (and expected, for the malformed inputs); panics are not.
+//! allowed (and expected, for the malformed inputs); panics are not —
+//! not even one the pipeline's own `contain` barrier turns into an error,
+//! so every panic is counted by a hook before anything can catch it.
 
 use splendid_cfront::OmpRuntime;
 use splendid_core::{
@@ -11,8 +13,28 @@ use splendid_difftest::{generate, GenConfig};
 use splendid_ir::{parser::parse_module, Module};
 use splendid_parallel::{parallelize_module, ParallelizeOptions};
 use splendid_polybench::Harness;
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
+use std::sync::Once;
+
+thread_local! {
+    /// Panics raised on this thread since the hook was installed.
+    static PANICS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Install (once per process) a panic hook that counts every panic on
+/// the panicking thread, caught or not, then defers to the default hook.
+fn count_panics() {
+    static INSTALL: Once = Once::new();
+    INSTALL.call_once(|| {
+        let default = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            PANICS.with(|p| p.set(p.get() + 1));
+            default(info);
+        }));
+    });
+}
 
 /// The option points swept per module: every fidelity start tier plus the
 /// V1 variant (which skips the detransformer entirely).
@@ -37,6 +59,8 @@ fn option_matrix() -> Vec<SplendidOptions> {
 /// Run the whole per-function pipeline under `catch_unwind`; the result
 /// (Ok or Err) is irrelevant — only an unwind fails the sweep.
 fn assert_no_panic(label: &str, module: &Module, opts: &SplendidOptions) {
+    count_panics();
+    let before = PANICS.with(Cell::get);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let mut timings = StageTimings::default();
         let prepared = match prepare_module(module, opts, &mut timings) {
@@ -48,6 +72,11 @@ fn assert_no_panic(label: &str, module: &Module, opts: &SplendidOptions) {
         }
     }));
     assert!(outcome.is_ok(), "{label}: pipeline panicked");
+    let contained = PANICS.with(Cell::get) - before;
+    assert_eq!(
+        contained, 0,
+        "{label}: {contained} panic(s) caught inside the pipeline"
+    );
 }
 
 #[test]
