@@ -1,12 +1,23 @@
 //! The interpreter proper.
+//!
+//! A [`Vm`] lowers each function once, on its first call, into a flat
+//! array of [`Op`]s (see [`Code`]). Every operand is a slot of the
+//! function's frame, resolved ahead of time: instruction results,
+//! arguments and constants all live in one register window, so executing
+//! an operand is an index, not a `Value` match. Gep strides, cycle costs
+//! and external callees are resolved at lowering too, and a block's phis
+//! become parallel moves on each CFG edge into it. Frames share one
+//! register stack.
 
-use crate::machine::MachineConfig;
+use crate::machine::{CompilerProfile, MachineConfig};
 use splendid_ir::eval::{self, EvalError};
 use splendid_ir::{
-    BinOp, BlockId, Callee, CastOp, FPred, FuncId, GlobalInit, IPred, InstId, InstKind, Module,
-    ReduceOp, Type, Value, VecTy,
+    BinOp, BlockId, Callee, CastOp, FPred, FuncId, Function, GlobalId, GlobalInit, IPred, InstId,
+    InstKind, Module, ReduceOp, Symbol, Type, Value, VecTy,
 };
 use splendid_parallel::runtime::*;
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A SIMD register: raw lane bits plus the vector type that interprets
 /// them. Lanes beyond `ty.lanes` are always zero, so derived equality is
@@ -138,18 +149,849 @@ impl From<EvalError> for ExecError {
 
 const STACK_BASE: u64 = 0x1000;
 const STACK_SIZE: u64 = 8 << 20;
+/// First address past the stack region; the globals start here.
+const STACK_TOP: u64 = STACK_BASE + STACK_SIZE;
+
+/// The address space: accesses below 8 fail, the stack region runs from
+/// [`STACK_BASE`] for [`STACK_SIZE`] bytes, and the globals follow it,
+/// each 8-byte aligned.
+struct Memory {
+    /// Bytes `[0, low.len())`: the null page and the stack up to its
+    /// high-water mark. The rest of the stack region has never been
+    /// written and reads as zero; a store there zero-extends `low`.
+    low: Vec<u8>,
+    /// Bytes `[STACK_TOP, STACK_TOP + globals.len())`.
+    globals: Vec<u8>,
+}
+
+impl Memory {
+    /// The backing bytes of `[addr, addr + N)` if they lie in one part.
+    #[inline(always)]
+    fn backed<const N: usize>(&self, addr: u64) -> Option<&[u8]> {
+        let (part, off) = match addr.checked_sub(STACK_TOP) {
+            Some(off) => (&self.globals, off),
+            None if addr >= 8 => (&self.low, addr),
+            None => return None,
+        };
+        let off = usize::try_from(off).ok()?;
+        part.get(off..off.checked_add(N)?)
+    }
+
+    #[inline(always)]
+    fn backed_mut<const N: usize>(&mut self, addr: u64) -> Option<&mut [u8]> {
+        let (part, off) = match addr.checked_sub(STACK_TOP) {
+            Some(off) => (&mut self.globals, off),
+            None if addr >= 8 => (&mut self.low, addr),
+            None => return None,
+        };
+        let off = usize::try_from(off).ok()?;
+        part.get_mut(off..off.checked_add(N)?)
+    }
+
+    #[inline(always)]
+    fn read<const N: usize>(&self, addr: u64) -> Result<[u8; N], ExecError> {
+        match self.backed::<N>(addr) {
+            Some(b) => Ok(b.try_into().unwrap_or([0; N])),
+            None => self.read_unbacked(addr),
+        }
+    }
+
+    #[inline(always)]
+    fn write<const N: usize>(&mut self, addr: u64, bytes: [u8; N]) -> Result<(), ExecError> {
+        match self.backed_mut::<N>(addr) {
+            Some(b) => {
+                b.copy_from_slice(&bytes);
+                Ok(())
+            }
+            None => self.write_unbacked(addr, bytes),
+        }
+    }
+
+    /// Bounds check of the whole address space.
+    fn check(&self, addr: u64, size: u64) -> Result<(), ExecError> {
+        let end = addr
+            .checked_add(size)
+            .ok_or_else(|| ExecError("address overflow".into()))?;
+        if addr < 8 || end > STACK_TOP + self.globals.len() as u64 {
+            return Err(ExecError(format!(
+                "out-of-bounds access at {addr:#x} (+{size})"
+            )));
+        }
+        Ok(())
+    }
+
+    /// An access that is out of bounds, above the stack's high-water
+    /// mark, or straddles the stack's end and the first global.
+    #[cold]
+    fn read_unbacked<const N: usize>(&self, addr: u64) -> Result<[u8; N], ExecError> {
+        self.check(addr, N as u64)?;
+        let mut out = [0u8; N];
+        for (a, b) in (addr..).zip(&mut out) {
+            *b = match a.checked_sub(STACK_TOP) {
+                Some(off) => self.globals[off as usize],
+                None => self.low.get(a as usize).copied().unwrap_or(0),
+            };
+        }
+        Ok(out)
+    }
+
+    #[cold]
+    fn write_unbacked<const N: usize>(&mut self, addr: u64, bytes: [u8; N]) -> Result<(), ExecError> {
+        self.check(addr, N as u64)?;
+        let low_end = (addr + N as u64).min(STACK_TOP) as usize;
+        if addr < STACK_TOP && low_end > self.low.len() {
+            self.low.resize(low_end, 0);
+        }
+        for (a, b) in (addr..).zip(bytes) {
+            match a.checked_sub(STACK_TOP) {
+                Some(off) => self.globals[off as usize] = b,
+                None => self.low[a as usize] = b,
+            }
+        }
+        Ok(())
+    }
+
+    /// Zero `[base, end)` of the stack region, backing it if needed.
+    fn zero_stack(&mut self, base: u64, end: u64) {
+        let (base, end) = (base as usize, end as usize);
+        let backed = self.low.len();
+        self.low[base.min(backed)..end.min(backed)].fill(0);
+        if end > backed {
+            self.low.resize(end, 0);
+        }
+    }
+
+    fn load_u64(&self, addr: u64) -> Result<u64, ExecError> {
+        self.read(addr).map(u64::from_le_bytes)
+    }
+
+    fn store_u64(&mut self, addr: u64, v: u64) -> Result<(), ExecError> {
+        self.write(addr, v.to_le_bytes())
+    }
+}
+
+/// Frame-slot index, relative to the frame's base on the register stack.
+type Slot = u32;
+
+/// No slot: a `ret void`, or a phi with no incoming value on an edge.
+const NO_SLOT: Slot = Slot::MAX;
+
+/// One lowered operation. Operands are frame slots; each op carries the
+/// cycles it charges.
+#[derive(Clone, Copy, Debug)]
+enum Op {
+    IntBin {
+        op: BinOp,
+        ty: Type,
+        dst: Slot,
+        a: Slot,
+        b: Slot,
+        cost: u64,
+    },
+    FloatBin {
+        op: BinOp,
+        dst: Slot,
+        a: Slot,
+        b: Slot,
+        cost: u64,
+    },
+    VecBin {
+        op: BinOp,
+        vt: VecTy,
+        dst: Slot,
+        a: Slot,
+        b: Slot,
+        cost: u64,
+    },
+    ICmp {
+        pred: IPred,
+        dst: Slot,
+        a: Slot,
+        b: Slot,
+        cost: u64,
+    },
+    FCmp {
+        pred: FPred,
+        dst: Slot,
+        a: Slot,
+        b: Slot,
+        cost: u64,
+    },
+    Alloca {
+        dst: Slot,
+        size: u64,
+        cost: u64,
+    },
+    Load {
+        ty: Type,
+        dst: Slot,
+        ptr: Slot,
+        size: u64,
+        cost: u64,
+    },
+    Store {
+        ty: Type,
+        val: Slot,
+        ptr: Slot,
+        size: u64,
+        cost: u64,
+    },
+    /// Indices and strides are `Code::geps[first..first + len]`.
+    Gep {
+        dst: Slot,
+        base: Slot,
+        first: u32,
+        len: u32,
+        cost: u64,
+    },
+    Bitcast {
+        dst: Slot,
+        src: Slot,
+        cost: u64,
+    },
+    SiToFp {
+        dst: Slot,
+        src: Slot,
+        cost: u64,
+    },
+    FpToSi {
+        ty: Type,
+        dst: Slot,
+        src: Slot,
+        cost: u64,
+    },
+    IntCast {
+        op: CastOp,
+        from: Type,
+        to: Type,
+        dst: Slot,
+        src: Slot,
+        cost: u64,
+    },
+    VecCast {
+        op: CastOp,
+        vt: VecTy,
+        dst: Slot,
+        src: Slot,
+        cost: u64,
+    },
+    Select {
+        dst: Slot,
+        cond: Slot,
+        then_val: Slot,
+        else_val: Slot,
+        cost: u64,
+    },
+    /// Arguments are `Code::lists[first..first + len]`.
+    Call {
+        callee: FuncId,
+        dst: Slot,
+        first: u32,
+        len: u32,
+        cost: u64,
+    },
+    External {
+        ext: External,
+        dst: Slot,
+        first: u32,
+        len: u32,
+        cost: u64,
+    },
+    Splat {
+        vt: VecTy,
+        dst: Slot,
+        src: Slot,
+        cost: u64,
+    },
+    ExtractLane {
+        lane: u8,
+        dst: Slot,
+        vec: Slot,
+        cost: u64,
+    },
+    InsertLane {
+        lane: u8,
+        dst: Slot,
+        vec: Slot,
+        val: Slot,
+        cost: u64,
+    },
+    /// Charges `cost * lanes / 2`.
+    Reduce {
+        op: ReduceOp,
+        dst: Slot,
+        acc: Slot,
+        vec: Slot,
+        cost: u64,
+    },
+    Br {
+        edge: u32,
+        cost: u64,
+    },
+    CondBr {
+        cond: Slot,
+        then_edge: u32,
+        else_edge: u32,
+        cost: u64,
+    },
+    Ret {
+        val: Slot,
+    },
+    Fail(Failure),
+}
+
+/// An external callee, resolved from its name at lowering.
+#[derive(Clone, Copy, Debug)]
+enum External {
+    Math(&'static str, fn(f64) -> f64),
+    Pow,
+    /// The outlined region, if the first operand names a function.
+    Fork(Option<FuncId>),
+    StaticInit,
+    StaticFini,
+    Barrier,
+    /// The decompiler's pragma and simd markers are metadata; executing
+    /// a detransformed (pre-emission) module treats them as free.
+    Marker,
+    Unknown(Symbol),
+}
+
+impl External {
+    fn resolve(module: &Module, name: Symbol, first_arg: Option<Value>) -> External {
+        match module.name_of(name) {
+            "exp" => External::Math("exp", f64::exp),
+            "sqrt" => External::Math("sqrt", f64::sqrt),
+            "fabs" => External::Math("fabs", f64::abs),
+            "log" => External::Math("log", f64::ln),
+            "sin" => External::Math("sin", f64::sin),
+            "cos" => External::Math("cos", f64::cos),
+            "floor" => External::Math("floor", f64::floor),
+            "pow" => External::Pow,
+            KMPC_FORK_CALL | GOMP_PARALLEL => External::Fork(match first_arg {
+                Some(Value::Function(region)) => Some(region),
+                _ => None,
+            }),
+            KMPC_FOR_STATIC_INIT | GOMP_LOOP_STATIC_BOUNDS => External::StaticInit,
+            KMPC_FOR_STATIC_FINI => External::StaticFini,
+            KMPC_BARRIER | GOMP_BARRIER => External::Barrier,
+            "splendid.omp.mark" | "splendid.simd.mark" => External::Marker,
+            _ => External::Unknown(name),
+        }
+    }
+
+    /// Cycles the call charges.
+    fn cost(self, config: &MachineConfig) -> u64 {
+        match self {
+            External::Math(..) | External::Pow => config.profile.mathfn_cost,
+            External::StaticInit | External::StaticFini => config.sched_overhead,
+            External::Barrier => config.barrier_overhead,
+            External::Fork(_) | External::Marker | External::Unknown(_) => 0,
+        }
+    }
+}
+
+/// An op that stops execution.
+#[derive(Clone, Copy, Debug)]
+enum Failure {
+    Unreachable,
+    FellThrough(BlockId),
+    PhiInEntry,
+    SplatToScalar,
+    /// IR the verifier rejects and the interpreter cannot run at all (a
+    /// branch to a missing block, a void load or store, more gep indices
+    /// than strides).
+    Malformed(&'static str),
+}
+
+/// A CFG edge: where it lands and the phi moves it performs.
+#[derive(Clone, Copy, Debug)]
+struct Edge {
+    pc: u32,
+    from: BlockId,
+    /// Moves are `Code::moves[first..first + len]`.
+    first: u32,
+    len: u32,
+}
+
+/// One phi of the edge's target: `dst` takes `src`'s value, or the edge
+/// has no incoming value for it if `src` is [`NO_SLOT`].
+#[derive(Clone, Copy, Debug)]
+struct Move {
+    dst: Slot,
+    src: Slot,
+}
+
+/// A function lowered for one VM.
+///
+/// Frame layout: slot `i` holds instruction `i`'s result, the parameters
+/// follow, then the constants, then operands that name nothing (an
+/// out-of-range argument or instruction). Only instruction slots are
+/// ever written.
+#[derive(Debug)]
+struct Code {
+    ops: Vec<Op>,
+    entry: u32,
+    /// Initial frame: constants set, every other slot unset.
+    frame: Vec<Option<RtVal>>,
+    /// Number of instruction slots; the parameters start here.
+    insts: u32,
+    /// The dangling operands, by slot.
+    dangling: Vec<(Slot, Value)>,
+    edges: Vec<Edge>,
+    moves: Vec<Move>,
+    /// Call and external argument slots.
+    lists: Vec<Slot>,
+    /// Gep index slots and their byte strides.
+    geps: Vec<(Slot, i64)>,
+}
+
+impl Code {
+    /// The error for reading slot `s` before it was written.
+    #[cold]
+    #[inline(never)]
+    fn unset(&self, s: Slot) -> ExecError {
+        if s < self.insts {
+            return ExecError(format!("use of unset value {}", InstId(s)));
+        }
+        match self.dangling.iter().find(|(d, _)| *d == s) {
+            Some((_, Value::Arg(a))) => ExecError(format!("argument ${a} out of range")),
+            Some((_, v)) => panic!("operand {v:?} names nothing in this function"),
+            None => unreachable!("slot {s} is always set"),
+        }
+    }
+}
+
+/// Lowers one function into [`Code`].
+struct Lowering<'a> {
+    module: &'a Module,
+    f: &'a Function,
+    global_base: &'a [u64],
+    config: &'a MachineConfig,
+    code: Code,
+    slots: HashMap<Value, Slot>,
+    /// Target block of each edge, for patching `Edge::pc`.
+    edge_targets: Vec<BlockId>,
+}
+
+impl<'a> Lowering<'a> {
+    fn lower(module: &Module, fid: FuncId, global_base: &[u64], config: &MachineConfig) -> Code {
+        let f = module.func(fid);
+        let insts = f.insts.len() as u32;
+        let mut frame = vec![None; f.insts.len()];
+        frame.extend(f.params.iter().map(|_| None));
+        let mut l = Lowering {
+            module,
+            f,
+            global_base,
+            config,
+            code: Code {
+                ops: Vec::new(),
+                entry: 0,
+                frame,
+                insts,
+                dangling: Vec::new(),
+                edges: Vec::new(),
+                moves: Vec::new(),
+                lists: Vec::new(),
+                geps: Vec::new(),
+            },
+            slots: HashMap::new(),
+            edge_targets: Vec::new(),
+        };
+        let mut block_pc = Vec::with_capacity(f.blocks.len());
+        for b in f.block_ids() {
+            block_pc.push(l.code.ops.len() as u32);
+            l.block(b);
+        }
+        let malformed = l.code.ops.len() as u32;
+        l.code
+            .ops
+            .push(Op::Fail(Failure::Malformed("branch to a block that does not exist")));
+        let pc_of = |b: BlockId| block_pc.get(b.index()).copied().unwrap_or(malformed);
+        for (e, to) in l.code.edges.iter_mut().zip(&l.edge_targets) {
+            e.pc = pc_of(*to);
+        }
+        l.code.entry = if l.leading_phis(f.entry).next().is_some() {
+            l.code.ops.push(Op::Fail(Failure::PhiInEntry));
+            l.code.ops.len() as u32 - 1
+        } else {
+            pc_of(f.entry)
+        };
+        l.code
+    }
+
+    fn prof(&self) -> CompilerProfile {
+        self.config.profile
+    }
+
+    /// The phis a block starts with: the ones its entry evaluates.
+    fn leading_phis(&self, b: BlockId) -> impl Iterator<Item = (InstId, &'a [(BlockId, Value)])> {
+        let f = self.f;
+        let insts = f.blocks.get(b.index()).map_or(&[][..], |bl| &bl.insts[..]);
+        insts.iter().map_while(move |&i| match &f.inst(i).kind {
+            InstKind::Phi { incomings } => Some((i, &incomings[..])),
+            _ => None,
+        })
+    }
+
+    /// Lower a block's instructions up to its first terminator; phis
+    /// become moves on the edges into it.
+    fn block(&mut self, b: BlockId) {
+        let f = self.f;
+        for &i in &f.block(b).insts {
+            let terminator = f.inst(i).kind.is_terminator();
+            self.inst(b, i);
+            if terminator {
+                return;
+            }
+        }
+        self.code.ops.push(Op::Fail(Failure::FellThrough(b)));
+    }
+
+    /// The slot holding `v`.
+    fn slot(&mut self, v: Value) -> Slot {
+        let insts = self.code.insts;
+        match v {
+            Value::Inst(i) if i.0 < insts => return i.0,
+            Value::Arg(a) if (a as usize) < self.f.params.len() => return insts + a,
+            _ => {}
+        }
+        if let Some(&s) = self.slots.get(&v) {
+            return s;
+        }
+        let s = self.code.frame.len() as Slot;
+        let init = match v {
+            Value::ConstInt { val, .. } => Some(RtVal::Int(val)),
+            Value::ConstF64(bits) => Some(RtVal::F64(f64::from_bits(bits))),
+            Value::Global(g) => self.global_base.get(g.index()).map(|&a| RtVal::Ptr(a)),
+            Value::Function(f) => Some(RtVal::Int(f.0 as i64)), // function token
+            Value::Undef(ty) => Some(match ty {
+                Type::F64 => RtVal::F64(0.0),
+                Type::Ptr => RtVal::Ptr(0),
+                Type::Vec(v) => RtVal::Vec(VecVal::zero(v)),
+                _ => RtVal::Int(0),
+            }),
+            Value::Inst(_) | Value::Arg(_) => None,
+        };
+        if init.is_none() {
+            self.code.dangling.push((s, v));
+        }
+        self.code.frame.push(init);
+        self.slots.insert(v, s);
+        s
+    }
+
+    /// The static type of `v`, or `Void` for an operand that names
+    /// nothing (executing it fails before its type matters).
+    fn type_of(&self, v: Value) -> Type {
+        match v {
+            Value::Inst(i) if i.index() >= self.f.insts.len() => Type::Void,
+            Value::Arg(a) if a as usize >= self.f.params.len() => Type::Void,
+            v => self.f.value_type(v),
+        }
+    }
+
+    fn list(&mut self, vals: &[Value]) -> (u32, u32) {
+        let first = self.code.lists.len() as u32;
+        for &v in vals {
+            let s = self.slot(v);
+            self.code.lists.push(s);
+        }
+        (first, vals.len() as u32)
+    }
+
+    fn edge(&mut self, from: BlockId, to: BlockId) -> u32 {
+        let first = self.code.moves.len() as u32;
+        let phis: Vec<_> = self.leading_phis(to).collect();
+        for (phi, incomings) in phis {
+            let src = match incomings.iter().find(|(b, _)| *b == from) {
+                Some(&(_, v)) => self.slot(v),
+                None => NO_SLOT,
+            };
+            self.code.moves.push(Move { dst: phi.0, src });
+        }
+        let len = self.code.moves.len() as u32 - first;
+        self.code.edges.push(Edge {
+            pc: 0,
+            from,
+            first,
+            len,
+        });
+        self.edge_targets.push(to);
+        self.code.edges.len() as u32 - 1
+    }
+
+    fn inst(&mut self, b: BlockId, i: InstId) {
+        let prof = self.prof();
+        let inst = self.f.inst(i);
+        let dst = i.0;
+        let op = match &inst.kind {
+            InstKind::Bin { op, lhs, rhs } => {
+                let (a, b) = (self.slot(*lhs), self.slot(*rhs));
+                match inst.ty {
+                    Type::Vec(vt) => Op::VecBin {
+                        op: *op,
+                        vt,
+                        dst,
+                        a,
+                        b,
+                        cost: if *op == BinOp::FDiv {
+                            prof.fdiv_cost
+                        } else {
+                            prof.vec_op_cost
+                        },
+                    },
+                    _ if op.is_float() => Op::FloatBin {
+                        op: *op,
+                        dst,
+                        a,
+                        b,
+                        cost: if *op == BinOp::FDiv {
+                            prof.fdiv_cost
+                        } else {
+                            prof.flop_cost
+                        },
+                    },
+                    ty => Op::IntBin {
+                        op: *op,
+                        ty,
+                        dst,
+                        a,
+                        b,
+                        cost: prof.int_cost,
+                    },
+                }
+            }
+            InstKind::ICmp { pred, lhs, rhs } => Op::ICmp {
+                pred: *pred,
+                dst,
+                a: self.slot(*lhs),
+                b: self.slot(*rhs),
+                cost: prof.int_cost,
+            },
+            InstKind::FCmp { pred, lhs, rhs } => Op::FCmp {
+                pred: *pred,
+                dst,
+                a: self.slot(*lhs),
+                b: self.slot(*rhs),
+                cost: prof.flop_cost,
+            },
+            InstKind::Alloca { mem } => Op::Alloca {
+                dst,
+                size: (mem.size_bytes() + 7) & !7,
+                cost: prof.int_cost,
+            },
+            InstKind::Load { ptr } => match inst.ty {
+                Type::Void => Op::Fail(Failure::Malformed("load of void")),
+                ty => Op::Load {
+                    ty,
+                    dst,
+                    ptr: self.slot(*ptr),
+                    size: ty.size_bytes(),
+                    cost: mem_cost(prof, ty),
+                },
+            },
+            InstKind::Store { val, ptr } => match self.type_of(*val) {
+                // A void instruction's slot is never set, so storing one
+                // fails when its operand is read.
+                Type::Void if !matches!(val, Value::Inst(_) | Value::Arg(_)) => {
+                    Op::Fail(Failure::Malformed("store of void"))
+                }
+                ty => Op::Store {
+                    ty,
+                    ptr: self.slot(*ptr),
+                    val: self.slot(*val),
+                    size: if ty == Type::Void { 0 } else { ty.size_bytes() },
+                    cost: mem_cost(prof, ty),
+                },
+            },
+            InstKind::Gep {
+                elem,
+                base,
+                indices,
+            } => {
+                let strides = elem.gep_strides();
+                if indices.len() > strides.len() {
+                    Op::Fail(Failure::Malformed("more gep indices than strides"))
+                } else {
+                    let first = self.code.geps.len() as u32;
+                    for (idx, stride) in indices.iter().zip(strides) {
+                        let s = self.slot(*idx);
+                        self.code.geps.push((s, stride as i64));
+                    }
+                    Op::Gep {
+                        dst,
+                        base: self.slot(*base),
+                        first,
+                        len: indices.len() as u32,
+                        cost: prof.int_cost,
+                    }
+                }
+            }
+            InstKind::Cast { op, val } => {
+                let src = self.slot(*val);
+                match (inst.ty, op) {
+                    (Type::Vec(vt), _) => Op::VecCast {
+                        op: *op,
+                        vt,
+                        dst,
+                        src,
+                        cost: prof.vec_op_cost,
+                    },
+                    (_, CastOp::Bitcast) => Op::Bitcast {
+                        dst,
+                        src,
+                        cost: prof.int_cost,
+                    },
+                    (_, CastOp::SiToFp) => Op::SiToFp {
+                        dst,
+                        src,
+                        cost: prof.int_cost,
+                    },
+                    (ty, CastOp::FpToSi) => Op::FpToSi {
+                        ty,
+                        dst,
+                        src,
+                        cost: prof.int_cost,
+                    },
+                    (to, CastOp::Sext | CastOp::Zext | CastOp::Trunc) => Op::IntCast {
+                        op: *op,
+                        from: self.type_of(*val),
+                        to,
+                        dst,
+                        src,
+                        cost: prof.int_cost,
+                    },
+                }
+            }
+            InstKind::Select {
+                cond,
+                then_val,
+                else_val,
+            } => Op::Select {
+                dst,
+                cond: self.slot(*cond),
+                then_val: self.slot(*then_val),
+                else_val: self.slot(*else_val),
+                cost: prof.int_cost,
+            },
+            InstKind::Call { callee, args } => {
+                let (first, len) = self.list(args);
+                match callee {
+                    Callee::Func(callee) => Op::Call {
+                        callee: *callee,
+                        dst,
+                        first,
+                        len,
+                        cost: prof.call_cost,
+                    },
+                    Callee::External(name) => {
+                        let ext = External::resolve(self.module, *name, args.first().copied());
+                        Op::External {
+                            ext,
+                            dst,
+                            first,
+                            len,
+                            cost: ext.cost(self.config),
+                        }
+                    }
+                }
+            }
+            InstKind::Splat { val } => match inst.ty.vec_ty() {
+                Some(vt) => Op::Splat {
+                    vt,
+                    dst,
+                    src: self.slot(*val),
+                    cost: prof.vec_shuffle_cost,
+                },
+                None => Op::Fail(Failure::SplatToScalar),
+            },
+            InstKind::ExtractLane { vec, lane } => Op::ExtractLane {
+                lane: *lane,
+                dst,
+                vec: self.slot(*vec),
+                cost: prof.vec_shuffle_cost,
+            },
+            InstKind::InsertLane { vec, val, lane } => Op::InsertLane {
+                lane: *lane,
+                dst,
+                vec: self.slot(*vec),
+                val: self.slot(*val),
+                cost: prof.vec_shuffle_cost,
+            },
+            InstKind::Reduce { op, acc, vec } => Op::Reduce {
+                op: *op,
+                dst,
+                acc: self.slot(*acc),
+                vec: self.slot(*vec),
+                cost: prof.vec_shuffle_cost,
+            },
+            InstKind::Br { target } => Op::Br {
+                edge: self.edge(b, *target),
+                cost: prof.branch_cost,
+            },
+            InstKind::CondBr {
+                cond,
+                then_bb,
+                else_bb,
+            } => Op::CondBr {
+                cond: self.slot(*cond),
+                then_edge: self.edge(b, *then_bb),
+                else_edge: self.edge(b, *else_bb),
+                cost: prof.branch_cost,
+            },
+            InstKind::Ret { val } => Op::Ret {
+                val: val.map_or(NO_SLOT, |v| self.slot(v)),
+            },
+            InstKind::Unreachable => Op::Fail(Failure::Unreachable),
+            // Phis are edge moves; debug intrinsics are free.
+            InstKind::Phi { .. } | InstKind::DbgValue { .. } | InstKind::Nop => return,
+        };
+        self.code.ops.push(op);
+    }
+}
+
+fn mem_cost(prof: CompilerProfile, ty: Type) -> u64 {
+    if ty.is_vector() {
+        prof.vec_mem_cost
+    } else {
+        prof.mem_cost
+    }
+}
+
+/// Where a call's arguments come from.
+enum Args<'a> {
+    /// Slots of the caller's frame at `base`.
+    Slots(usize, &'a [Slot]),
+    Values(&'a [RtVal]),
+}
+
+impl Args<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Args::Slots(_, s) => s.len(),
+            Args::Values(v) => v.len(),
+        }
+    }
+}
 
 /// The virtual machine: module + flat memory + cost counters.
 pub struct Vm<'m> {
     module: &'m Module,
     config: MachineConfig,
-    mem: Vec<u8>,
+    mem: Memory,
     /// Stack bump pointer.
     sp: u64,
-    /// Base address of each global, indexed by [`splendid_ir::GlobalId`].
+    /// Base address of each global, indexed by [`GlobalId`].
     global_base: Vec<u64>,
-    /// Phi values of the block being entered, reused across block entries.
-    phi_scratch: Vec<(InstId, RtVal)>,
+    /// Each function's lowered code, by [`FuncId`], once it was called.
+    code: Vec<Option<Arc<Code>>>,
+    /// Every active frame's slots, innermost last.
+    regs: Vec<Option<RtVal>>,
+    /// Phi values of the edge being taken, reused across edges.
+    phi_scratch: Vec<RtVal>,
+    /// Argument values of the external call being made.
+    ext_args: Vec<RtVal>,
     /// Cycle accumulator (cost model).
     cycles: u64,
     /// Bytes moved by loads/stores (for the bandwidth ceiling).
@@ -162,43 +1004,40 @@ pub struct Vm<'m> {
     in_parallel: bool,
 }
 
-struct Frame {
-    values: Vec<Option<RtVal>>,
-    args: Vec<RtVal>,
-    sp_on_entry: u64,
-}
-
 impl<'m> Vm<'m> {
-    /// Create a VM for `module`: allocates and initializes globals.
+    /// Create a VM for `module`: allocates and initializes globals. No
+    /// function is lowered until it is called.
     pub fn new(module: &'m Module, config: MachineConfig) -> Vm<'m> {
-        let mut mem = vec![0u8; (STACK_BASE + STACK_SIZE) as usize];
         let mut global_base = Vec::with_capacity(module.globals.len());
-        let mut top = STACK_BASE + STACK_SIZE;
+        let mut top = STACK_TOP;
         for g in &module.globals {
-            let size = g.mem.size_bytes();
-            let base = top;
-            top += (size + 7) & !7;
-            mem.resize(top as usize, 0);
-            match g.init {
-                GlobalInit::Zero => {}
-                GlobalInit::SplatF64(x) => {
-                    let bits = x.to_bits().to_le_bytes();
-                    for k in 0..g.mem.num_elems() {
-                        let off = (base + k * 8) as usize;
-                        mem[off..off + 8].copy_from_slice(&bits);
-                    }
+            global_base.push(top);
+            top += (g.mem.size_bytes() + 7) & !7;
+        }
+        let mut globals = vec![0u8; (top - STACK_TOP) as usize];
+        for (g, &base) in module.globals.iter().zip(&global_base) {
+            if let GlobalInit::SplatF64(x) = g.init {
+                let off = (base - STACK_TOP) as usize;
+                let words = globals[off..].chunks_exact_mut(8);
+                for w in words.take(g.mem.num_elems() as usize) {
+                    w.copy_from_slice(&x.to_bits().to_le_bytes());
                 }
             }
-            global_base.push(base);
         }
         let fuel = config.fuel;
         Vm {
             module,
             config,
-            mem,
+            mem: Memory {
+                low: Vec::new(),
+                globals,
+            },
             sp: STACK_BASE,
             global_base,
+            code: vec![None; module.functions.len()],
+            regs: Vec::new(),
             phi_scratch: Vec::new(),
+            ext_args: Vec::new(),
             cycles: 0,
             bytes: 0,
             insts_executed: 0,
@@ -217,50 +1056,92 @@ impl<'m> Vm<'m> {
         self.insts_executed
     }
 
-    /// Base address of a global. Of two globals with one name the later
+    /// The global named `name`. Of two globals with one name the later
     /// wins, as it does for `@name` in the IR parser.
-    pub fn global_addr(&self, name: &str) -> Result<u64, ExecError> {
+    fn global_id(&self, name: &str) -> Result<GlobalId, ExecError> {
         let sym = self.module.symbols.lookup(name);
         self.module
             .globals
             .iter()
             .rposition(|g| Some(g.name) == sym)
-            .map(|i| self.global_base[i])
+            .map(|i| GlobalId(i as u32))
             .ok_or_else(|| ExecError(format!("unknown global '{name}'")))
+    }
+
+    /// Base address of a global.
+    pub fn global_addr(&self, name: &str) -> Result<u64, ExecError> {
+        Ok(self.global_base[self.global_id(name)?.index()])
     }
 
     /// Read the `idx`-th f64 element of a global array.
     pub fn read_global_f64(&self, name: &str, idx: u64) -> Result<f64, ExecError> {
         let base = self.global_addr(name)?;
-        let addr = base + idx * 8;
-        Ok(f64::from_bits(self.load_u64(addr)?))
+        Ok(f64::from_bits(self.mem.load_u64(base + idx * 8)?))
     }
 
     /// Overwrite the `idx`-th f64 element of a global array.
+    pub fn write_global_f64(&mut self, name: &str, idx: u64, value: f64) -> Result<(), ExecError> {
+        let base = self.global_addr(name)?;
+        self.mem.store_u64(base + idx * 8, value.to_bits())
+    }
+
+    /// Fill `out` with the 8-byte words from global `g`'s address on:
+    /// `out[k]` holds the bits `read_global_f64` reads for element `k`.
+    /// On failure, the index of the first unreadable word and its error.
+    pub fn read_global_words(&self, g: GlobalId, out: &mut [u64]) -> Result<(), (usize, ExecError)> {
+        let base = self.global_base[g.index()];
+        let off = (base - STACK_TOP) as usize;
+        match self.mem.globals.get(off..off + 8 * out.len()) {
+            Some(bytes) => {
+                for (w, b) in out.iter_mut().zip(bytes.chunks_exact(8)) {
+                    *w = u64::from_le_bytes(b.try_into().unwrap_or([0; 8]));
+                }
+            }
+            None => {
+                for (k, w) in out.iter_mut().enumerate() {
+                    *w = self.mem.load_u64(base + k as u64 * 8).map_err(|e| (k, e))?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Write `words` from global `g`'s address on, as `write_global_f64`
+    /// writes element `k` for `words[k]`, stopping at the first failure.
     ///
     /// The translation validator uses this to drive both the source VM
     /// and the re-lowered VM into the same seeded initial state before a
     /// lockstep probe run.
-    pub fn write_global_f64(&mut self, name: &str, idx: u64, value: f64) -> Result<(), ExecError> {
-        let base = self.global_addr(name)?;
-        let addr = base + idx * 8;
-        self.store_u64(addr, value.to_bits())
+    pub fn write_global_words(&mut self, g: GlobalId, words: &[u64]) -> Result<(), ExecError> {
+        let base = self.global_base[g.index()];
+        let off = (base - STACK_TOP) as usize;
+        match self.mem.globals.get_mut(off..off + 8 * words.len()) {
+            Some(bytes) => {
+                for (b, w) in bytes.chunks_exact_mut(8).zip(words) {
+                    b.copy_from_slice(&w.to_le_bytes());
+                }
+            }
+            None => {
+                for (k, w) in words.iter().enumerate() {
+                    self.mem.store_u64(base + k as u64 * 8, *w)?;
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Order-independent-ish checksum over every f64 element of a global:
     /// `Σ value_k * (k mod 31 + 1)` — position-sensitive so swapped
     /// elements are detected.
     pub fn checksum_global(&self, name: &str) -> Result<f64, ExecError> {
-        let g = self
-            .module
-            .globals
-            .iter()
-            .find(|g| self.module.name_of(g.name) == name)
-            .ok_or_else(|| ExecError(format!("unknown global '{name}'")))?;
-        let n = g.mem.num_elems();
+        self.checksum(self.global_id(name)?)
+    }
+
+    fn checksum(&self, g: GlobalId) -> Result<f64, ExecError> {
+        let base = self.global_base[g.index()];
         let mut sum = 0.0;
-        for k in 0..n {
-            let v = self.read_global_f64(name, k)?;
+        for k in 0..self.module.globals[g.index()].mem.num_elems() {
+            let v = f64::from_bits(self.mem.load_u64(base + k * 8)?);
             sum += v * ((k % 31) as f64 + 1.0);
         }
         Ok(sum)
@@ -269,8 +1150,8 @@ impl<'m> Vm<'m> {
     /// Checksum over every global in the module.
     pub fn checksum_all(&self) -> Result<f64, ExecError> {
         let mut sum = 0.0;
-        for g in &self.module.globals {
-            sum += self.checksum_global(self.module.name_of(g.name))?;
+        for g in 0..self.module.globals.len() {
+            sum += self.checksum(GlobalId(g as u32))?;
         }
         Ok(sum)
     }
@@ -281,11 +1162,24 @@ impl<'m> Vm<'m> {
             .module
             .func_by_name(name)
             .ok_or_else(|| ExecError(format!("unknown function '{name}'")))?;
-        self.call(fid, args.to_vec())
+        self.call(fid, args)
     }
 
     /// Call a function by id.
-    pub fn call(&mut self, fid: FuncId, args: Vec<RtVal>) -> Result<Option<RtVal>, ExecError> {
+    pub fn call(&mut self, fid: FuncId, args: &[RtVal]) -> Result<Option<RtVal>, ExecError> {
+        self.invoke(fid, Args::Values(args))
+    }
+
+    /// `fid`'s code, lowered on its first call.
+    fn code(&mut self, fid: FuncId) -> Arc<Code> {
+        let (module, globals, config) = (self.module, &self.global_base, &self.config);
+        self.code[fid.index()]
+            .get_or_insert_with(|| Arc::new(Lowering::lower(module, fid, globals, config)))
+            .clone()
+    }
+
+    /// Push a frame for `fid`, run it, pop it.
+    fn invoke(&mut self, fid: FuncId, args: Args<'_>) -> Result<Option<RtVal>, ExecError> {
         let f = self.module.func(fid);
         if f.params.len() != args.len() {
             return Err(ExecError(format!(
@@ -295,92 +1189,30 @@ impl<'m> Vm<'m> {
                 f.params.len()
             )));
         }
-        let mut frame = Frame {
-            values: vec![None; f.insts.len()],
-            args,
-            sp_on_entry: self.sp,
-        };
-        let result = self.run_frame(fid, &mut frame);
-        self.sp = frame.sp_on_entry;
+        let code = self.code(fid);
+        let base = self.regs.len();
+        self.regs.extend_from_slice(&code.frame);
+        let params = base + code.insts as usize;
+        match args {
+            Args::Slots(caller, slots) => {
+                for (k, &s) in slots.iter().enumerate() {
+                    self.regs[params + k] = self.regs[caller + s as usize];
+                }
+            }
+            Args::Values(vals) => {
+                for (k, &v) in vals.iter().enumerate() {
+                    self.regs[params + k] = Some(v);
+                }
+            }
+        }
+        let sp_on_entry = self.sp;
+        let result = self.run(&code, base);
+        self.sp = sp_on_entry;
+        self.regs.truncate(base);
         result
     }
 
-    fn run_frame(&mut self, fid: FuncId, frame: &mut Frame) -> Result<Option<RtVal>, ExecError> {
-        let f = self.module.func(fid);
-        let mut cur = f.entry;
-        let mut prev: Option<BlockId> = None;
-        loop {
-            // Phi nodes first, evaluated atomically.
-            let block = f.block(cur);
-            let mut phi_updates = std::mem::take(&mut self.phi_scratch);
-            phi_updates.clear();
-            for &i in &block.insts {
-                if let InstKind::Phi { incomings } = &f.inst(i).kind {
-                    let p = prev
-                        .ok_or_else(|| ExecError("phi in entry block has no predecessor".into()))?;
-                    let (_, v) = incomings
-                        .iter()
-                        .find(|(b, _)| *b == p)
-                        .ok_or_else(|| ExecError(format!("phi {i} missing incoming for {p}")))?;
-                    phi_updates.push((i, self.eval(frame, *v)?));
-                } else {
-                    break;
-                }
-            }
-            for &(i, v) in &phi_updates {
-                frame.values[i.index()] = Some(v);
-                self.tick(1)?;
-            }
-            self.phi_scratch = phi_updates;
-
-            // Remaining instructions.
-            let mut next_block: Option<BlockId> = None;
-            for &i in &block.insts {
-                let inst = f.inst(i);
-                if matches!(inst.kind, InstKind::Phi { .. }) {
-                    continue;
-                }
-                match &inst.kind {
-                    InstKind::Br { target } => {
-                        self.charge_branch()?;
-                        next_block = Some(*target);
-                    }
-                    InstKind::CondBr {
-                        cond,
-                        then_bb,
-                        else_bb,
-                    } => {
-                        self.charge_branch()?;
-                        let c = self.eval(frame, *cond)?.as_int()?;
-                        next_block = Some(if c != 0 { *then_bb } else { *else_bb });
-                    }
-                    InstKind::Ret { val } => {
-                        let r = match val {
-                            Some(v) => Some(self.eval(frame, *v)?),
-                            None => None,
-                        };
-                        return Ok(r);
-                    }
-                    InstKind::Unreachable => return Err(ExecError("reached unreachable".into())),
-                    _ => {
-                        let v = self.exec_inst(fid, frame, i)?;
-                        frame.values[i.index()] = v;
-                    }
-                }
-                if next_block.is_some() {
-                    break;
-                }
-            }
-            match next_block {
-                Some(nb) => {
-                    prev = Some(cur);
-                    cur = nb;
-                }
-                None => return Err(ExecError(format!("block {cur} fell through"))),
-            }
-        }
-    }
-
+    #[inline(always)]
     fn tick(&mut self, cost: u64) -> Result<(), ExecError> {
         self.cycles += cost;
         self.insts_executed += 1;
@@ -391,359 +1223,454 @@ impl<'m> Vm<'m> {
         Ok(())
     }
 
-    fn charge_branch(&mut self) -> Result<(), ExecError> {
-        let c = self.config.profile.branch_cost;
-        self.tick(c)
-    }
-
-    fn eval(&self, frame: &Frame, v: Value) -> Result<RtVal, ExecError> {
-        Ok(match v {
-            Value::Inst(i) => frame.values[i.index()]
-                .ok_or_else(|| ExecError(format!("use of unset value {i}")))?,
-            Value::Arg(a) => *frame
-                .args
-                .get(a as usize)
-                .ok_or_else(|| ExecError(format!("argument ${a} out of range")))?,
-            Value::ConstInt { val, .. } => RtVal::Int(val),
-            Value::ConstF64(bits) => RtVal::F64(f64::from_bits(bits)),
-            Value::Global(g) => RtVal::Ptr(self.global_base[g.index()]),
-            Value::Function(f) => RtVal::Int(f.0 as i64), // function token
-            Value::Undef(ty) => match ty {
-                Type::F64 => RtVal::F64(0.0),
-                Type::Ptr => RtVal::Ptr(0),
-                Type::Vec(v) => RtVal::Vec(VecVal::zero(v)),
-                _ => RtVal::Int(0),
-            },
-        })
-    }
-
-    fn exec_inst(
-        &mut self,
-        fid: FuncId,
-        frame: &mut Frame,
-        id: InstId,
-    ) -> Result<Option<RtVal>, ExecError> {
-        let f = self.module.func(fid);
-        let inst = f.inst(id);
-        let prof = self.config.profile;
-        match &inst.kind {
-            InstKind::Bin { op, lhs, rhs } => {
-                let a = self.eval(frame, *lhs)?;
-                let b = self.eval(frame, *rhs)?;
-                if let Type::Vec(vt) = inst.ty {
-                    let (va, vb) = (a.as_vec()?, b.as_vec()?);
-                    if vt.elem.is_float() != op.is_float() {
-                        let (opk, veck) = if op.is_float() {
-                            ("float", "int")
-                        } else {
-                            ("int", "float")
-                        };
-                        return Err(ExecError(format!(
-                            "{opk} opcode {} on {veck} vector",
-                            op.name()
-                        )));
-                    }
-                    let mut r = VecVal::zero(vt);
-                    for i in 0..r.lanes() {
-                        r.bits[i] = if vt.elem.is_float() {
-                            eval::float_bin(*op, va.lane_f64(i), vb.lane_f64(i))?.to_bits()
-                        } else {
-                            eval::int_bin(*op, va.lane_i64(i), vb.lane_i64(i), Type::I64)? as u64
-                        };
-                    }
-                    let cost = if *op == BinOp::FDiv {
-                        prof.fdiv_cost
-                    } else {
-                        prof.vec_op_cost
-                    };
-                    self.tick(cost)?;
-                    return Ok(Some(RtVal::Vec(r)));
-                }
-                let (cost, r) = if op.is_float() {
-                    let cost = if *op == BinOp::FDiv {
-                        prof.fdiv_cost
-                    } else {
-                        prof.flop_cost
-                    };
-                    let r = eval::float_bin(*op, a.as_f64()?, b.as_f64()?)?;
-                    (cost, RtVal::F64(r))
-                } else {
-                    let r = eval::int_bin(*op, a.as_int()?, b.as_int()?, inst.ty)?;
-                    (prof.int_cost, RtVal::Int(r))
-                };
-                self.tick(cost)?;
-                Ok(Some(r))
-            }
-            InstKind::ICmp { pred, lhs, rhs } => {
-                let a = self.eval(frame, *lhs)?;
-                let b = self.eval(frame, *rhs)?;
-                let (x, y) = match (a, b) {
-                    (RtVal::Ptr(p), RtVal::Ptr(q)) => (p as i64, q as i64),
-                    _ => (a.as_int()?, b.as_int()?),
-                };
-                self.tick(prof.int_cost)?;
-                Ok(Some(RtVal::Int(eval::icmp(*pred, x, y) as i64)))
-            }
-            InstKind::FCmp { pred, lhs, rhs } => {
-                let a = self.eval(frame, *lhs)?.as_f64()?;
-                let b = self.eval(frame, *rhs)?.as_f64()?;
-                self.tick(prof.flop_cost)?;
-                Ok(Some(RtVal::Int(eval::fcmp(*pred, a, b) as i64)))
-            }
-            InstKind::Alloca { mem } => {
-                let size = (mem.size_bytes() + 7) & !7;
-                let base = self.sp;
-                self.sp += size;
-                if self.sp >= STACK_BASE + STACK_SIZE {
-                    return Err(ExecError("stack overflow".into()));
-                }
-                // Zero the slot (fresh allocas read as zero).
-                for b in &mut self.mem[base as usize..(base + size) as usize] {
-                    *b = 0;
-                }
-                self.tick(prof.int_cost)?;
-                Ok(Some(RtVal::Ptr(base)))
-            }
-            InstKind::Load { ptr } => {
-                let addr = self.eval(frame, *ptr)?.as_ptr()?;
-                let size = inst.ty.size_bytes();
-                self.bytes += size;
-                let cost = if inst.ty.is_vector() {
-                    prof.vec_mem_cost
-                } else {
-                    prof.mem_cost
-                };
-                self.tick(cost)?;
-                let v = match inst.ty {
-                    Type::F64 => RtVal::F64(f64::from_bits(self.load_u64(addr)?)),
-                    Type::Ptr => RtVal::Ptr(self.load_u64(addr)?),
-                    Type::I64 => RtVal::Int(self.load_u64(addr)? as i64),
-                    Type::I32 => RtVal::Int(self.load_u32(addr)? as i32 as i64),
-                    Type::I8 | Type::I1 => RtVal::Int(self.load_u8(addr)? as i8 as i64),
-                    Type::Vec(vt) => {
-                        let mut r = VecVal::zero(vt);
-                        for i in 0..r.lanes() {
-                            r.bits[i] = self.load_u64(addr + 8 * i as u64)?;
-                        }
-                        RtVal::Vec(r)
-                    }
-                    Type::Void => return Err(ExecError("load of void".into())),
-                };
-                Ok(Some(v))
-            }
-            InstKind::Store { val, ptr } => {
-                let addr = self.eval(frame, *ptr)?.as_ptr()?;
-                let v = self.eval(frame, *val)?;
-                let ty = f.value_type(*val);
-                self.bytes += ty.size_bytes();
-                let cost = if ty.is_vector() {
-                    prof.vec_mem_cost
-                } else {
-                    prof.mem_cost
-                };
-                self.tick(cost)?;
-                match (ty, v) {
-                    (Type::Vec(_), RtVal::Vec(x)) => {
-                        for i in 0..x.lanes() {
-                            self.store_u64(addr + 8 * i as u64, x.bits[i])?;
-                        }
-                    }
-                    (Type::F64, RtVal::F64(x)) => self.store_u64(addr, x.to_bits())?,
-                    (Type::Ptr, RtVal::Ptr(p)) => self.store_u64(addr, p)?,
-                    (Type::I64, RtVal::Int(x)) => self.store_u64(addr, x as u64)?,
-                    (Type::I32, RtVal::Int(x)) => self.store_u32(addr, x as u32)?,
-                    (Type::I8 | Type::I1, RtVal::Int(x)) => self.store_u8(addr, x as u8)?,
-                    (t, v) => return Err(ExecError(format!("store type mismatch: {t} vs {v:?}"))),
-                }
-                Ok(None)
-            }
-            InstKind::Gep {
-                elem,
-                base,
-                indices,
-            } => {
-                let mut addr = self.eval(frame, *base)?.as_ptr()?;
-                let strides = elem.gep_strides();
-                for (k, idx) in indices.iter().enumerate() {
-                    let i = self.eval(frame, *idx)?.as_int()?;
-                    addr = addr.wrapping_add((strides[k] as i64).wrapping_mul(i) as u64);
-                }
-                self.tick(prof.int_cost)?;
-                Ok(Some(RtVal::Ptr(addr)))
-            }
-            InstKind::Cast { op, val } => {
-                let v = self.eval(frame, *val)?;
-                if let Type::Vec(vt) = inst.ty {
-                    let src = v.as_vec()?;
-                    let mut r = VecVal::zero(vt);
-                    match op {
-                        CastOp::SiToFp => {
-                            for i in 0..r.lanes() {
-                                r.set_f64(i, eval::int_to_float(src.lane_i64(i)));
-                            }
-                        }
-                        CastOp::FpToSi => {
-                            for i in 0..r.lanes() {
-                                r.set_i64(i, eval::float_to_int(src.lane_f64(i), Type::I64));
-                            }
-                        }
-                        other => {
-                            return Err(ExecError(format!(
-                                "unsupported vector cast {}",
-                                other.name()
-                            )))
-                        }
-                    }
-                    self.tick(prof.vec_op_cost)?;
-                    return Ok(Some(RtVal::Vec(r)));
-                }
-                self.tick(prof.int_cost)?;
-                let r = match op {
-                    CastOp::Bitcast => v,
-                    CastOp::SiToFp => RtVal::F64(eval::int_to_float(v.as_int()?)),
-                    CastOp::FpToSi => RtVal::Int(eval::float_to_int(v.as_f64()?, inst.ty)),
-                    CastOp::Sext | CastOp::Zext | CastOp::Trunc => {
-                        let from = f.value_type(*val);
-                        RtVal::Int(eval::int_cast(*op, v.as_int()?, from, inst.ty))
-                    }
-                };
-                Ok(Some(r))
-            }
-            InstKind::Select {
-                cond,
-                then_val,
-                else_val,
-            } => {
-                let c = self.eval(frame, *cond)?.as_int()?;
-                let r = if c != 0 {
-                    self.eval(frame, *then_val)?
-                } else {
-                    self.eval(frame, *else_val)?
-                };
-                self.tick(prof.int_cost)?;
-                Ok(Some(r))
-            }
-            InstKind::Call { callee, args } => {
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args {
-                    vals.push(self.eval(frame, *a)?);
-                }
-                match callee {
-                    Callee::Func(cid) => {
-                        self.tick(prof.call_cost)?;
-                        Ok(self.call(*cid, vals)?)
-                    }
-                    Callee::External(name) => {
-                        let nm = self.module.name_of(*name);
-                        self.call_external(f, nm, args, vals)
-                    }
-                }
-            }
-            InstKind::Splat { val } => {
-                let ty = inst
-                    .ty
-                    .vec_ty()
-                    .ok_or_else(|| ExecError("splat to non-vector".into()))?;
-                let v = self.eval(frame, *val)?;
-                let mut r = VecVal::zero(ty);
-                for i in 0..r.lanes() {
-                    r.set_lane(i, v)?;
-                }
-                self.tick(prof.vec_shuffle_cost)?;
-                Ok(Some(RtVal::Vec(r)))
-            }
-            InstKind::ExtractLane { vec, lane } => {
-                let v = self.eval(frame, *vec)?.as_vec()?;
-                if *lane as usize >= v.lanes() {
-                    return Err(ExecError(format!("lane {lane} out of range")));
-                }
-                self.tick(prof.vec_shuffle_cost)?;
-                Ok(Some(v.lane(*lane as usize)))
-            }
-            InstKind::InsertLane { vec, val, lane } => {
-                let mut v = self.eval(frame, *vec)?.as_vec()?;
-                if *lane as usize >= v.lanes() {
-                    return Err(ExecError(format!("lane {lane} out of range")));
-                }
-                let x = self.eval(frame, *val)?;
-                v.set_lane(*lane as usize, x)?;
-                self.tick(prof.vec_shuffle_cost)?;
-                Ok(Some(RtVal::Vec(v)))
-            }
-            InstKind::Reduce { op, acc, vec } => {
-                let v = self.eval(frame, *vec)?.as_vec()?;
-                let a = self.eval(frame, *acc)?;
-                // Ordered fold, lane 0 first; min/max follow the scalar
-                // compare+select idiom exactly so devectorized loops are
-                // bit-identical.
-                let r = if v.ty.elem.is_float() {
-                    let mut acc = a.as_f64()?;
-                    for i in 0..v.lanes() {
-                        let x = v.lane_f64(i);
-                        acc = match op {
-                            ReduceOp::Add => eval::float_bin(BinOp::FAdd, acc, x)?,
-                            ReduceOp::Min if eval::fcmp(FPred::Olt, x, acc) => x,
-                            ReduceOp::Max if eval::fcmp(FPred::Ogt, x, acc) => x,
-                            ReduceOp::Min | ReduceOp::Max => acc,
-                        };
-                    }
-                    RtVal::F64(acc)
-                } else {
-                    let mut acc = a.as_int()?;
-                    for i in 0..v.lanes() {
-                        let x = v.lane_i64(i);
-                        acc = match op {
-                            ReduceOp::Add => eval::int_bin(BinOp::Add, acc, x, Type::I64)?,
-                            ReduceOp::Min if eval::icmp(IPred::Slt, x, acc) => x,
-                            ReduceOp::Max if eval::icmp(IPred::Sgt, x, acc) => x,
-                            ReduceOp::Min | ReduceOp::Max => acc,
-                        };
-                    }
-                    RtVal::Int(acc)
-                };
-                self.tick(prof.vec_shuffle_cost * v.lanes() as u64 / 2)?;
-                Ok(Some(r))
-            }
-            InstKind::DbgValue { .. } | InstKind::Nop => {
-                // Debug intrinsics are free.
-                Ok(None)
-            }
-            InstKind::Phi { .. }
-            | InstKind::Br { .. }
-            | InstKind::CondBr { .. }
-            | InstKind::Ret { .. }
-            | InstKind::Unreachable => unreachable!("handled by run_frame"),
+    #[inline(always)]
+    fn get(&self, code: &Code, base: usize, s: Slot) -> Result<RtVal, ExecError> {
+        match self.regs[base + s as usize] {
+            Some(v) => Ok(v),
+            None => Err(code.unset(s)),
         }
     }
 
-    fn call_external(
+    #[inline(always)]
+    fn set(&mut self, base: usize, s: Slot, v: RtVal) {
+        self.regs[base + s as usize] = Some(v);
+    }
+
+    #[inline(always)]
+    fn int(&self, code: &Code, base: usize, s: Slot) -> Result<i64, ExecError> {
+        match self.regs[base + s as usize] {
+            Some(RtVal::Int(v)) => Ok(v),
+            _ => self.get(code, base, s)?.as_int(),
+        }
+    }
+
+    #[inline(always)]
+    fn float(&self, code: &Code, base: usize, s: Slot) -> Result<f64, ExecError> {
+        match self.regs[base + s as usize] {
+            Some(RtVal::F64(v)) => Ok(v),
+            _ => self.get(code, base, s)?.as_f64(),
+        }
+    }
+
+    #[inline(always)]
+    fn ptr(&self, code: &Code, base: usize, s: Slot) -> Result<u64, ExecError> {
+        match self.regs[base + s as usize] {
+            Some(RtVal::Ptr(p)) => Ok(p),
+            _ => self.get(code, base, s)?.as_ptr(),
+        }
+    }
+
+    /// Both operands as integers: both are read before either's kind is
+    /// checked.
+    #[inline(always)]
+    fn ints(&self, code: &Code, base: usize, a: Slot, b: Slot) -> Result<(i64, i64), ExecError> {
+        if let Some(RtVal::Int(x)) = self.regs[base + a as usize] {
+            if let Some(RtVal::Int(y)) = self.regs[base + b as usize] {
+                return Ok((x, y));
+            }
+        }
+        let (x, y) = (self.get(code, base, a)?, self.get(code, base, b)?);
+        Ok((x.as_int()?, y.as_int()?))
+    }
+
+    /// Both operands as floats, read like [`Vm::ints`].
+    #[inline(always)]
+    fn floats(&self, code: &Code, base: usize, a: Slot, b: Slot) -> Result<(f64, f64), ExecError> {
+        if let Some(RtVal::F64(x)) = self.regs[base + a as usize] {
+            if let Some(RtVal::F64(y)) = self.regs[base + b as usize] {
+                return Ok((x, y));
+            }
+        }
+        let (x, y) = (self.get(code, base, a)?, self.get(code, base, b)?);
+        Ok((x.as_f64()?, y.as_f64()?))
+    }
+
+    /// `icmp`'s operands: two integers, or two pointers compared as
+    /// integers.
+    #[inline(always)]
+    fn compared(&self, code: &Code, base: usize, a: Slot, b: Slot) -> Result<(i64, i64), ExecError> {
+        if let Some(RtVal::Int(x)) = self.regs[base + a as usize] {
+            if let Some(RtVal::Int(y)) = self.regs[base + b as usize] {
+                return Ok((x, y));
+            }
+        }
+        match (self.get(code, base, a)?, self.get(code, base, b)?) {
+            (RtVal::Ptr(p), RtVal::Ptr(q)) => Ok((p as i64, q as i64)),
+            (x, y) => Ok((x.as_int()?, y.as_int()?)),
+        }
+    }
+
+    /// Take edge `e`: evaluate every phi of its target, then assign them,
+    /// one cycle each. Returns the target's first op.
+    fn take_edge(&mut self, code: &Code, base: usize, e: u32) -> Result<usize, ExecError> {
+        let edge = code.edges[e as usize];
+        let moves = &code.moves[edge.first as usize..(edge.first + edge.len) as usize];
+        if let [m] = moves {
+            let v = self.phi_source(code, base, edge, *m)?;
+            self.regs[base + m.dst as usize] = Some(v);
+            self.tick(1)?;
+        } else if !moves.is_empty() {
+            let mut vals = std::mem::take(&mut self.phi_scratch);
+            vals.clear();
+            for &m in moves {
+                vals.push(self.phi_source(code, base, edge, m)?);
+            }
+            for (m, &v) in moves.iter().zip(&vals) {
+                self.regs[base + m.dst as usize] = Some(v);
+                self.tick(1)?;
+            }
+            self.phi_scratch = vals;
+        }
+        Ok(edge.pc as usize)
+    }
+
+    #[inline(always)]
+    fn phi_source(&self, code: &Code, base: usize, edge: Edge, m: Move) -> Result<RtVal, ExecError> {
+        if m.src == NO_SLOT {
+            return Err(ExecError(format!(
+                "phi {} missing incoming for {}",
+                InstId(m.dst),
+                edge.from
+            )));
+        }
+        self.get(code, base, m.src)
+    }
+
+    /// Execute `code` in the frame at `base` from its entry.
+    fn run(&mut self, code: &Code, base: usize) -> Result<Option<RtVal>, ExecError> {
+        let mut pc = code.entry as usize;
+        loop {
+            let op = code.ops[pc];
+            pc += 1;
+            match op {
+                Op::IntBin {
+                    op,
+                    ty,
+                    dst,
+                    a,
+                    b,
+                    cost,
+                } => {
+                    let (x, y) = self.ints(code, base, a, b)?;
+                    let r = eval::int_bin(op, x, y, ty)?;
+                    self.tick(cost)?;
+                    self.set(base, dst, RtVal::Int(r));
+                }
+                Op::FloatBin {
+                    op,
+                    dst,
+                    a,
+                    b,
+                    cost,
+                } => {
+                    let (x, y) = self.floats(code, base, a, b)?;
+                    let r = eval::float_bin(op, x, y)?;
+                    self.tick(cost)?;
+                    self.set(base, dst, RtVal::F64(r));
+                }
+                Op::VecBin {
+                    op,
+                    vt,
+                    dst,
+                    a,
+                    b,
+                    cost,
+                } => {
+                    let (x, y) = (self.get(code, base, a)?, self.get(code, base, b)?);
+                    let r = vec_bin(op, vt, x.as_vec()?, y.as_vec()?)?;
+                    self.tick(cost)?;
+                    self.set(base, dst, RtVal::Vec(r));
+                }
+                Op::ICmp {
+                    pred,
+                    dst,
+                    a,
+                    b,
+                    cost,
+                } => {
+                    let (x, y) = self.compared(code, base, a, b)?;
+                    self.tick(cost)?;
+                    self.set(base, dst, RtVal::Int(eval::icmp(pred, x, y) as i64));
+                }
+                Op::FCmp {
+                    pred,
+                    dst,
+                    a,
+                    b,
+                    cost,
+                } => {
+                    let x = self.float(code, base, a)?;
+                    let y = self.float(code, base, b)?;
+                    self.tick(cost)?;
+                    self.set(base, dst, RtVal::Int(eval::fcmp(pred, x, y) as i64));
+                }
+                Op::Alloca { dst, size, cost } => {
+                    let addr = self.sp;
+                    self.sp += size;
+                    if self.sp >= STACK_TOP {
+                        return Err(ExecError("stack overflow".into()));
+                    }
+                    // Fresh allocas read as zero.
+                    self.mem.zero_stack(addr, self.sp);
+                    self.tick(cost)?;
+                    self.set(base, dst, RtVal::Ptr(addr));
+                }
+                Op::Load {
+                    ty,
+                    dst,
+                    ptr,
+                    size,
+                    cost,
+                } => {
+                    let addr = self.ptr(code, base, ptr)?;
+                    self.bytes += size;
+                    self.tick(cost)?;
+                    let mem = &self.mem;
+                    let v = match ty {
+                        Type::F64 => RtVal::F64(f64::from_bits(mem.load_u64(addr)?)),
+                        Type::Ptr => RtVal::Ptr(mem.load_u64(addr)?),
+                        Type::I64 => RtVal::Int(mem.load_u64(addr)? as i64),
+                        Type::I32 => RtVal::Int(u32::from_le_bytes(mem.read(addr)?) as i32 as i64),
+                        Type::I8 | Type::I1 => RtVal::Int(mem.read::<1>(addr)?[0] as i8 as i64),
+                        Type::Vec(vt) => {
+                            let mut r = VecVal::zero(vt);
+                            for i in 0..r.lanes() {
+                                r.bits[i] = mem.load_u64(addr + 8 * i as u64)?;
+                            }
+                            RtVal::Vec(r)
+                        }
+                        Type::Void => unreachable!("void loads are lowered to a failure"),
+                    };
+                    self.set(base, dst, v);
+                }
+                Op::Store {
+                    ty,
+                    val,
+                    ptr,
+                    size,
+                    cost,
+                } => {
+                    let addr = self.ptr(code, base, ptr)?;
+                    let v = self.get(code, base, val)?;
+                    self.bytes += size;
+                    self.tick(cost)?;
+                    let mem = &mut self.mem;
+                    match (ty, v) {
+                        (Type::Vec(_), RtVal::Vec(x)) => {
+                            for i in 0..x.lanes() {
+                                mem.store_u64(addr + 8 * i as u64, x.bits[i])?;
+                            }
+                        }
+                        (Type::F64, RtVal::F64(x)) => mem.store_u64(addr, x.to_bits())?,
+                        (Type::Ptr, RtVal::Ptr(p)) => mem.store_u64(addr, p)?,
+                        (Type::I64, RtVal::Int(x)) => mem.store_u64(addr, x as u64)?,
+                        (Type::I32, RtVal::Int(x)) => mem.write(addr, (x as u32).to_le_bytes())?,
+                        (Type::I8 | Type::I1, RtVal::Int(x)) => mem.write(addr, [x as u8])?,
+                        (t, v) => {
+                            return Err(ExecError(format!("store type mismatch: {t} vs {v:?}")))
+                        }
+                    }
+                }
+                Op::Gep {
+                    dst,
+                    base: ptr,
+                    first,
+                    len,
+                    cost,
+                } => {
+                    let mut addr = self.ptr(code, base, ptr)?;
+                    for &(s, stride) in &code.geps[first as usize..(first + len) as usize] {
+                        let i = self.int(code, base, s)?;
+                        addr = addr.wrapping_add(stride.wrapping_mul(i) as u64);
+                    }
+                    self.tick(cost)?;
+                    self.set(base, dst, RtVal::Ptr(addr));
+                }
+                Op::Bitcast { dst, src, cost } => {
+                    let v = self.get(code, base, src)?;
+                    self.tick(cost)?;
+                    self.set(base, dst, v);
+                }
+                Op::SiToFp { dst, src, cost } => {
+                    let v = self.get(code, base, src)?;
+                    self.tick(cost)?;
+                    self.set(base, dst, RtVal::F64(eval::int_to_float(v.as_int()?)));
+                }
+                Op::FpToSi { ty, dst, src, cost } => {
+                    let v = self.get(code, base, src)?;
+                    self.tick(cost)?;
+                    self.set(base, dst, RtVal::Int(eval::float_to_int(v.as_f64()?, ty)));
+                }
+                Op::IntCast {
+                    op,
+                    from,
+                    to,
+                    dst,
+                    src,
+                    cost,
+                } => {
+                    let v = self.get(code, base, src)?;
+                    self.tick(cost)?;
+                    self.set(base, dst, RtVal::Int(eval::int_cast(op, v.as_int()?, from, to)));
+                }
+                Op::VecCast {
+                    op,
+                    vt,
+                    dst,
+                    src,
+                    cost,
+                } => {
+                    let r = vec_cast(op, vt, self.get(code, base, src)?.as_vec()?)?;
+                    self.tick(cost)?;
+                    self.set(base, dst, RtVal::Vec(r));
+                }
+                Op::Select {
+                    dst,
+                    cond,
+                    then_val,
+                    else_val,
+                    cost,
+                } => {
+                    let c = self.int(code, base, cond)?;
+                    let r = self.get(code, base, if c != 0 { then_val } else { else_val })?;
+                    self.tick(cost)?;
+                    self.set(base, dst, r);
+                }
+                Op::Call {
+                    callee,
+                    dst,
+                    first,
+                    len,
+                    cost,
+                } => {
+                    let args = &code.lists[first as usize..(first + len) as usize];
+                    for &s in args {
+                        self.get(code, base, s)?;
+                    }
+                    self.tick(cost)?;
+                    let r = self.invoke(callee, Args::Slots(base, args))?;
+                    self.regs[base + dst as usize] = r;
+                }
+                Op::External {
+                    ext,
+                    dst,
+                    first,
+                    len,
+                    cost,
+                } => {
+                    let mut vals = std::mem::take(&mut self.ext_args);
+                    vals.clear();
+                    for &s in &code.lists[first as usize..(first + len) as usize] {
+                        vals.push(self.get(code, base, s)?);
+                    }
+                    let r = self.external(ext, &mut vals, cost);
+                    self.ext_args = vals;
+                    if let Some(v) = r? {
+                        self.set(base, dst, v);
+                    }
+                }
+                Op::Splat { vt, dst, src, cost } => {
+                    let v = self.get(code, base, src)?;
+                    let mut r = VecVal::zero(vt);
+                    for i in 0..r.lanes() {
+                        r.set_lane(i, v)?;
+                    }
+                    self.tick(cost)?;
+                    self.set(base, dst, RtVal::Vec(r));
+                }
+                Op::ExtractLane {
+                    lane,
+                    dst,
+                    vec,
+                    cost,
+                } => {
+                    let v = self.get(code, base, vec)?.as_vec()?;
+                    if lane as usize >= v.lanes() {
+                        return Err(ExecError(format!("lane {lane} out of range")));
+                    }
+                    self.tick(cost)?;
+                    self.set(base, dst, v.lane(lane as usize));
+                }
+                Op::InsertLane {
+                    lane,
+                    dst,
+                    vec,
+                    val,
+                    cost,
+                } => {
+                    let mut v = self.get(code, base, vec)?.as_vec()?;
+                    if lane as usize >= v.lanes() {
+                        return Err(ExecError(format!("lane {lane} out of range")));
+                    }
+                    let x = self.get(code, base, val)?;
+                    v.set_lane(lane as usize, x)?;
+                    self.tick(cost)?;
+                    self.set(base, dst, RtVal::Vec(v));
+                }
+                Op::Reduce {
+                    op,
+                    dst,
+                    acc,
+                    vec,
+                    cost,
+                } => {
+                    let v = self.get(code, base, vec)?.as_vec()?;
+                    let a = self.get(code, base, acc)?;
+                    let r = reduce(op, a, v)?;
+                    self.tick(cost * v.lanes() as u64 / 2)?;
+                    self.set(base, dst, r);
+                }
+                Op::Br { edge, cost } => {
+                    self.tick(cost)?;
+                    pc = self.take_edge(code, base, edge)?;
+                }
+                Op::CondBr {
+                    cond,
+                    then_edge,
+                    else_edge,
+                    cost,
+                } => {
+                    self.tick(cost)?;
+                    let c = self.int(code, base, cond)?;
+                    let edge = if c != 0 { then_edge } else { else_edge };
+                    pc = self.take_edge(code, base, edge)?;
+                }
+                Op::Ret { val } => {
+                    return match val {
+                        NO_SLOT => Ok(None),
+                        v => self.get(code, base, v).map(Some),
+                    };
+                }
+                Op::Fail(failure) => {
+                    return Err(ExecError(match failure {
+                        Failure::Unreachable => "reached unreachable".into(),
+                        Failure::FellThrough(b) => format!("block {b} fell through"),
+                        Failure::PhiInEntry => "phi in entry block has no predecessor".into(),
+                        Failure::SplatToScalar => "splat to non-vector".into(),
+                        Failure::Malformed(what) => panic!("malformed IR: {what}"),
+                    }))
+                }
+            }
+        }
+    }
+
+    fn external(
         &mut self,
-        f: &splendid_ir::Function,
-        name: &str,
-        arg_values: &[Value],
-        vals: Vec<RtVal>,
+        ext: External,
+        vals: &mut [RtVal],
+        cost: u64,
     ) -> Result<Option<RtVal>, ExecError> {
-        let prof = self.config.profile;
-        match name {
-            "exp" | "sqrt" | "fabs" | "log" | "sin" | "cos" | "floor" => {
+        match ext {
+            External::Math(name, f) => {
                 let x = vals
                     .first()
                     .ok_or_else(|| ExecError(format!("{name} needs an argument")))?
                     .as_f64()?;
-                let r = match name {
-                    "exp" => x.exp(),
-                    "sqrt" => x.sqrt(),
-                    "fabs" => x.abs(),
-                    "log" => x.ln(),
-                    "sin" => x.sin(),
-                    "cos" => x.cos(),
-                    "floor" => x.floor(),
-                    _ => unreachable!(),
-                };
-                self.tick(prof.mathfn_cost)?;
+                let r = f(x);
+                self.tick(cost)?;
                 Ok(Some(RtVal::F64(r)))
             }
-            "pow" => {
+            External::Pow => {
                 let [x, y] = vals[..] else {
                     return Err(ExecError(format!(
                         "pow needs two arguments, got {}",
@@ -751,30 +1678,26 @@ impl<'m> Vm<'m> {
                     )));
                 };
                 let (x, y) = (x.as_f64()?, y.as_f64()?);
-                self.tick(prof.mathfn_cost)?;
+                self.tick(cost)?;
                 Ok(Some(RtVal::F64(x.powf(y))))
             }
-            KMPC_FORK_CALL | GOMP_PARALLEL => {
-                self.exec_fork(f, arg_values, vals)?;
+            External::Fork(region) => {
+                self.exec_fork(region, vals)?;
                 Ok(None)
             }
-            KMPC_FOR_STATIC_INIT | GOMP_LOOP_STATIC_BOUNDS => {
-                self.exec_static_init(vals)?;
+            External::StaticInit => {
+                self.exec_static_init(vals, cost)?;
                 Ok(None)
             }
-            KMPC_FOR_STATIC_FINI => {
-                self.tick(self.config.sched_overhead)?;
+            External::StaticFini | External::Barrier => {
+                self.tick(cost)?;
                 Ok(None)
             }
-            KMPC_BARRIER | GOMP_BARRIER => {
-                self.tick(self.config.barrier_overhead)?;
-                Ok(None)
-            }
-            // The decompiler's pragma and simd markers are metadata;
-            // executing a detransformed (pre-emission) module treats
-            // them as free.
-            "splendid.omp.mark" | "splendid.simd.mark" => Ok(None),
-            other => Err(ExecError(format!("call to unknown external '{other}'"))),
+            External::Marker => Ok(None),
+            External::Unknown(name) => Err(ExecError(format!(
+                "call to unknown external '{}'",
+                self.module.name_of(name)
+            ))),
         }
     }
 
@@ -782,24 +1705,19 @@ impl<'m> Vm<'m> {
     /// sequentially (DOALL regions are race-free, so sequential thread
     /// execution is observationally equivalent), charging
     /// `fork_overhead + max(per-thread cycles)` bounded below by the memory
-    /// bandwidth ceiling.
-    fn exec_fork(
-        &mut self,
-        _f: &splendid_ir::Function,
-        arg_values: &[Value],
-        vals: Vec<RtVal>,
-    ) -> Result<(), ExecError> {
+    /// bandwidth ceiling. `vals` are the call's operands, the region's
+    /// token first; each thread gets its id in its place.
+    fn exec_fork(&mut self, region: Option<FuncId>, vals: &mut [RtVal]) -> Result<(), ExecError> {
         if self.in_parallel {
             return Err(ExecError(
                 "nested parallel regions are not supported".into(),
             ));
         }
-        let Some(Value::Function(region)) = arg_values.first().copied() else {
+        let Some(region) = region else {
             return Err(ExecError(
                 "fork call must take a function as first operand".into(),
             ));
         };
-        let region_args: Vec<RtVal> = vals[1..].to_vec();
         let cores = self.config.cores.max(1);
         let saved_cycles = self.cycles;
         let saved_bytes = self.bytes;
@@ -809,10 +1727,8 @@ impl<'m> Vm<'m> {
         for tid in 0..cores {
             self.cycles = 0;
             self.bytes = 0;
-            let mut args = vec![RtVal::Int(tid as i64)];
-            args.extend(region_args.iter().copied());
-            let r = self.call(region, args);
-            if let Err(e) = r {
+            vals[0] = RtVal::Int(tid as i64);
+            if let Err(e) = self.invoke(region, Args::Values(vals)) {
                 self.in_parallel = false;
                 return Err(e);
             }
@@ -829,7 +1745,7 @@ impl<'m> Vm<'m> {
 
     /// `(tid, p_lb, p_ub, step, chunk, orig_lb, orig_ub_incl)`: write this
     /// thread's static chunk into `p_lb`/`p_ub` (inclusive bounds).
-    fn exec_static_init(&mut self, vals: Vec<RtVal>) -> Result<(), ExecError> {
+    fn exec_static_init(&mut self, vals: &[RtVal], cost: u64) -> Result<(), ExecError> {
         if vals.len() != 7 {
             return Err(ExecError(format!(
                 "static init expects 7 operands, got {}",
@@ -861,58 +1777,88 @@ impl<'m> Vm<'m> {
         } else {
             (orig_lb + my_first * step, orig_lb + my_last * step)
         };
-        self.store_u64(p_lb, lb as u64)?;
-        self.store_u64(p_ub, ub as u64)?;
-        self.tick(self.config.sched_overhead)?;
+        self.mem.store_u64(p_lb, lb as u64)?;
+        self.mem.store_u64(p_ub, ub as u64)?;
+        self.tick(cost)?;
         Ok(())
     }
+}
 
-    // ---- raw memory -----------------------------------------------------
+/// Lane-wise `x op y`; the opcode's kind must match the lanes'.
+fn vec_bin(op: BinOp, vt: VecTy, x: VecVal, y: VecVal) -> Result<VecVal, ExecError> {
+    if vt.elem.is_float() != op.is_float() {
+        let (opk, veck) = if op.is_float() {
+            ("float", "int")
+        } else {
+            ("int", "float")
+        };
+        return Err(ExecError(format!(
+            "{opk} opcode {} on {veck} vector",
+            op.name()
+        )));
+    }
+    let mut r = VecVal::zero(vt);
+    for i in 0..r.lanes() {
+        r.bits[i] = if vt.elem.is_float() {
+            eval::float_bin(op, x.lane_f64(i), y.lane_f64(i))?.to_bits()
+        } else {
+            eval::int_bin(op, x.lane_i64(i), y.lane_i64(i), Type::I64)? as u64
+        };
+    }
+    Ok(r)
+}
 
-    fn check(&self, addr: u64, size: u64) -> Result<usize, ExecError> {
-        let end = addr
-            .checked_add(size)
-            .ok_or_else(|| ExecError("address overflow".into()))?;
-        if addr < 8 || end > self.mem.len() as u64 {
-            return Err(ExecError(format!(
-                "out-of-bounds access at {addr:#x} (+{size})"
-            )));
+fn vec_cast(op: CastOp, vt: VecTy, src: VecVal) -> Result<VecVal, ExecError> {
+    let mut r = VecVal::zero(vt);
+    match op {
+        CastOp::SiToFp => {
+            for i in 0..r.lanes() {
+                r.set_f64(i, eval::int_to_float(src.lane_i64(i)));
+            }
         }
-        Ok(addr as usize)
+        CastOp::FpToSi => {
+            for i in 0..r.lanes() {
+                r.set_i64(i, eval::float_to_int(src.lane_f64(i), Type::I64));
+            }
+        }
+        other => {
+            return Err(ExecError(format!(
+                "unsupported vector cast {}",
+                other.name()
+            )))
+        }
     }
+    Ok(r)
+}
 
-    fn load_u64(&self, addr: u64) -> Result<u64, ExecError> {
-        let a = self.check(addr, 8)?;
-        Ok(u64::from_le_bytes(self.mem[a..a + 8].try_into().unwrap()))
-    }
-
-    fn load_u32(&self, addr: u64) -> Result<u32, ExecError> {
-        let a = self.check(addr, 4)?;
-        Ok(u32::from_le_bytes(self.mem[a..a + 4].try_into().unwrap()))
-    }
-
-    fn load_u8(&self, addr: u64) -> Result<u8, ExecError> {
-        let a = self.check(addr, 1)?;
-        Ok(self.mem[a])
-    }
-
-    fn store_u64(&mut self, addr: u64, v: u64) -> Result<(), ExecError> {
-        let a = self.check(addr, 8)?;
-        self.mem[a..a + 8].copy_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-
-    fn store_u32(&mut self, addr: u64, v: u32) -> Result<(), ExecError> {
-        let a = self.check(addr, 4)?;
-        self.mem[a..a + 4].copy_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-
-    fn store_u8(&mut self, addr: u64, v: u8) -> Result<(), ExecError> {
-        let a = self.check(addr, 1)?;
-        self.mem[a] = v;
-        Ok(())
-    }
+/// Ordered fold, lane 0 first; min/max follow the scalar compare+select
+/// idiom exactly so devectorized loops are bit-identical.
+fn reduce(op: ReduceOp, acc: RtVal, v: VecVal) -> Result<RtVal, ExecError> {
+    Ok(if v.ty.elem.is_float() {
+        let mut acc = acc.as_f64()?;
+        for i in 0..v.lanes() {
+            let x = v.lane_f64(i);
+            acc = match op {
+                ReduceOp::Add => eval::float_bin(BinOp::FAdd, acc, x)?,
+                ReduceOp::Min if eval::fcmp(FPred::Olt, x, acc) => x,
+                ReduceOp::Max if eval::fcmp(FPred::Ogt, x, acc) => x,
+                ReduceOp::Min | ReduceOp::Max => acc,
+            };
+        }
+        RtVal::F64(acc)
+    } else {
+        let mut acc = acc.as_int()?;
+        for i in 0..v.lanes() {
+            let x = v.lane_i64(i);
+            acc = match op {
+                ReduceOp::Add => eval::int_bin(BinOp::Add, acc, x, Type::I64)?,
+                ReduceOp::Min if eval::icmp(IPred::Slt, x, acc) => x,
+                ReduceOp::Max if eval::icmp(IPred::Sgt, x, acc) => x,
+                ReduceOp::Min | ReduceOp::Max => acc,
+            };
+        }
+        RtVal::Int(acc)
+    })
 }
 
 #[cfg(test)]
