@@ -165,46 +165,40 @@ struct Memory {
 }
 
 impl Memory {
-    /// The backing bytes of `[addr, addr + N)` if they lie in one part.
+    /// The part backing all of `[addr, addr + n)`, if one does, and the
+    /// offset into it: `(true, off)` for the globals.
     #[inline(always)]
-    fn backed<const N: usize>(&self, addr: u64) -> Option<&[u8]> {
-        let (part, off) = match addr.checked_sub(STACK_TOP) {
-            Some(off) => (&self.globals, off),
-            None if addr >= 8 => (&self.low, addr),
+    fn backing(&self, addr: u64, n: usize) -> Option<(bool, usize)> {
+        let (globals, off, len) = match addr.checked_sub(STACK_TOP) {
+            Some(off) => (true, off, self.globals.len()),
+            None if addr >= 8 => (false, addr, self.low.len()),
             None => return None,
         };
         let off = usize::try_from(off).ok()?;
-        part.get(off..off.checked_add(N)?)
-    }
-
-    #[inline(always)]
-    fn backed_mut<const N: usize>(&mut self, addr: u64) -> Option<&mut [u8]> {
-        let (part, off) = match addr.checked_sub(STACK_TOP) {
-            Some(off) => (&mut self.globals, off),
-            None if addr >= 8 => (&mut self.low, addr),
-            None => return None,
-        };
-        let off = usize::try_from(off).ok()?;
-        part.get_mut(off..off.checked_add(N)?)
+        (off.checked_add(n)? <= len).then_some((globals, off))
     }
 
     #[inline(always)]
     fn read<const N: usize>(&self, addr: u64) -> Result<[u8; N], ExecError> {
-        match self.backed::<N>(addr) {
-            Some(b) => Ok(b.try_into().unwrap_or([0; N])),
-            None => self.read_unbacked(addr),
-        }
+        let Some((globals, off)) = self.backing(addr, N) else {
+            return self.read_unbacked(addr);
+        };
+        let part = if globals { &self.globals } else { &self.low };
+        Ok(part[off..off + N].try_into().unwrap_or([0; N]))
     }
 
     #[inline(always)]
     fn write<const N: usize>(&mut self, addr: u64, bytes: [u8; N]) -> Result<(), ExecError> {
-        match self.backed_mut::<N>(addr) {
-            Some(b) => {
-                b.copy_from_slice(&bytes);
-                Ok(())
-            }
-            None => self.write_unbacked(addr, bytes),
-        }
+        let Some((globals, off)) = self.backing(addr, N) else {
+            return self.write_unbacked(addr, bytes);
+        };
+        let part = if globals {
+            &mut self.globals
+        } else {
+            &mut self.low
+        };
+        part[off..off + N].copy_from_slice(&bytes);
+        Ok(())
     }
 
     /// Bounds check of the whole address space.
@@ -236,7 +230,11 @@ impl Memory {
     }
 
     #[cold]
-    fn write_unbacked<const N: usize>(&mut self, addr: u64, bytes: [u8; N]) -> Result<(), ExecError> {
+    fn write_unbacked<const N: usize>(
+        &mut self,
+        addr: u64,
+        bytes: [u8; N],
+    ) -> Result<(), ExecError> {
         self.check(addr, N as u64)?;
         let low_end = (addr + N as u64).min(STACK_TOP) as usize;
         if addr < STACK_TOP && low_end > self.low.len() {
@@ -577,8 +575,7 @@ impl<'a> Lowering<'a> {
     fn lower(module: &Module, fid: FuncId, global_base: &[u64], config: &MachineConfig) -> Code {
         let f = module.func(fid);
         let insts = f.insts.len() as u32;
-        let mut frame = vec![None; f.insts.len()];
-        frame.extend(f.params.iter().map(|_| None));
+        let frame = vec![None; f.insts.len() + f.params.len()];
         let mut l = Lowering {
             module,
             f,
@@ -604,9 +601,9 @@ impl<'a> Lowering<'a> {
             l.block(b);
         }
         let malformed = l.code.ops.len() as u32;
-        l.code
-            .ops
-            .push(Op::Fail(Failure::Malformed("branch to a block that does not exist")));
+        l.code.ops.push(Op::Fail(Failure::Malformed(
+            "branch to a block that does not exist",
+        )));
         let pc_of = |b: BlockId| block_pc.get(b.index()).copied().unwrap_or(malformed);
         for (e, to) in l.code.edges.iter_mut().zip(&l.edge_targets) {
             e.pc = pc_of(*to);
@@ -1088,7 +1085,11 @@ impl<'m> Vm<'m> {
     /// Fill `out` with the 8-byte words from global `g`'s address on:
     /// `out[k]` holds the bits `read_global_f64` reads for element `k`.
     /// On failure, the index of the first unreadable word and its error.
-    pub fn read_global_words(&self, g: GlobalId, out: &mut [u64]) -> Result<(), (usize, ExecError)> {
+    pub fn read_global_words(
+        &self,
+        g: GlobalId,
+        out: &mut [u64],
+    ) -> Result<(), (usize, ExecError)> {
         let base = self.global_base[g.index()];
         let off = (base - STACK_TOP) as usize;
         match self.mem.globals.get(off..off + 8 * out.len()) {
@@ -1288,7 +1289,13 @@ impl<'m> Vm<'m> {
     /// `icmp`'s operands: two integers, or two pointers compared as
     /// integers.
     #[inline(always)]
-    fn compared(&self, code: &Code, base: usize, a: Slot, b: Slot) -> Result<(i64, i64), ExecError> {
+    fn compared(
+        &self,
+        code: &Code,
+        base: usize,
+        a: Slot,
+        b: Slot,
+    ) -> Result<(i64, i64), ExecError> {
         if let Some(RtVal::Int(x)) = self.regs[base + a as usize] {
             if let Some(RtVal::Int(y)) = self.regs[base + b as usize] {
                 return Ok((x, y));
@@ -1325,7 +1332,13 @@ impl<'m> Vm<'m> {
     }
 
     #[inline(always)]
-    fn phi_source(&self, code: &Code, base: usize, edge: Edge, m: Move) -> Result<RtVal, ExecError> {
+    fn phi_source(
+        &self,
+        code: &Code,
+        base: usize,
+        edge: Edge,
+        m: Move,
+    ) -> Result<RtVal, ExecError> {
         if m.src == NO_SLOT {
             return Err(ExecError(format!(
                 "phi {} missing incoming for {}",
@@ -1511,7 +1524,11 @@ impl<'m> Vm<'m> {
                 } => {
                     let v = self.get(code, base, src)?;
                     self.tick(cost)?;
-                    self.set(base, dst, RtVal::Int(eval::int_cast(op, v.as_int()?, from, to)));
+                    self.set(
+                        base,
+                        dst,
+                        RtVal::Int(eval::int_cast(op, v.as_int()?, from, to)),
+                    );
                 }
                 Op::VecCast {
                     op,
@@ -2102,6 +2119,35 @@ bb0 entry:
         let mut vm = Vm::new(&m, MachineConfig::default());
         let e = vm.call_by_name("f", &[RtVal::F64(2.0)]).unwrap_err();
         assert_eq!(e.0, "pow needs two arguments, got 1");
+    }
+
+    #[test]
+    fn phis_of_a_block_take_their_values_in_parallel() {
+        // Each trip round the loop swaps %0 and %1; assigned one after the
+        // other, both would end up equal.
+        let src = r#"
+module "swap"
+func @f($0:n i64) -> i64 {
+bb0 entry:
+  br bb1
+bb1 loop:
+  %0 = phi i64 [bb0: i64 1] [bb1: %1]
+  %1 = phi i64 [bb0: i64 2] [bb1: %0]
+  %2 = phi i64 [bb0: i64 0] [bb1: %3]
+  %3 = add i64 %2, i64 1
+  %4 = icmp slt %3, $0
+  condbr %4, bb1, bb2
+bb2 exit:
+  %5 = mul i64 %0, i64 10
+  %6 = add i64 %5, %1
+  ret %6
+}
+"#;
+        let m = splendid_ir::parser::parse_module(src).unwrap();
+        splendid_ir::verify::verify_module(&m).unwrap();
+        let mut vm = Vm::new(&m, MachineConfig::default());
+        let r = vm.call_by_name("f", &[RtVal::Int(4)]).unwrap();
+        assert_eq!(r, Some(RtVal::Int(21)));
     }
 
     #[test]

@@ -90,7 +90,6 @@ fn a_fresh_vm_allocates_its_globals_not_the_stack_region() {
     vm.call_by_name("kernel", &[]).unwrap();
     let allocated = ALLOCATED.load(Ordering::Relaxed);
     // Two 16 KB globals, a few hundred bytes of stack, the lowered code.
-    eprintln!("allocated {allocated}");
     assert!(allocated < 256 << 10, "allocated {allocated} bytes");
     assert!(vm.insts_executed() > 100_000);
 }

@@ -443,6 +443,20 @@ fn verify_types(f: &Function, i: InstId) -> Result<(), VerifyError> {
                 return err(name, format!("{i}: unsupported vector cast {}", op.name()));
             }
         }
+        InstKind::Cast { op, val } => {
+            let (from, to) = (vt(*val), inst.ty);
+            let ok = match op {
+                crate::CastOp::Trunc | crate::CastOp::Sext | crate::CastOp::Zext => {
+                    from.is_int() && to.is_int()
+                }
+                crate::CastOp::SiToFp => from.is_int() && to == Type::F64,
+                crate::CastOp::FpToSi => from == Type::F64 && to.is_int(),
+                crate::CastOp::Bitcast => true,
+            };
+            if !ok {
+                return err(name, format!("{i}: cast {} from {from} to {to}", op.name()));
+            }
+        }
         InstKind::CondBr { cond, .. } if vt(*cond) != Type::I1 => {
             return err(name, format!("{i}: condbr condition must be i1"));
         }
@@ -504,6 +518,28 @@ bb0 entry:
         let m = crate::parser::parse_module(twice).unwrap();
         let e = verify_module(&m).unwrap_err();
         assert_eq!(e.msg, "duplicate function name @f", "{e}");
+    }
+
+    #[test]
+    fn rejects_ill_typed_scalar_casts() {
+        // Verified, the first one ran and failed in the interpreter with
+        // `expected int, got F64(..)`.
+        for (cast, msg) in [
+            ("trunc $0 to i64", "cast trunc from f64 to i64"),
+            ("sext $0 to i64", "cast sext from f64 to i64"),
+            ("fptosi $1 to i64", "cast fptosi from i64 to i64"),
+            ("sitofp $0 to f64", "cast sitofp from f64 to f64"),
+            ("sitofp $1 to i32", "cast sitofp from i64 to i32"),
+        ] {
+            let text = format!(
+                "module \"casts\"\n\nfunc @f($0:x f64, $1:n i64) -> i64 {{\nbb0 entry:\n  %0 = cast {cast}\n  ret i64 0\n}}\n"
+            );
+            let m = crate::parser::parse_module(&text).unwrap();
+            let e = verify_module(&m).unwrap_err();
+            assert!(e.msg.ends_with(msg), "{cast}: {e}");
+        }
+        let ok = "module \"casts\"\n\nfunc @f($0:x f64, $1:n i64) -> i64 {\nbb0 entry:\n  %0 = cast trunc $1 to i32\n  %1 = cast sitofp %0 to f64\n  %2 = cast fptosi %1 to i64\n  %3 = cast bitcast $0 to i64\n  ret %2\n}\n";
+        verify_module(&crate::parser::parse_module(ok).unwrap()).unwrap();
     }
 
     #[test]

@@ -14,7 +14,9 @@ use splendid_polybench::{benchmarks, Benchmark, Harness};
 
 /// `(cycles, instructions executed, bits of Σ checksum_global)` after
 /// `init` and `kernel`.
-fn observe(module: &Module, config: MachineConfig, b: &Benchmark) -> (u64, u64, u64) {
+type Observed = (u64, u64, u64);
+
+fn observe(module: &Module, config: MachineConfig, b: &Benchmark) -> Observed {
     let mut vm = Vm::new(module, config);
     vm.call_by_name("init", &[]).unwrap();
     vm.call_by_name("kernel", &[]).unwrap();
@@ -29,7 +31,7 @@ fn observe(module: &Module, config: MachineConfig, b: &Benchmark) -> (u64, u64, 
 /// Per kernel: the parallel module under the default machine, then the
 /// decompiled C recompiled under each OpenMP runtime with the GCC
 /// profile (the routes of `end_to_end::full_roundtrip_*`).
-const PINS: [(&str, [(u64, u64, u64); 3]); 16] = [
+const PINS: [(&str, [Observed; 3]); 16] = [
     (
         "2mm",
         [

@@ -34,7 +34,7 @@ pub mod mutate;
 
 use splendid_cfront::{lower_program, parse_program, LowerOptions};
 use splendid_interp::{CompilerProfile, MachineConfig, RtVal, Vm};
-use splendid_ir::{hash::Fnv64, rng::Rng, Function, InstKind, Module, Type};
+use splendid_ir::{hash::Fnv64, rng::Rng, Function, GlobalId, InstKind, Module, Type};
 
 /// Checker bounds and seeding.
 #[derive(Debug, Clone)]
@@ -267,32 +267,35 @@ pub fn check_function(
     // Comparison model: every source global, word by word. Globals with
     // sub-word elements have no byte-accurate reader here; refuse rather
     // than under-compare.
+    let mut globals = Vec::with_capacity(src.globals.len());
     for g in &src.globals {
+        let name = src.name_of(g.name);
         if g.mem.elem().size_bytes() != 8 {
             return unv(
                 ReasonKind::UnsupportedGlobal,
-                format!("global '{}' has non-word elements", src.name_of(g.name)),
+                format!("global '{name}' has non-word elements"),
             );
         }
-        if !relowered
-            .globals
-            .iter()
-            .any(|r| relowered.name_of(r.name) == src.name_of(g.name))
-        {
+        let (Some(src_id), Some(re_id)) = (last_named(src, name), last_named(relowered, name))
+        else {
             return unv(
                 ReasonKind::Mismatch,
-                format!(
-                    "global '{}' missing from re-lowered module",
-                    src.name_of(g.name)
-                ),
+                format!("global '{name}' missing from re-lowered module"),
             );
-        }
+        };
+        globals.push(PairedGlobal {
+            name,
+            src: src_id,
+            re: re_id,
+            words: g.mem.num_elems() as usize,
+            seeded: g.mem.elem() == Type::F64,
+        });
     }
 
     let mut conclusive = 0u32;
     let mut first_src_failure: Option<Reason> = None;
     for probe in 0..cfg.probes.max(1) {
-        match run_probe(src, relowered, sf, rf, probe, cfg) {
+        match run_probe(src, relowered, sf, rf, &globals, probe, cfg) {
             ProbeOutcome::Agree => conclusive += 1,
             ProbeOutcome::Diverge(detail) => {
                 return unv(ReasonKind::Mismatch, format!("probe {probe}: {detail}"));
@@ -308,6 +311,26 @@ pub fn check_function(
         }));
     }
     Verdict::Verified
+}
+
+/// A source global and the re-lowered global of the same name, paired
+/// once per function. Each side is the module's last global of that
+/// name, the one `@name` and [`Vm::read_global_f64`] resolve to.
+struct PairedGlobal<'a> {
+    name: &'a str,
+    src: GlobalId,
+    re: GlobalId,
+    /// Elements of the source global, all 8-byte words.
+    words: usize,
+    /// Whether probes seed it (f64 elements).
+    seeded: bool,
+}
+
+fn last_named(m: &Module, name: &str) -> Option<GlobalId> {
+    m.globals
+        .iter()
+        .rposition(|g| m.name_of(g.name) == name)
+        .map(|i| GlobalId(i as u32))
 }
 
 fn seedable(ty: Type) -> bool {
@@ -358,6 +381,7 @@ fn run_probe(
     relowered: &Module,
     sf: &Function,
     rf: &Function,
+    globals: &[PairedGlobal<'_>],
     probe: u32,
     cfg: &ValidateConfig,
 ) -> ProbeOutcome {
@@ -366,16 +390,23 @@ fn run_probe(
     // Drive the source side into its seeded state. Only f64 words are
     // seeded (the only element type this pipeline's globals use); values
     // are finite and small so arithmetic stays finite-ish and branches on
-    // magnitudes are exercised. The re-lowered side replays the same
-    // stream below, once its fuel budget is known.
+    // magnitudes are exercised. The re-lowered side gets the same words
+    // below, once its fuel budget is known.
     let mut rng = ProbeRng::new(cfg.seed, src.name_of(sf.name), probe);
-    if probe > 0 {
-        if let Err(detail) = seed_globals(&mut vm_src, src, relowered, &mut rng) {
-            return ProbeOutcome::SourceFailed(Reason::new(
-                ReasonKind::Inconclusive,
-                format!("probe {probe}: {detail}"),
-            ));
-        }
+    let seeds: Vec<Vec<u64>> = if probe > 0 {
+        globals
+            .iter()
+            .filter(|g| g.seeded)
+            .map(|g| (0..g.words).map(|_| rng.next_f64().to_bits()).collect())
+            .collect()
+    } else {
+        Vec::new()
+    };
+    if let Err(detail) = seed_globals(&mut vm_src, globals, &seeds, |g| g.src) {
+        return ProbeOutcome::SourceFailed(Reason::new(
+            ReasonKind::Inconclusive,
+            format!("probe {probe}: {detail}"),
+        ));
     }
     let args: Vec<RtVal> = sf
         .params
@@ -420,14 +451,8 @@ fn run_probe(
         })
         .collect();
     let mut vm_re = Vm::new(relowered, cfg.machine(re_fuel));
-    if probe > 0 {
-        // Replay the exact seeding stream the source side consumed (the
-        // generator is keyed by (seed, function, probe), so restarting it
-        // reproduces the same values in the same order).
-        let mut rng = ProbeRng::new(cfg.seed, src.name_of(sf.name), probe);
-        if let Err(detail) = seed_globals(&mut vm_re, src, relowered, &mut rng) {
-            return ProbeOutcome::Diverge(format!("could not seed re-lowered side: {detail}"));
-        }
+    if let Err(detail) = seed_globals(&mut vm_re, globals, &seeds, |g| g.re) {
+        return ProbeOutcome::Diverge(format!("could not seed re-lowered side: {detail}"));
     }
     let re_ret = match vm_re.call_by_name(relowered.name_of(rf.name), &re_args) {
         Ok(r) => r,
@@ -441,27 +466,28 @@ fn run_probe(
     if let Some(detail) = compare_returns(src_ret, re_ret) {
         return ProbeOutcome::Diverge(detail);
     }
-    for g in &src.globals {
-        let gname = src.name_of(g.name);
-        for k in 0..g.mem.num_elems() {
-            let s = match vm_src.read_global_f64(gname, k) {
-                Ok(v) => v,
-                Err(e) => {
-                    return ProbeOutcome::SourceFailed(Reason::new(
-                        ReasonKind::Inconclusive,
-                        format!("probe {probe}: reading source global '{gname}': {e}"),
-                    ))
-                }
-            };
-            let r = match vm_re.read_global_f64(gname, k) {
-                Ok(v) => v,
-                Err(e) => {
-                    return ProbeOutcome::Diverge(format!(
-                        "re-lowered global '{gname}' unreadable: {e}"
-                    ))
-                }
-            };
-            if s.to_bits() != r.to_bits() {
+    let (mut s_words, mut r_words) = (Vec::new(), Vec::new());
+    for g in globals {
+        s_words.resize(g.words, 0);
+        r_words.resize(g.words, 0);
+        // Where each side's words stop being readable, and why.
+        let s_end = vm_src.read_global_words(g.src, &mut s_words).err();
+        let r_end = vm_re.read_global_words(g.re, &mut r_words).err();
+        let gname = g.name;
+        for k in 0..g.words {
+            if let Some((_, e)) = s_end.as_ref().filter(|(at, _)| *at == k) {
+                return ProbeOutcome::SourceFailed(Reason::new(
+                    ReasonKind::Inconclusive,
+                    format!("probe {probe}: reading source global '{gname}': {e}"),
+                ));
+            }
+            if let Some((_, e)) = r_end.as_ref().filter(|(at, _)| *at == k) {
+                return ProbeOutcome::Diverge(format!(
+                    "re-lowered global '{gname}' unreadable: {e}"
+                ));
+            }
+            if s_words[k] != r_words[k] {
+                let (s, r) = (f64::from_bits(s_words[k]), f64::from_bits(r_words[k]));
                 return ProbeOutcome::Diverge(format!(
                     "global {gname}[{k}]: source {s:?} vs re-lowered {r:?}"
                 ));
@@ -471,32 +497,18 @@ fn run_probe(
     ProbeOutcome::Agree
 }
 
-/// Write one deterministic value stream into every f64 global that both
-/// modules declare. Globals only one side knows about are skipped (their
-/// absence is diagnosed elsewhere); the *stream* consumed is identical
-/// either way, so source and re-lowered VMs end up bit-identical.
+/// Write one probe's seed words into every f64 global of `vm`, on the
+/// side `side` picks. Both VMs get the same words, so source and
+/// re-lowered VMs start bit-identical.
 fn seed_globals(
     vm: &mut Vm<'_>,
-    src: &Module,
-    relowered: &Module,
-    rng: &mut ProbeRng,
+    globals: &[PairedGlobal<'_>],
+    seeds: &[Vec<u64>],
+    side: impl Fn(&PairedGlobal<'_>) -> GlobalId,
 ) -> Result<(), String> {
-    for g in &src.globals {
-        if g.mem.elem() != Type::F64 {
-            continue;
-        }
-        let gname = src.name_of(g.name);
-        let shared = relowered
-            .globals
-            .iter()
-            .any(|r| relowered.name_of(r.name) == gname);
-        for k in 0..g.mem.num_elems() {
-            let v = rng.next_f64();
-            if shared {
-                vm.write_global_f64(gname, k, v)
-                    .map_err(|e| format!("could not seed global '{gname}': {e}"))?;
-            }
-        }
+    for (g, words) in globals.iter().filter(|g| g.seeded).zip(seeds) {
+        vm.write_global_words(side(g), words)
+            .map_err(|e| format!("could not seed global '{}': {e}", g.name))?;
     }
     Ok(())
 }
