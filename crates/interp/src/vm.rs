@@ -1,7 +1,7 @@
 //! The interpreter proper.
 //!
 //! A [`Vm`] lowers each function once, on its first call, into a flat
-//! array of [`Op`]s (see [`Code`]). Every operand is a slot of the
+//! array of ops (a `Code`). Every operand is a slot of the
 //! function's frame, resolved ahead of time: instruction results,
 //! arguments and constants all live in one register window, so executing
 //! an operand is an index, not a `Value` match. Gep strides, cycle costs

@@ -113,12 +113,21 @@ bb0 entry:
 fn recursion_overflows_the_stack_at_the_same_depth() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let m = parse_module(RECURSION).unwrap();
-    let mut vm = Vm::new(&m, MachineConfig::default());
-    let e = vm.call_by_name("rec", &[]).unwrap_err();
-    assert_eq!(e.0, "stack overflow");
+    // Each IR call is a native call too; 128 of them in a debug build
+    // need more than a test thread's default stack.
+    let run = std::thread::Builder::new()
+        .stack_size(64 << 20)
+        .spawn(move || {
+            let mut vm = Vm::new(&m, MachineConfig::default());
+            let e = vm.call_by_name("rec", &[]).unwrap_err();
+            let depth = vm.read_global_f64("D", 0).unwrap();
+            (e.0, depth, vm.cycles(), vm.insts_executed())
+        });
+    let (e, depth, cycles, insts) = run.unwrap().join().unwrap();
+    assert_eq!(e, "stack overflow");
     // 0x1000 + 128 * 64 KiB is the first address past the region.
-    assert_eq!(vm.read_global_f64("D", 0).unwrap(), 127.0);
-    assert_eq!((vm.cycles(), vm.insts_executed()), (4191, 635));
+    assert_eq!(depth, 127.0);
+    assert_eq!((cycles, insts), (4191, 635));
 }
 
 /// `@top` reads the last word of the stack region, `@poke` writes it,
