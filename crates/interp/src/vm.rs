@@ -274,163 +274,139 @@ type Slot = u32;
 /// No slot: a `ret void`, or a phi with no incoming value on an edge.
 const NO_SLOT: Slot = Slot::MAX;
 
-/// One lowered operation. Operands are frame slots; each op carries the
+/// One lowered operation: what it does, where its result goes and the
 /// cycles it charges.
 #[derive(Clone, Copy, Debug)]
-enum Op {
+struct Op {
+    kind: Kind,
+    /// The result's slot (an op without a result never writes it).
+    dst: Slot,
+    cost: u64,
+}
+
+impl Op {
+    fn fail(failure: Failure) -> Op {
+        Op {
+            kind: Kind::Fail(failure),
+            dst: NO_SLOT,
+            cost: 0,
+        }
+    }
+}
+
+/// What an op does. Operands are frame slots.
+#[derive(Clone, Copy, Debug)]
+enum Kind {
     IntBin {
         op: BinOp,
         ty: Type,
-        dst: Slot,
         a: Slot,
         b: Slot,
-        cost: u64,
     },
     FloatBin {
         op: BinOp,
-        dst: Slot,
         a: Slot,
         b: Slot,
-        cost: u64,
     },
     VecBin {
         op: BinOp,
         vt: VecTy,
-        dst: Slot,
         a: Slot,
         b: Slot,
-        cost: u64,
     },
     ICmp {
         pred: IPred,
-        dst: Slot,
         a: Slot,
         b: Slot,
-        cost: u64,
     },
     FCmp {
         pred: FPred,
-        dst: Slot,
         a: Slot,
         b: Slot,
-        cost: u64,
     },
     Alloca {
-        dst: Slot,
         size: u64,
-        cost: u64,
     },
     Load {
         ty: Type,
-        dst: Slot,
         ptr: Slot,
         size: u64,
-        cost: u64,
     },
     Store {
         ty: Type,
         val: Slot,
         ptr: Slot,
         size: u64,
-        cost: u64,
     },
     /// Indices and strides are `Code::geps[first..first + len]`.
     Gep {
-        dst: Slot,
-        base: Slot,
+        ptr: Slot,
         first: u32,
         len: u32,
-        cost: u64,
     },
     Bitcast {
-        dst: Slot,
         src: Slot,
-        cost: u64,
     },
     SiToFp {
-        dst: Slot,
         src: Slot,
-        cost: u64,
     },
     FpToSi {
         ty: Type,
-        dst: Slot,
         src: Slot,
-        cost: u64,
     },
     IntCast {
         op: CastOp,
         from: Type,
         to: Type,
-        dst: Slot,
         src: Slot,
-        cost: u64,
     },
     VecCast {
         op: CastOp,
         vt: VecTy,
-        dst: Slot,
         src: Slot,
-        cost: u64,
     },
     Select {
-        dst: Slot,
         cond: Slot,
         then_val: Slot,
         else_val: Slot,
-        cost: u64,
     },
     /// Arguments are `Code::lists[first..first + len]`.
     Call {
         callee: FuncId,
-        dst: Slot,
         first: u32,
         len: u32,
-        cost: u64,
     },
     External {
         ext: External,
-        dst: Slot,
         first: u32,
         len: u32,
-        cost: u64,
     },
     Splat {
         vt: VecTy,
-        dst: Slot,
         src: Slot,
-        cost: u64,
     },
     ExtractLane {
         lane: u8,
-        dst: Slot,
         vec: Slot,
-        cost: u64,
     },
     InsertLane {
         lane: u8,
-        dst: Slot,
         vec: Slot,
         val: Slot,
-        cost: u64,
     },
     /// Charges `cost * lanes / 2`.
     Reduce {
         op: ReduceOp,
-        dst: Slot,
         acc: Slot,
         vec: Slot,
-        cost: u64,
     },
     Br {
         edge: u32,
-        cost: u64,
     },
     CondBr {
         cond: Slot,
         then_edge: u32,
         else_edge: u32,
-        cost: u64,
     },
     Ret {
         val: Slot,
@@ -601,24 +577,19 @@ impl<'a> Lowering<'a> {
             l.block(b);
         }
         let malformed = l.code.ops.len() as u32;
-        l.code.ops.push(Op::Fail(Failure::Malformed(
-            "branch to a block that does not exist",
-        )));
+        let missing = Failure::Malformed("branch to a block that does not exist");
+        l.code.ops.push(Op::fail(missing));
         let pc_of = |b: BlockId| block_pc.get(b.index()).copied().unwrap_or(malformed);
         for (e, to) in l.code.edges.iter_mut().zip(&l.edge_targets) {
             e.pc = pc_of(*to);
         }
         l.code.entry = if l.leading_phis(f.entry).next().is_some() {
-            l.code.ops.push(Op::Fail(Failure::PhiInEntry));
+            l.code.ops.push(Op::fail(Failure::PhiInEntry));
             l.code.ops.len() as u32 - 1
         } else {
             pc_of(f.entry)
         };
         l.code
-    }
-
-    fn prof(&self) -> CompilerProfile {
-        self.config.profile
     }
 
     /// The phis a block starts with: the ones its entry evaluates.
@@ -642,7 +613,7 @@ impl<'a> Lowering<'a> {
                 return;
             }
         }
-        self.code.ops.push(Op::Fail(Failure::FellThrough(b)));
+        self.code.ops.push(Op::fail(Failure::FellThrough(b)));
     }
 
     /// The slot holding `v`.
@@ -719,88 +690,58 @@ impl<'a> Lowering<'a> {
     }
 
     fn inst(&mut self, b: BlockId, i: InstId) {
-        let prof = self.prof();
+        let prof = self.config.profile;
         let inst = self.f.inst(i);
-        let dst = i.0;
-        let op = match &inst.kind {
+        let (kind, cost) = match &inst.kind {
             InstKind::Bin { op, lhs, rhs } => {
                 let (a, b) = (self.slot(*lhs), self.slot(*rhs));
+                let fdiv = *op == BinOp::FDiv;
                 match inst.ty {
-                    Type::Vec(vt) => Op::VecBin {
-                        op: *op,
-                        vt,
-                        dst,
-                        a,
-                        b,
-                        cost: if *op == BinOp::FDiv {
+                    Type::Vec(vt) => {
+                        let cost = if fdiv {
                             prof.fdiv_cost
                         } else {
                             prof.vec_op_cost
-                        },
-                    },
-                    _ if op.is_float() => Op::FloatBin {
-                        op: *op,
-                        dst,
-                        a,
-                        b,
-                        cost: if *op == BinOp::FDiv {
-                            prof.fdiv_cost
-                        } else {
-                            prof.flop_cost
-                        },
-                    },
-                    ty => Op::IntBin {
-                        op: *op,
-                        ty,
-                        dst,
-                        a,
-                        b,
-                        cost: prof.int_cost,
-                    },
+                        };
+                        (Kind::VecBin { op: *op, vt, a, b }, cost)
+                    }
+                    _ if op.is_float() => {
+                        let cost = if fdiv { prof.fdiv_cost } else { prof.flop_cost };
+                        (Kind::FloatBin { op: *op, a, b }, cost)
+                    }
+                    ty => (Kind::IntBin { op: *op, ty, a, b }, prof.int_cost),
                 }
             }
-            InstKind::ICmp { pred, lhs, rhs } => Op::ICmp {
-                pred: *pred,
-                dst,
-                a: self.slot(*lhs),
-                b: self.slot(*rhs),
-                cost: prof.int_cost,
-            },
-            InstKind::FCmp { pred, lhs, rhs } => Op::FCmp {
-                pred: *pred,
-                dst,
-                a: self.slot(*lhs),
-                b: self.slot(*rhs),
-                cost: prof.flop_cost,
-            },
-            InstKind::Alloca { mem } => Op::Alloca {
-                dst,
-                size: (mem.size_bytes() + 7) & !7,
-                cost: prof.int_cost,
-            },
+            InstKind::ICmp { pred, lhs, rhs } => {
+                let (a, b) = (self.slot(*lhs), self.slot(*rhs));
+                (Kind::ICmp { pred: *pred, a, b }, prof.int_cost)
+            }
+            InstKind::FCmp { pred, lhs, rhs } => {
+                let (a, b) = (self.slot(*lhs), self.slot(*rhs));
+                (Kind::FCmp { pred: *pred, a, b }, prof.flop_cost)
+            }
+            InstKind::Alloca { mem } => {
+                let size = (mem.size_bytes() + 7) & !7;
+                (Kind::Alloca { size }, prof.int_cost)
+            }
             InstKind::Load { ptr } => match inst.ty {
-                Type::Void => Op::Fail(Failure::Malformed("load of void")),
-                ty => Op::Load {
-                    ty,
-                    dst,
-                    ptr: self.slot(*ptr),
-                    size: ty.size_bytes(),
-                    cost: mem_cost(prof, ty),
-                },
+                Type::Void => (Kind::Fail(Failure::Malformed("load of void")), 0),
+                ty => {
+                    let (ptr, size) = (self.slot(*ptr), ty.size_bytes());
+                    (Kind::Load { ty, ptr, size }, mem_cost(prof, ty))
+                }
             },
             InstKind::Store { val, ptr } => match self.type_of(*val) {
                 // A void instruction's slot is never set, so storing one
                 // fails when its operand is read.
                 Type::Void if !matches!(val, Value::Inst(_) | Value::Arg(_)) => {
-                    Op::Fail(Failure::Malformed("store of void"))
+                    (Kind::Fail(Failure::Malformed("store of void")), 0)
                 }
-                ty => Op::Store {
-                    ty,
-                    ptr: self.slot(*ptr),
-                    val: self.slot(*val),
-                    size: if ty == Type::Void { 0 } else { ty.size_bytes() },
-                    cost: mem_cost(prof, ty),
-                },
+                ty => {
+                    let (ptr, val) = (self.slot(*ptr), self.slot(*val));
+                    let size = if ty == Type::Void { 0 } else { ty.size_bytes() };
+                    (Kind::Store { ty, val, ptr, size }, mem_cost(prof, ty))
+                }
             },
             InstKind::Gep {
                 elem,
@@ -809,142 +750,131 @@ impl<'a> Lowering<'a> {
             } => {
                 let strides = elem.gep_strides();
                 if indices.len() > strides.len() {
-                    Op::Fail(Failure::Malformed("more gep indices than strides"))
+                    let more = Failure::Malformed("more gep indices than strides");
+                    (Kind::Fail(more), 0)
                 } else {
                     let first = self.code.geps.len() as u32;
                     for (idx, stride) in indices.iter().zip(strides) {
                         let s = self.slot(*idx);
                         self.code.geps.push((s, stride as i64));
                     }
-                    Op::Gep {
-                        dst,
-                        base: self.slot(*base),
-                        first,
-                        len: indices.len() as u32,
-                        cost: prof.int_cost,
-                    }
+                    let (ptr, len) = (self.slot(*base), indices.len() as u32);
+                    (Kind::Gep { ptr, first, len }, prof.int_cost)
                 }
             }
             InstKind::Cast { op, val } => {
                 let src = self.slot(*val);
-                match (inst.ty, op) {
-                    (Type::Vec(vt), _) => Op::VecCast {
-                        op: *op,
-                        vt,
-                        dst,
-                        src,
-                        cost: prof.vec_op_cost,
+                let kind = match (inst.ty, op) {
+                    (Type::Vec(vt), _) => Kind::VecCast { op: *op, vt, src },
+                    (_, CastOp::Bitcast) => Kind::Bitcast { src },
+                    (_, CastOp::SiToFp) => Kind::SiToFp { src },
+                    (ty, CastOp::FpToSi) => Kind::FpToSi { ty, src },
+                    (to, CastOp::Sext | CastOp::Zext | CastOp::Trunc) => {
+                        let from = self.type_of(*val);
+                        Kind::IntCast {
+                            op: *op,
+                            from,
+                            to,
+                            src,
+                        }
+                    }
+                };
+                let vector = inst.ty.is_vector();
+                (
+                    kind,
+                    if vector {
+                        prof.vec_op_cost
+                    } else {
+                        prof.int_cost
                     },
-                    (_, CastOp::Bitcast) => Op::Bitcast {
-                        dst,
-                        src,
-                        cost: prof.int_cost,
-                    },
-                    (_, CastOp::SiToFp) => Op::SiToFp {
-                        dst,
-                        src,
-                        cost: prof.int_cost,
-                    },
-                    (ty, CastOp::FpToSi) => Op::FpToSi {
-                        ty,
-                        dst,
-                        src,
-                        cost: prof.int_cost,
-                    },
-                    (to, CastOp::Sext | CastOp::Zext | CastOp::Trunc) => Op::IntCast {
-                        op: *op,
-                        from: self.type_of(*val),
-                        to,
-                        dst,
-                        src,
-                        cost: prof.int_cost,
-                    },
-                }
+                )
             }
             InstKind::Select {
                 cond,
                 then_val,
                 else_val,
-            } => Op::Select {
-                dst,
-                cond: self.slot(*cond),
-                then_val: self.slot(*then_val),
-                else_val: self.slot(*else_val),
-                cost: prof.int_cost,
-            },
+            } => {
+                let cond = self.slot(*cond);
+                let (then_val, else_val) = (self.slot(*then_val), self.slot(*else_val));
+                let select = Kind::Select {
+                    cond,
+                    then_val,
+                    else_val,
+                };
+                (select, prof.int_cost)
+            }
             InstKind::Call { callee, args } => {
                 let (first, len) = self.list(args);
                 match callee {
-                    Callee::Func(callee) => Op::Call {
-                        callee: *callee,
-                        dst,
-                        first,
-                        len,
-                        cost: prof.call_cost,
-                    },
+                    Callee::Func(callee) => {
+                        let callee = *callee;
+                        (Kind::Call { callee, first, len }, prof.call_cost)
+                    }
                     Callee::External(name) => {
                         let ext = External::resolve(self.module, *name, args.first().copied());
-                        Op::External {
-                            ext,
-                            dst,
-                            first,
-                            len,
-                            cost: ext.cost(self.config),
-                        }
+                        (Kind::External { ext, first, len }, ext.cost(self.config))
                     }
                 }
             }
             InstKind::Splat { val } => match inst.ty.vec_ty() {
-                Some(vt) => Op::Splat {
-                    vt,
-                    dst,
-                    src: self.slot(*val),
-                    cost: prof.vec_shuffle_cost,
-                },
-                None => Op::Fail(Failure::SplatToScalar),
+                Some(vt) => {
+                    let src = self.slot(*val);
+                    (Kind::Splat { vt, src }, prof.vec_shuffle_cost)
+                }
+                None => (Kind::Fail(Failure::SplatToScalar), 0),
             },
-            InstKind::ExtractLane { vec, lane } => Op::ExtractLane {
-                lane: *lane,
-                dst,
-                vec: self.slot(*vec),
-                cost: prof.vec_shuffle_cost,
-            },
-            InstKind::InsertLane { vec, val, lane } => Op::InsertLane {
-                lane: *lane,
-                dst,
-                vec: self.slot(*vec),
-                val: self.slot(*val),
-                cost: prof.vec_shuffle_cost,
-            },
-            InstKind::Reduce { op, acc, vec } => Op::Reduce {
-                op: *op,
-                dst,
-                acc: self.slot(*acc),
-                vec: self.slot(*vec),
-                cost: prof.vec_shuffle_cost,
-            },
-            InstKind::Br { target } => Op::Br {
-                edge: self.edge(b, *target),
-                cost: prof.branch_cost,
-            },
+            InstKind::ExtractLane { vec, lane } => {
+                let vec = self.slot(*vec);
+                (
+                    Kind::ExtractLane { lane: *lane, vec },
+                    prof.vec_shuffle_cost,
+                )
+            }
+            InstKind::InsertLane { vec, val, lane } => {
+                let (vec, val) = (self.slot(*vec), self.slot(*val));
+                let insert = Kind::InsertLane {
+                    lane: *lane,
+                    vec,
+                    val,
+                };
+                (insert, prof.vec_shuffle_cost)
+            }
+            InstKind::Reduce { op, acc, vec } => {
+                let (acc, vec) = (self.slot(*acc), self.slot(*vec));
+                (Kind::Reduce { op: *op, acc, vec }, prof.vec_shuffle_cost)
+            }
+            InstKind::Br { target } => {
+                let edge = self.edge(b, *target);
+                (Kind::Br { edge }, prof.branch_cost)
+            }
             InstKind::CondBr {
                 cond,
                 then_bb,
                 else_bb,
-            } => Op::CondBr {
-                cond: self.slot(*cond),
-                then_edge: self.edge(b, *then_bb),
-                else_edge: self.edge(b, *else_bb),
-                cost: prof.branch_cost,
-            },
-            InstKind::Ret { val } => Op::Ret {
-                val: val.map_or(NO_SLOT, |v| self.slot(v)),
-            },
-            InstKind::Unreachable => Op::Fail(Failure::Unreachable),
+            } => {
+                let cond = self.slot(*cond);
+                let then_edge = self.edge(b, *then_bb);
+                let else_edge = self.edge(b, *else_bb);
+                let br = Kind::CondBr {
+                    cond,
+                    then_edge,
+                    else_edge,
+                };
+                (br, prof.branch_cost)
+            }
+            InstKind::Ret { val } => {
+                let val = val.map_or(NO_SLOT, |v| self.slot(v));
+                (Kind::Ret { val }, 0)
+            }
+            InstKind::Unreachable => (Kind::Fail(Failure::Unreachable), 0),
             // Phis are edge moves; debug intrinsics are free.
             InstKind::Phi { .. } | InstKind::DbgValue { .. } | InstKind::Nop => return,
         };
-        self.code.ops.push(op);
+        self.code.ops.push(Op {
+            kind,
+            dst: i.0,
+            cost,
+        });
     }
 }
 
@@ -958,7 +888,7 @@ fn mem_cost(prof: CompilerProfile, ty: Type) -> u64 {
 
 /// Where a call's arguments come from.
 enum Args<'a> {
-    /// Slots of the caller's frame at `base`.
+    /// Slots of the caller's frame at `fp`.
     Slots(usize, &'a [Slot]),
     Values(&'a [RtVal]),
 }
@@ -1191,9 +1121,9 @@ impl<'m> Vm<'m> {
             )));
         }
         let code = self.code(fid);
-        let base = self.regs.len();
+        let fp = self.regs.len();
         self.regs.extend_from_slice(&code.frame);
-        let params = base + code.insts as usize;
+        let params = fp + code.insts as usize;
         match args {
             Args::Slots(caller, slots) => {
                 for (k, &s) in slots.iter().enumerate() {
@@ -1207,9 +1137,9 @@ impl<'m> Vm<'m> {
             }
         }
         let sp_on_entry = self.sp;
-        let result = self.run(&code, base);
+        let result = self.run(&code, fp);
         self.sp = sp_on_entry;
-        self.regs.truncate(base);
+        self.regs.truncate(fp);
         result
     }
 
@@ -1225,83 +1155,77 @@ impl<'m> Vm<'m> {
     }
 
     #[inline(always)]
-    fn get(&self, code: &Code, base: usize, s: Slot) -> Result<RtVal, ExecError> {
-        match self.regs[base + s as usize] {
+    fn get(&self, code: &Code, fp: usize, s: Slot) -> Result<RtVal, ExecError> {
+        match self.regs[fp + s as usize] {
             Some(v) => Ok(v),
             None => Err(code.unset(s)),
         }
     }
 
     #[inline(always)]
-    fn set(&mut self, base: usize, s: Slot, v: RtVal) {
-        self.regs[base + s as usize] = Some(v);
+    fn set(&mut self, fp: usize, s: Slot, v: RtVal) {
+        self.regs[fp + s as usize] = Some(v);
     }
 
     #[inline(always)]
-    fn int(&self, code: &Code, base: usize, s: Slot) -> Result<i64, ExecError> {
-        match self.regs[base + s as usize] {
+    fn int(&self, code: &Code, fp: usize, s: Slot) -> Result<i64, ExecError> {
+        match self.regs[fp + s as usize] {
             Some(RtVal::Int(v)) => Ok(v),
-            _ => self.get(code, base, s)?.as_int(),
+            _ => self.get(code, fp, s)?.as_int(),
         }
     }
 
     #[inline(always)]
-    fn float(&self, code: &Code, base: usize, s: Slot) -> Result<f64, ExecError> {
-        match self.regs[base + s as usize] {
+    fn float(&self, code: &Code, fp: usize, s: Slot) -> Result<f64, ExecError> {
+        match self.regs[fp + s as usize] {
             Some(RtVal::F64(v)) => Ok(v),
-            _ => self.get(code, base, s)?.as_f64(),
+            _ => self.get(code, fp, s)?.as_f64(),
         }
     }
 
     #[inline(always)]
-    fn ptr(&self, code: &Code, base: usize, s: Slot) -> Result<u64, ExecError> {
-        match self.regs[base + s as usize] {
+    fn ptr(&self, code: &Code, fp: usize, s: Slot) -> Result<u64, ExecError> {
+        match self.regs[fp + s as usize] {
             Some(RtVal::Ptr(p)) => Ok(p),
-            _ => self.get(code, base, s)?.as_ptr(),
+            _ => self.get(code, fp, s)?.as_ptr(),
         }
     }
 
     /// Both operands as integers: both are read before either's kind is
     /// checked.
     #[inline(always)]
-    fn ints(&self, code: &Code, base: usize, a: Slot, b: Slot) -> Result<(i64, i64), ExecError> {
-        if let Some(RtVal::Int(x)) = self.regs[base + a as usize] {
-            if let Some(RtVal::Int(y)) = self.regs[base + b as usize] {
+    fn ints(&self, code: &Code, fp: usize, a: Slot, b: Slot) -> Result<(i64, i64), ExecError> {
+        if let Some(RtVal::Int(x)) = self.regs[fp + a as usize] {
+            if let Some(RtVal::Int(y)) = self.regs[fp + b as usize] {
                 return Ok((x, y));
             }
         }
-        let (x, y) = (self.get(code, base, a)?, self.get(code, base, b)?);
+        let (x, y) = (self.get(code, fp, a)?, self.get(code, fp, b)?);
         Ok((x.as_int()?, y.as_int()?))
     }
 
     /// Both operands as floats, read like [`Vm::ints`].
     #[inline(always)]
-    fn floats(&self, code: &Code, base: usize, a: Slot, b: Slot) -> Result<(f64, f64), ExecError> {
-        if let Some(RtVal::F64(x)) = self.regs[base + a as usize] {
-            if let Some(RtVal::F64(y)) = self.regs[base + b as usize] {
+    fn floats(&self, code: &Code, fp: usize, a: Slot, b: Slot) -> Result<(f64, f64), ExecError> {
+        if let Some(RtVal::F64(x)) = self.regs[fp + a as usize] {
+            if let Some(RtVal::F64(y)) = self.regs[fp + b as usize] {
                 return Ok((x, y));
             }
         }
-        let (x, y) = (self.get(code, base, a)?, self.get(code, base, b)?);
+        let (x, y) = (self.get(code, fp, a)?, self.get(code, fp, b)?);
         Ok((x.as_f64()?, y.as_f64()?))
     }
 
     /// `icmp`'s operands: two integers, or two pointers compared as
     /// integers.
     #[inline(always)]
-    fn compared(
-        &self,
-        code: &Code,
-        base: usize,
-        a: Slot,
-        b: Slot,
-    ) -> Result<(i64, i64), ExecError> {
-        if let Some(RtVal::Int(x)) = self.regs[base + a as usize] {
-            if let Some(RtVal::Int(y)) = self.regs[base + b as usize] {
+    fn compared(&self, code: &Code, fp: usize, a: Slot, b: Slot) -> Result<(i64, i64), ExecError> {
+        if let Some(RtVal::Int(x)) = self.regs[fp + a as usize] {
+            if let Some(RtVal::Int(y)) = self.regs[fp + b as usize] {
                 return Ok((x, y));
             }
         }
-        match (self.get(code, base, a)?, self.get(code, base, b)?) {
+        match (self.get(code, fp, a)?, self.get(code, fp, b)?) {
             (RtVal::Ptr(p), RtVal::Ptr(q)) => Ok((p as i64, q as i64)),
             (x, y) => Ok((x.as_int()?, y.as_int()?)),
         }
@@ -1309,21 +1233,21 @@ impl<'m> Vm<'m> {
 
     /// Take edge `e`: evaluate every phi of its target, then assign them,
     /// one cycle each. Returns the target's first op.
-    fn take_edge(&mut self, code: &Code, base: usize, e: u32) -> Result<usize, ExecError> {
+    fn take_edge(&mut self, code: &Code, fp: usize, e: u32) -> Result<usize, ExecError> {
         let edge = code.edges[e as usize];
         let moves = &code.moves[edge.first as usize..(edge.first + edge.len) as usize];
         if let [m] = moves {
-            let v = self.phi_source(code, base, edge, *m)?;
-            self.regs[base + m.dst as usize] = Some(v);
+            let v = self.phi_source(code, fp, edge, *m)?;
+            self.regs[fp + m.dst as usize] = Some(v);
             self.tick(1)?;
         } else if !moves.is_empty() {
             let mut vals = std::mem::take(&mut self.phi_scratch);
             vals.clear();
             for &m in moves {
-                vals.push(self.phi_source(code, base, edge, m)?);
+                vals.push(self.phi_source(code, fp, edge, m)?);
             }
             for (m, &v) in moves.iter().zip(&vals) {
-                self.regs[base + m.dst as usize] = Some(v);
+                self.regs[fp + m.dst as usize] = Some(v);
                 self.tick(1)?;
             }
             self.phi_scratch = vals;
@@ -1332,13 +1256,7 @@ impl<'m> Vm<'m> {
     }
 
     #[inline(always)]
-    fn phi_source(
-        &self,
-        code: &Code,
-        base: usize,
-        edge: Edge,
-        m: Move,
-    ) -> Result<RtVal, ExecError> {
+    fn phi_source(&self, code: &Code, fp: usize, edge: Edge, m: Move) -> Result<RtVal, ExecError> {
         if m.src == NO_SLOT {
             return Err(ExecError(format!(
                 "phi {} missing incoming for {}",
@@ -1346,78 +1264,46 @@ impl<'m> Vm<'m> {
                 edge.from
             )));
         }
-        self.get(code, base, m.src)
+        self.get(code, fp, m.src)
     }
 
-    /// Execute `code` in the frame at `base` from its entry.
-    fn run(&mut self, code: &Code, base: usize) -> Result<Option<RtVal>, ExecError> {
+    /// Execute `code` in the frame at `fp` from its entry.
+    fn run(&mut self, code: &Code, fp: usize) -> Result<Option<RtVal>, ExecError> {
         let mut pc = code.entry as usize;
         loop {
-            let op = code.ops[pc];
+            let Op { kind, dst, cost } = code.ops[pc];
             pc += 1;
-            match op {
-                Op::IntBin {
-                    op,
-                    ty,
-                    dst,
-                    a,
-                    b,
-                    cost,
-                } => {
-                    let (x, y) = self.ints(code, base, a, b)?;
+            match kind {
+                Kind::IntBin { op, ty, a, b } => {
+                    let (x, y) = self.ints(code, fp, a, b)?;
                     let r = eval::int_bin(op, x, y, ty)?;
                     self.tick(cost)?;
-                    self.set(base, dst, RtVal::Int(r));
+                    self.set(fp, dst, RtVal::Int(r));
                 }
-                Op::FloatBin {
-                    op,
-                    dst,
-                    a,
-                    b,
-                    cost,
-                } => {
-                    let (x, y) = self.floats(code, base, a, b)?;
+                Kind::FloatBin { op, a, b } => {
+                    let (x, y) = self.floats(code, fp, a, b)?;
                     let r = eval::float_bin(op, x, y)?;
                     self.tick(cost)?;
-                    self.set(base, dst, RtVal::F64(r));
+                    self.set(fp, dst, RtVal::F64(r));
                 }
-                Op::VecBin {
-                    op,
-                    vt,
-                    dst,
-                    a,
-                    b,
-                    cost,
-                } => {
-                    let (x, y) = (self.get(code, base, a)?, self.get(code, base, b)?);
+                Kind::VecBin { op, vt, a, b } => {
+                    let (x, y) = (self.get(code, fp, a)?, self.get(code, fp, b)?);
                     let r = vec_bin(op, vt, x.as_vec()?, y.as_vec()?)?;
                     self.tick(cost)?;
-                    self.set(base, dst, RtVal::Vec(r));
+                    self.set(fp, dst, RtVal::Vec(r));
                 }
-                Op::ICmp {
-                    pred,
-                    dst,
-                    a,
-                    b,
-                    cost,
-                } => {
-                    let (x, y) = self.compared(code, base, a, b)?;
+                Kind::ICmp { pred, a, b } => {
+                    let (x, y) = self.compared(code, fp, a, b)?;
                     self.tick(cost)?;
-                    self.set(base, dst, RtVal::Int(eval::icmp(pred, x, y) as i64));
+                    self.set(fp, dst, RtVal::Int(eval::icmp(pred, x, y) as i64));
                 }
-                Op::FCmp {
-                    pred,
-                    dst,
-                    a,
-                    b,
-                    cost,
-                } => {
-                    let x = self.float(code, base, a)?;
-                    let y = self.float(code, base, b)?;
+                Kind::FCmp { pred, a, b } => {
+                    let x = self.float(code, fp, a)?;
+                    let y = self.float(code, fp, b)?;
                     self.tick(cost)?;
-                    self.set(base, dst, RtVal::Int(eval::fcmp(pred, x, y) as i64));
+                    self.set(fp, dst, RtVal::Int(eval::fcmp(pred, x, y) as i64));
                 }
-                Op::Alloca { dst, size, cost } => {
+                Kind::Alloca { size } => {
                     let addr = self.sp;
                     self.sp += size;
                     if self.sp >= STACK_TOP {
@@ -1426,16 +1312,10 @@ impl<'m> Vm<'m> {
                     // Fresh allocas read as zero.
                     self.mem.zero_stack(addr, self.sp);
                     self.tick(cost)?;
-                    self.set(base, dst, RtVal::Ptr(addr));
+                    self.set(fp, dst, RtVal::Ptr(addr));
                 }
-                Op::Load {
-                    ty,
-                    dst,
-                    ptr,
-                    size,
-                    cost,
-                } => {
-                    let addr = self.ptr(code, base, ptr)?;
+                Kind::Load { ty, ptr, size } => {
+                    let addr = self.ptr(code, fp, ptr)?;
                     self.bytes += size;
                     self.tick(cost)?;
                     let mem = &self.mem;
@@ -1454,17 +1334,11 @@ impl<'m> Vm<'m> {
                         }
                         Type::Void => unreachable!("void loads are lowered to a failure"),
                     };
-                    self.set(base, dst, v);
+                    self.set(fp, dst, v);
                 }
-                Op::Store {
-                    ty,
-                    val,
-                    ptr,
-                    size,
-                    cost,
-                } => {
-                    let addr = self.ptr(code, base, ptr)?;
-                    let v = self.get(code, base, val)?;
+                Kind::Store { ty, val, ptr, size } => {
+                    let addr = self.ptr(code, fp, ptr)?;
+                    let v = self.get(code, fp, val)?;
                     self.bytes += size;
                     self.tick(cost)?;
                     let mem = &mut self.mem;
@@ -1484,181 +1358,130 @@ impl<'m> Vm<'m> {
                         }
                     }
                 }
-                Op::Gep {
-                    dst,
-                    base: ptr,
-                    first,
-                    len,
-                    cost,
-                } => {
-                    let mut addr = self.ptr(code, base, ptr)?;
+                Kind::Gep { ptr, first, len } => {
+                    let mut addr = self.ptr(code, fp, ptr)?;
                     for &(s, stride) in &code.geps[first as usize..(first + len) as usize] {
-                        let i = self.int(code, base, s)?;
+                        let i = self.int(code, fp, s)?;
                         addr = addr.wrapping_add(stride.wrapping_mul(i) as u64);
                     }
                     self.tick(cost)?;
-                    self.set(base, dst, RtVal::Ptr(addr));
+                    self.set(fp, dst, RtVal::Ptr(addr));
                 }
-                Op::Bitcast { dst, src, cost } => {
-                    let v = self.get(code, base, src)?;
+                Kind::Bitcast { src } => {
+                    let v = self.get(code, fp, src)?;
                     self.tick(cost)?;
-                    self.set(base, dst, v);
+                    self.set(fp, dst, v);
                 }
-                Op::SiToFp { dst, src, cost } => {
-                    let v = self.get(code, base, src)?;
+                Kind::SiToFp { src } => {
+                    let v = self.get(code, fp, src)?;
                     self.tick(cost)?;
-                    self.set(base, dst, RtVal::F64(eval::int_to_float(v.as_int()?)));
+                    self.set(fp, dst, RtVal::F64(eval::int_to_float(v.as_int()?)));
                 }
-                Op::FpToSi { ty, dst, src, cost } => {
-                    let v = self.get(code, base, src)?;
+                Kind::FpToSi { ty, src } => {
+                    let v = self.get(code, fp, src)?;
                     self.tick(cost)?;
-                    self.set(base, dst, RtVal::Int(eval::float_to_int(v.as_f64()?, ty)));
+                    self.set(fp, dst, RtVal::Int(eval::float_to_int(v.as_f64()?, ty)));
                 }
-                Op::IntCast {
-                    op,
-                    from,
-                    to,
-                    dst,
-                    src,
-                    cost,
-                } => {
-                    let v = self.get(code, base, src)?;
+                Kind::IntCast { op, from, to, src } => {
+                    let v = self.get(code, fp, src)?;
                     self.tick(cost)?;
                     self.set(
-                        base,
+                        fp,
                         dst,
                         RtVal::Int(eval::int_cast(op, v.as_int()?, from, to)),
                     );
                 }
-                Op::VecCast {
-                    op,
-                    vt,
-                    dst,
-                    src,
-                    cost,
-                } => {
-                    let r = vec_cast(op, vt, self.get(code, base, src)?.as_vec()?)?;
+                Kind::VecCast { op, vt, src } => {
+                    let r = vec_cast(op, vt, self.get(code, fp, src)?.as_vec()?)?;
                     self.tick(cost)?;
-                    self.set(base, dst, RtVal::Vec(r));
+                    self.set(fp, dst, RtVal::Vec(r));
                 }
-                Op::Select {
-                    dst,
+                Kind::Select {
                     cond,
                     then_val,
                     else_val,
-                    cost,
                 } => {
-                    let c = self.int(code, base, cond)?;
-                    let r = self.get(code, base, if c != 0 { then_val } else { else_val })?;
+                    let c = self.int(code, fp, cond)?;
+                    let r = self.get(code, fp, if c != 0 { then_val } else { else_val })?;
                     self.tick(cost)?;
-                    self.set(base, dst, r);
+                    self.set(fp, dst, r);
                 }
-                Op::Call {
-                    callee,
-                    dst,
-                    first,
-                    len,
-                    cost,
-                } => {
+                Kind::Call { callee, first, len } => {
                     let args = &code.lists[first as usize..(first + len) as usize];
                     for &s in args {
-                        self.get(code, base, s)?;
+                        self.get(code, fp, s)?;
                     }
                     self.tick(cost)?;
-                    let r = self.invoke(callee, Args::Slots(base, args))?;
-                    self.regs[base + dst as usize] = r;
+                    let r = self.invoke(callee, Args::Slots(fp, args))?;
+                    self.regs[fp + dst as usize] = r;
                 }
-                Op::External {
-                    ext,
-                    dst,
-                    first,
-                    len,
-                    cost,
-                } => {
+                Kind::External { ext, first, len } => {
                     let mut vals = std::mem::take(&mut self.ext_args);
                     vals.clear();
                     for &s in &code.lists[first as usize..(first + len) as usize] {
-                        vals.push(self.get(code, base, s)?);
+                        vals.push(self.get(code, fp, s)?);
                     }
                     let r = self.external(ext, &mut vals, cost);
                     self.ext_args = vals;
                     if let Some(v) = r? {
-                        self.set(base, dst, v);
+                        self.set(fp, dst, v);
                     }
                 }
-                Op::Splat { vt, dst, src, cost } => {
-                    let v = self.get(code, base, src)?;
+                Kind::Splat { vt, src } => {
+                    let v = self.get(code, fp, src)?;
                     let mut r = VecVal::zero(vt);
                     for i in 0..r.lanes() {
                         r.set_lane(i, v)?;
                     }
                     self.tick(cost)?;
-                    self.set(base, dst, RtVal::Vec(r));
+                    self.set(fp, dst, RtVal::Vec(r));
                 }
-                Op::ExtractLane {
-                    lane,
-                    dst,
-                    vec,
-                    cost,
-                } => {
-                    let v = self.get(code, base, vec)?.as_vec()?;
+                Kind::ExtractLane { lane, vec } => {
+                    let v = self.get(code, fp, vec)?.as_vec()?;
                     if lane as usize >= v.lanes() {
                         return Err(ExecError(format!("lane {lane} out of range")));
                     }
                     self.tick(cost)?;
-                    self.set(base, dst, v.lane(lane as usize));
+                    self.set(fp, dst, v.lane(lane as usize));
                 }
-                Op::InsertLane {
-                    lane,
-                    dst,
-                    vec,
-                    val,
-                    cost,
-                } => {
-                    let mut v = self.get(code, base, vec)?.as_vec()?;
+                Kind::InsertLane { lane, vec, val } => {
+                    let mut v = self.get(code, fp, vec)?.as_vec()?;
                     if lane as usize >= v.lanes() {
                         return Err(ExecError(format!("lane {lane} out of range")));
                     }
-                    let x = self.get(code, base, val)?;
+                    let x = self.get(code, fp, val)?;
                     v.set_lane(lane as usize, x)?;
                     self.tick(cost)?;
-                    self.set(base, dst, RtVal::Vec(v));
+                    self.set(fp, dst, RtVal::Vec(v));
                 }
-                Op::Reduce {
-                    op,
-                    dst,
-                    acc,
-                    vec,
-                    cost,
-                } => {
-                    let v = self.get(code, base, vec)?.as_vec()?;
-                    let a = self.get(code, base, acc)?;
+                Kind::Reduce { op, acc, vec } => {
+                    let v = self.get(code, fp, vec)?.as_vec()?;
+                    let a = self.get(code, fp, acc)?;
                     let r = reduce(op, a, v)?;
                     self.tick(cost * v.lanes() as u64 / 2)?;
-                    self.set(base, dst, r);
+                    self.set(fp, dst, r);
                 }
-                Op::Br { edge, cost } => {
+                Kind::Br { edge } => {
                     self.tick(cost)?;
-                    pc = self.take_edge(code, base, edge)?;
+                    pc = self.take_edge(code, fp, edge)?;
                 }
-                Op::CondBr {
+                Kind::CondBr {
                     cond,
                     then_edge,
                     else_edge,
-                    cost,
                 } => {
                     self.tick(cost)?;
-                    let c = self.int(code, base, cond)?;
+                    let c = self.int(code, fp, cond)?;
                     let edge = if c != 0 { then_edge } else { else_edge };
-                    pc = self.take_edge(code, base, edge)?;
+                    pc = self.take_edge(code, fp, edge)?;
                 }
-                Op::Ret { val } => {
+                Kind::Ret { val } => {
                     return match val {
                         NO_SLOT => Ok(None),
-                        v => self.get(code, base, v).map(Some),
+                        v => self.get(code, fp, v).map(Some),
                     };
                 }
-                Op::Fail(failure) => {
+                Kind::Fail(failure) => {
                     return Err(ExecError(match failure {
                         Failure::Unreachable => "reached unreachable".into(),
                         Failure::FellThrough(b) => format!("block {b} fell through"),
