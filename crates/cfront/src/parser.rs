@@ -24,10 +24,20 @@ impl std::error::Error for CParseError {}
 
 type Result<T> = std::result::Result<T, CParseError>;
 
+/// How deep statements and expressions may nest, counted as statements
+/// inside statements, prefix operators and casts, parenthesized and
+/// bracketed subexpressions and chained assignments. The parser, the
+/// checker and the lowering each recurse once per level, so past this
+/// depth a program is a parse error rather than a thread's stack
+/// overflow.
+pub const MAX_NESTING: usize = 128;
+
 struct Parser {
     toks: Vec<(CToken, usize)>,
     pos: usize,
     defines: Vec<(String, i64)>,
+    /// Levels of nesting open at `pos`.
+    depth: usize,
 }
 
 const TYPE_KEYWORDS: &[&str] = &["void", "int", "long", "uint64_t", "double"];
@@ -48,6 +58,17 @@ impl Parser {
             line: self.line(),
             msg: msg.into(),
         })
+    }
+
+    /// Run `f` one nesting level deeper, failing past [`MAX_NESTING`].
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        if self.depth == MAX_NESTING {
+            return self.err(format!("nesting deeper than {MAX_NESTING} levels"));
+        }
+        self.depth += 1;
+        let r = f(self);
+        self.depth -= 1;
+        r
     }
 
     fn peek(&self) -> Option<&CToken> {
@@ -180,7 +201,7 @@ impl Parser {
         match self.peek() {
             Some(CToken::Punct(p)) if p == "=" => {
                 self.pos += 1;
-                let rhs = self.parse_assignment()?;
+                let rhs = self.nested(Self::parse_assignment)?;
                 Ok(CExpr::Assign {
                     lhs: Box::new(lhs),
                     op: None,
@@ -190,7 +211,7 @@ impl Parser {
             Some(CToken::Punct(p)) if compound(p).is_some() => {
                 let op = compound(p);
                 self.pos += 1;
-                let rhs = self.parse_assignment()?;
+                let rhs = self.nested(Self::parse_assignment)?;
                 Ok(CExpr::Assign {
                     lhs: Box::new(lhs),
                     op,
@@ -243,6 +264,10 @@ impl Parser {
     }
 
     fn parse_unary(&mut self) -> Result<CExpr> {
+        self.nested(Self::parse_unary_inner)
+    }
+
+    fn parse_unary_inner(&mut self) -> Result<CExpr> {
         if self.eat_punct("-") {
             let e = self.parse_unary()?;
             // Fold literal negation for natural output.
@@ -376,6 +401,10 @@ impl Parser {
     }
 
     fn parse_stmt(&mut self) -> Result<CStmt> {
+        self.nested(Self::parse_stmt_inner)
+    }
+
+    fn parse_stmt_inner(&mut self) -> Result<CStmt> {
         // Pragmas.
         if let Some(CToken::Pragma(_)) = self.peek() {
             return self.parse_pragma_stmt();
@@ -689,6 +718,7 @@ pub fn parse_program(src: &str) -> Result<CProgram> {
         toks,
         pos: 0,
         defines: Vec::new(),
+        depth: 0,
     };
     p.parse_program()
 }
@@ -697,6 +727,7 @@ pub fn parse_program(src: &str) -> Result<CProgram> {
 mod tests {
     use super::*;
     use crate::ast::print_program;
+    use crate::lower::{lower_program, LowerOptions};
 
     const JACOBI: &str = r#"
 #define N 1000
@@ -858,6 +889,40 @@ void f(double x) {
             p.globals[0].1,
             CType::Array(Box::new(CType::Double), vec![16, 16])
         );
+    }
+
+    /// `double f(double x) { return <open * levels>x<close * levels>; }`
+    fn nested_return(open: &str, close: &str, levels: usize) -> String {
+        let (open, close) = (open.repeat(levels), close.repeat(levels));
+        format!("double f(double x) {{ return {open}x{close}; }}")
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_a_parse_error_on_a_worker_sized_stack() {
+        // The body's statement and `return`'s operand take one level each.
+        let deepest = MAX_NESTING - 2;
+        let run = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let too_deep = [
+                    nested_return("(", ")", 10_000),
+                    nested_return("-", "", 100_000),
+                    nested_return("(", ")", deepest + 1),
+                    nested_return("- ", "", deepest + 1),
+                ];
+                for src in too_deep {
+                    let e = parse_program(&src).unwrap_err();
+                    assert_eq!(e.msg, format!("nesting deeper than {MAX_NESTING} levels"));
+                }
+                for src in [
+                    nested_return("(", ")", deepest),
+                    nested_return("- ", "", deepest),
+                ] {
+                    let prog = parse_program(&src).unwrap();
+                    lower_program(&prog, "t", &LowerOptions::default()).unwrap();
+                }
+            });
+        run.unwrap().join().unwrap();
     }
 
     #[test]

@@ -557,3 +557,37 @@ fn validate_request_is_stateless_and_annotates() {
     drop(client);
     assert!(daemon.drain());
 }
+
+/// A function whose only act is to call itself.
+const DOWN: &str = r#"module "down"
+
+func @down($0:x i64) -> i64 {
+bb0 entry:
+  %0 = call i64 @down($0)
+  ret %0
+}
+"#;
+
+#[test]
+fn validating_unbounded_ir_recursion_leaves_the_daemon_up() {
+    let daemon = start(DaemonConfig::default());
+    let mut client = connect(&daemon);
+    let Response::Validated {
+        functions,
+        verified,
+        unverified,
+        source,
+        ..
+    } = client.validate("down", 3, DOWN).unwrap()
+    else {
+        panic!("expected VALIDATED");
+    };
+    assert_eq!((functions, verified, unverified), (1, 0, 1));
+    assert!(
+        source.contains("execution error: stack overflow"),
+        "{source}"
+    );
+    client.ping().unwrap();
+    drop(client);
+    assert!(daemon.drain());
+}

@@ -6,8 +6,13 @@
 //! arguments and constants all live in one register window, so executing
 //! an operand is an index, not a `Value` match. Gep strides, cycle costs
 //! and external callees are resolved at lowering too, and a block's phis
-//! become parallel moves on each CFG edge into it. Frames share one
-//! register stack.
+//! become parallel moves on each CFG edge into it.
+//!
+//! A register is an 8-byte payload and a one-byte tag (unset, int, f64,
+//! ptr, vec); a vector's lanes sit in a side array. Frames share one
+//! register stack, and an IR call pushes its caller on an explicit frame
+//! stack inside the one interpreter loop, bounded by the stack region's
+//! size, so IR recursion never recurses natively.
 
 use crate::machine::{CompilerProfile, MachineConfig};
 use splendid_ir::eval::{self, EvalError};
@@ -165,40 +170,42 @@ struct Memory {
 }
 
 impl Memory {
-    /// The part backing all of `[addr, addr + n)`, if one does, and the
-    /// offset into it: `(true, off)` for the globals.
+    /// The part that would back `addr` and the offset into it (the
+    /// globals from [`STACK_TOP`] on, else the stack).
     #[inline(always)]
-    fn backing(&self, addr: u64, n: usize) -> Option<(bool, usize)> {
-        let (globals, off, len) = match addr.checked_sub(STACK_TOP) {
-            Some(off) => (true, off, self.globals.len()),
-            None if addr >= 8 => (false, addr, self.low.len()),
-            None => return None,
-        };
-        let off = usize::try_from(off).ok()?;
-        (off.checked_add(n)? <= len).then_some((globals, off))
+    fn part(&self, addr: u64) -> (&[u8], u64) {
+        match addr.checked_sub(STACK_TOP) {
+            Some(off) => (&self.globals, off),
+            None => (&self.low, addr),
+        }
     }
 
     #[inline(always)]
     fn read<const N: usize>(&self, addr: u64) -> Result<[u8; N], ExecError> {
-        let Some((globals, off)) = self.backing(addr, N) else {
-            return self.read_unbacked(addr);
-        };
-        let part = if globals { &self.globals } else { &self.low };
-        Ok(part[off..off + N].try_into().unwrap_or([0; N]))
+        let (part, off) = self.part(addr);
+        let bytes = usize::try_from(off).ok().and_then(|off| part.get(off..));
+        match bytes.and_then(|b| b.first_chunk::<N>()) {
+            Some(b) if addr >= 8 => Ok(*b),
+            _ => self.read_unbacked(addr),
+        }
     }
 
     #[inline(always)]
     fn write<const N: usize>(&mut self, addr: u64, bytes: [u8; N]) -> Result<(), ExecError> {
-        let Some((globals, off)) = self.backing(addr, N) else {
-            return self.write_unbacked(addr, bytes);
+        let (part, off) = match addr.checked_sub(STACK_TOP) {
+            Some(off) => (&mut self.globals, off),
+            None => (&mut self.low, addr),
         };
-        let part = if globals {
-            &mut self.globals
-        } else {
-            &mut self.low
-        };
-        part[off..off + N].copy_from_slice(&bytes);
-        Ok(())
+        let backed = usize::try_from(off)
+            .ok()
+            .and_then(|off| part.get_mut(off..));
+        match backed.and_then(|b| b.first_chunk_mut::<N>()) {
+            Some(b) if addr >= 8 => {
+                *b = bytes;
+                Ok(())
+            }
+            _ => self.write_unbacked(addr, bytes),
+        }
     }
 
     /// Bounds check of the whole address space.
@@ -271,11 +278,50 @@ impl Memory {
 /// Frame-slot index, relative to the frame's base on the register stack.
 type Slot = u32;
 
+/// What a register holds. Its payload's meaning follows from the tag.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[repr(u8)]
+enum Tag {
+    Unset,
+    Int,
+    F64,
+    Ptr,
+    /// The payload is the register's own index on the register stack,
+    /// which is also where its lanes sit in `Vm::lanes`.
+    Vec,
+}
+
+/// One register: an 8-byte payload and the tag saying what it holds.
+#[derive(Clone, Copy, Debug)]
+struct Reg {
+    bits: u64,
+    tag: Tag,
+}
+
+impl Reg {
+    const UNSET: Reg = Reg {
+        bits: 0,
+        tag: Tag::Unset,
+    };
+
+    /// The register of a scalar (vectors live in the lane array).
+    fn scalar(v: RtVal) -> Reg {
+        let (tag, bits) = match v {
+            RtVal::Int(x) => (Tag::Int, x as u64),
+            RtVal::F64(x) => (Tag::F64, x.to_bits()),
+            RtVal::Ptr(p) => (Tag::Ptr, p),
+            RtVal::Vec(_) => unreachable!("vectors are stored through Vm::put_vec"),
+        };
+        Reg { bits, tag }
+    }
+}
+
 /// No slot: a `ret void`, or a phi with no incoming value on an edge.
 const NO_SLOT: Slot = Slot::MAX;
 
 /// One lowered operation: what it does, where its result goes and the
-/// cycles it charges.
+/// cycles it charges. Half a cache line: sizes and the externals' data
+/// are narrowed or kept beside the ops so that [`Kind`] stays 16 bytes.
 #[derive(Clone, Copy, Debug)]
 struct Op {
     kind: Kind,
@@ -324,19 +370,32 @@ enum Kind {
         a: Slot,
         b: Slot,
     },
+    /// A size past `u32::MAX` is kept as `u32::MAX`: it overflows the
+    /// stack either way.
     Alloca {
-        size: u64,
+        size: u32,
+    },
+    /// An 8-byte scalar load (`f64`, `ptr`, `i64`) of a `tag` value.
+    LoadWord {
+        tag: Tag,
+        ptr: Slot,
     },
     Load {
         ty: Type,
         ptr: Slot,
-        size: u64,
+        size: u32,
+    },
+    /// An 8-byte scalar store of a value that must be tagged `tag`.
+    StoreWord {
+        tag: Tag,
+        val: Slot,
+        ptr: Slot,
     },
     Store {
         ty: Type,
         val: Slot,
         ptr: Slot,
-        size: u64,
+        size: u32,
     },
     /// Indices and strides are `Code::geps[first..first + len]`.
     Gep {
@@ -376,8 +435,9 @@ enum Kind {
         first: u32,
         len: u32,
     },
+    /// The callee is `Code::externals[ext]`.
     External {
-        ext: External,
+        ext: u32,
         first: u32,
         len: u32,
     },
@@ -413,6 +473,8 @@ enum Kind {
     },
     Fail(Failure),
 }
+
+const _: () = assert!(std::mem::size_of::<Op>() == 32);
 
 /// An external callee, resolved from its name at lowering.
 #[derive(Clone, Copy, Debug)]
@@ -471,10 +533,11 @@ enum Failure {
     FellThrough(BlockId),
     PhiInEntry,
     SplatToScalar,
-    /// IR the verifier rejects and the interpreter cannot run at all (a
-    /// branch to a missing block, a void load or store, more gep indices
-    /// than strides).
-    Malformed(&'static str),
+    /// IR the verifier rejects and the interpreter cannot run at all.
+    MissingBlock,
+    VoidLoad,
+    VoidStore,
+    ExtraGepIndex,
 }
 
 /// A CFG edge: where it lands and the phi moves it performs.
@@ -505,8 +568,10 @@ struct Move {
 struct Code {
     ops: Vec<Op>,
     entry: u32,
-    /// Initial frame: constants set, every other slot unset.
-    frame: Vec<Option<RtVal>>,
+    /// Initial frame: scalar constants set, every other slot unset.
+    frame: Vec<Reg>,
+    /// The vector constants (typed-zero `undef`s), set on frame entry.
+    vec_consts: Vec<(Slot, VecVal)>,
     /// Number of instruction slots; the parameters start here.
     insts: u32,
     /// The dangling operands, by slot.
@@ -517,6 +582,7 @@ struct Code {
     lists: Vec<Slot>,
     /// Gep index slots and their byte strides.
     geps: Vec<(Slot, i64)>,
+    externals: Vec<External>,
 }
 
 impl Code {
@@ -551,7 +617,7 @@ impl<'a> Lowering<'a> {
     fn lower(module: &Module, fid: FuncId, global_base: &[u64], config: &MachineConfig) -> Code {
         let f = module.func(fid);
         let insts = f.insts.len() as u32;
-        let frame = vec![None; f.insts.len() + f.params.len()];
+        let frame = vec![Reg::UNSET; f.insts.len() + f.params.len()];
         let mut l = Lowering {
             module,
             f,
@@ -561,12 +627,14 @@ impl<'a> Lowering<'a> {
                 ops: Vec::new(),
                 entry: 0,
                 frame,
+                vec_consts: Vec::new(),
                 insts,
                 dangling: Vec::new(),
                 edges: Vec::new(),
                 moves: Vec::new(),
                 lists: Vec::new(),
                 geps: Vec::new(),
+                externals: Vec::new(),
             },
             slots: HashMap::new(),
             edge_targets: Vec::new(),
@@ -577,8 +645,7 @@ impl<'a> Lowering<'a> {
             l.block(b);
         }
         let malformed = l.code.ops.len() as u32;
-        let missing = Failure::Malformed("branch to a block that does not exist");
-        l.code.ops.push(Op::fail(missing));
+        l.code.ops.push(Op::fail(Failure::MissingBlock));
         let pc_of = |b: BlockId| block_pc.get(b.index()).copied().unwrap_or(malformed);
         for (e, to) in l.code.edges.iter_mut().zip(&l.edge_targets) {
             e.pc = pc_of(*to);
@@ -641,10 +708,18 @@ impl<'a> Lowering<'a> {
             }),
             Value::Inst(_) | Value::Arg(_) => None,
         };
-        if init.is_none() {
-            self.code.dangling.push((s, v));
-        }
-        self.code.frame.push(init);
+        let reg = match init {
+            Some(RtVal::Vec(x)) => {
+                self.code.vec_consts.push((s, x));
+                Reg::UNSET
+            }
+            Some(v) => Reg::scalar(v),
+            None => {
+                self.code.dangling.push((s, v));
+                Reg::UNSET
+            }
+        };
+        self.code.frame.push(reg);
         self.slots.insert(v, s);
         s
     }
@@ -721,26 +796,38 @@ impl<'a> Lowering<'a> {
                 (Kind::FCmp { pred: *pred, a, b }, prof.flop_cost)
             }
             InstKind::Alloca { mem } => {
-                let size = (mem.size_bytes() + 7) & !7;
+                let size = ((mem.size_bytes() + 7) & !7).min(u32::MAX.into()) as u32;
                 (Kind::Alloca { size }, prof.int_cost)
             }
             InstKind::Load { ptr } => match inst.ty {
-                Type::Void => (Kind::Fail(Failure::Malformed("load of void")), 0),
+                Type::Void => (Kind::Fail(Failure::VoidLoad), 0),
                 ty => {
-                    let (ptr, size) = (self.slot(*ptr), ty.size_bytes());
-                    (Kind::Load { ty, ptr, size }, mem_cost(prof, ty))
+                    let (ptr, size) = (self.slot(*ptr), ty.size_bytes() as u32);
+                    let load = match word_tag(ty) {
+                        Some(tag) => Kind::LoadWord { tag, ptr },
+                        None => Kind::Load { ty, ptr, size },
+                    };
+                    (load, mem_cost(prof, ty))
                 }
             },
             InstKind::Store { val, ptr } => match self.type_of(*val) {
                 // A void instruction's slot is never set, so storing one
                 // fails when its operand is read.
                 Type::Void if !matches!(val, Value::Inst(_) | Value::Arg(_)) => {
-                    (Kind::Fail(Failure::Malformed("store of void")), 0)
+                    (Kind::Fail(Failure::VoidStore), 0)
                 }
                 ty => {
                     let (ptr, val) = (self.slot(*ptr), self.slot(*val));
-                    let size = if ty == Type::Void { 0 } else { ty.size_bytes() };
-                    (Kind::Store { ty, val, ptr, size }, mem_cost(prof, ty))
+                    let size = if ty == Type::Void {
+                        0
+                    } else {
+                        ty.size_bytes() as u32
+                    };
+                    let store = match word_tag(ty) {
+                        Some(tag) => Kind::StoreWord { tag, val, ptr },
+                        None => Kind::Store { ty, val, ptr, size },
+                    };
+                    (store, mem_cost(prof, ty))
                 }
             },
             InstKind::Gep {
@@ -750,8 +837,7 @@ impl<'a> Lowering<'a> {
             } => {
                 let strides = elem.gep_strides();
                 if indices.len() > strides.len() {
-                    let more = Failure::Malformed("more gep indices than strides");
-                    (Kind::Fail(more), 0)
+                    (Kind::Fail(Failure::ExtraGepIndex), 0)
                 } else {
                     let first = self.code.geps.len() as u32;
                     for (idx, stride) in indices.iter().zip(strides) {
@@ -812,7 +898,10 @@ impl<'a> Lowering<'a> {
                     }
                     Callee::External(name) => {
                         let ext = External::resolve(self.module, *name, args.first().copied());
-                        (Kind::External { ext, first, len }, ext.cost(self.config))
+                        let cost = ext.cost(self.config);
+                        self.code.externals.push(ext);
+                        let ext = self.code.externals.len() as u32 - 1;
+                        (Kind::External { ext, first, len }, cost)
                     }
                 }
             }
@@ -878,6 +967,20 @@ impl<'a> Lowering<'a> {
     }
 }
 
+/// The tag of an 8-byte scalar type's values.
+fn word_tag(ty: Type) -> Option<Tag> {
+    match ty {
+        Type::F64 => Some(Tag::F64),
+        Type::Ptr => Some(Tag::Ptr),
+        Type::I64 => Some(Tag::Int),
+        _ => None,
+    }
+}
+
+fn malformed(what: &str) -> ! {
+    panic!("malformed IR: {what}")
+}
+
 fn mem_cost(prof: CompilerProfile, ty: Type) -> u64 {
     if ty.is_vector() {
         prof.vec_mem_cost
@@ -886,19 +989,42 @@ fn mem_cost(prof: CompilerProfile, ty: Type) -> u64 {
     }
 }
 
-/// Where a call's arguments come from.
-enum Args<'a> {
-    /// Slots of the caller's frame at `fp`.
-    Slots(usize, &'a [Slot]),
-    Values(&'a [RtVal]),
+/// A caller suspended by a call on the frame stack.
+#[derive(Debug)]
+struct Caller {
+    code: Arc<Code>,
+    /// The caller's next op.
+    pc: usize,
+    fp: usize,
+    /// The caller's slot for the callee's result.
+    dst: Slot,
+    /// The stack pointer on entry to the callee, restored when it returns.
+    sp: u64,
 }
 
-impl Args<'_> {
-    fn len(&self) -> usize {
-        match self {
-            Args::Slots(_, s) => s.len(),
-            Args::Values(v) => v.len(),
+/// What every op charges: cycles, memory traffic and fuel.
+#[derive(Clone, Copy, Debug)]
+struct Meter {
+    /// Cycle accumulator (cost model).
+    cycles: u64,
+    /// Bytes moved by loads/stores (for the bandwidth ceiling).
+    bytes: u64,
+    /// Remaining fuel: every op charged takes one unit.
+    fuel: u64,
+    /// Ops charged once the fuel was gone, each failing.
+    overdrawn: u64,
+}
+
+impl Meter {
+    #[inline(always)]
+    fn tick(&mut self, cost: u64) -> Result<(), ExecError> {
+        self.cycles += cost;
+        if self.fuel == 0 {
+            self.overdrawn += 1;
+            return Err(ExecError("fuel exhausted".into()));
         }
+        self.fuel -= 1;
+        Ok(())
     }
 }
 
@@ -913,20 +1039,18 @@ pub struct Vm<'m> {
     global_base: Vec<u64>,
     /// Each function's lowered code, by [`FuncId`], once it was called.
     code: Vec<Option<Arc<Code>>>,
-    /// Every active frame's slots, innermost last.
-    regs: Vec<Option<RtVal>>,
+    /// Every active frame's registers, innermost last.
+    regs: Vec<Reg>,
+    /// The lanes of a vector register, at the register's own index;
+    /// grown on the first vector stored that high, never shrunk.
+    lanes: Vec<VecVal>,
+    /// Every suspended caller, innermost last.
+    callers: Vec<Caller>,
     /// Phi values of the edge being taken, reused across edges.
-    phi_scratch: Vec<RtVal>,
+    phis: Phis,
     /// Argument values of the external call being made.
     ext_args: Vec<RtVal>,
-    /// Cycle accumulator (cost model).
-    cycles: u64,
-    /// Bytes moved by loads/stores (for the bandwidth ceiling).
-    bytes: u64,
-    /// Instructions interpreted.
-    insts_executed: u64,
-    /// Remaining fuel.
-    fuel: u64,
+    meter: Meter,
     /// Whether we are inside a parallel region (nested forks are an error).
     in_parallel: bool,
 }
@@ -963,24 +1087,28 @@ impl<'m> Vm<'m> {
             global_base,
             code: vec![None; module.functions.len()],
             regs: Vec::new(),
-            phi_scratch: Vec::new(),
+            lanes: Vec::new(),
+            callers: Vec::new(),
+            phis: Phis::default(),
             ext_args: Vec::new(),
-            cycles: 0,
-            bytes: 0,
-            insts_executed: 0,
-            fuel,
+            meter: Meter {
+                cycles: 0,
+                bytes: 0,
+                fuel,
+                overdrawn: 0,
+            },
             in_parallel: false,
         }
     }
 
     /// Accumulated cycle count.
     pub fn cycles(&self) -> u64 {
-        self.cycles
+        self.meter.cycles
     }
 
     /// Number of instructions interpreted.
     pub fn insts_executed(&self) -> u64 {
-        self.insts_executed
+        self.config.fuel - self.meter.fuel + self.meter.overdrawn
     }
 
     /// The global named `name`. Of two globals with one name the later
@@ -1098,7 +1226,7 @@ impl<'m> Vm<'m> {
 
     /// Call a function by id.
     pub fn call(&mut self, fid: FuncId, args: &[RtVal]) -> Result<Option<RtVal>, ExecError> {
-        self.invoke(fid, Args::Values(args))
+        self.invoke(fid, args)
     }
 
     /// `fid`'s code, lowered on its first call.
@@ -1109,389 +1237,141 @@ impl<'m> Vm<'m> {
             .clone()
     }
 
-    /// Push a frame for `fid`, run it, pop it.
-    fn invoke(&mut self, fid: FuncId, args: Args<'_>) -> Result<Option<RtVal>, ExecError> {
+    /// Run `fid` on `args` in a new frame, then pop everything the run
+    /// pushed, whether it returned or failed.
+    fn invoke(&mut self, fid: FuncId, args: &[RtVal]) -> Result<Option<RtVal>, ExecError> {
+        let (fp, base, sp) = (self.regs.len(), self.callers.len(), self.sp);
+        let result = self.enter(fid, args.len()).and_then(|code| {
+            let params = fp + code.insts as usize;
+            for (k, &v) in args.iter().enumerate() {
+                put(&mut self.regs, &mut self.lanes, params + k, v);
+            }
+            self.run(code, fp, base)
+        });
+        self.callers.truncate(base);
+        self.regs.truncate(fp);
+        self.sp = sp;
+        result
+    }
+
+    /// Push `fid`'s frame template on the register stack, for a call with
+    /// `args` arguments. The register stack and the frame stack together
+    /// may hold as many bytes as the stack region, so unbounded IR
+    /// recursion ends in `stack overflow` as a too-deep chain of allocas
+    /// does.
+    fn enter(&mut self, fid: FuncId, args: usize) -> Result<Arc<Code>, ExecError> {
         let f = self.module.func(fid);
-        if f.params.len() != args.len() {
+        if f.params.len() != args {
             return Err(ExecError(format!(
                 "call to @{} with {} args, expected {}",
-                f.name,
-                args.len(),
+                self.module.name_of(f.name),
+                args,
                 f.params.len()
             )));
         }
         let code = self.code(fid);
         let fp = self.regs.len();
+        let bytes = (fp + code.frame.len()) * std::mem::size_of::<Reg>()
+            + self.callers.len() * std::mem::size_of::<Caller>();
+        if bytes as u64 > STACK_SIZE {
+            return Err(ExecError("stack overflow".into()));
+        }
         self.regs.extend_from_slice(&code.frame);
-        let params = fp + code.insts as usize;
-        match args {
-            Args::Slots(caller, slots) => {
-                for (k, &s) in slots.iter().enumerate() {
-                    self.regs[params + k] = self.regs[caller + s as usize];
-                }
-            }
-            Args::Values(vals) => {
-                for (k, &v) in vals.iter().enumerate() {
-                    self.regs[params + k] = Some(v);
-                }
-            }
+        for &(s, v) in &code.vec_consts {
+            put_vec(&mut self.regs, &mut self.lanes, fp + s as usize, v);
         }
-        let sp_on_entry = self.sp;
-        let result = self.run(&code, fp);
-        self.sp = sp_on_entry;
-        self.regs.truncate(fp);
-        result
+        Ok(code)
     }
 
-    #[inline(always)]
-    fn tick(&mut self, cost: u64) -> Result<(), ExecError> {
-        self.cycles += cost;
-        self.insts_executed += 1;
-        if self.fuel == 0 {
-            return Err(ExecError("fuel exhausted".into()));
-        }
-        self.fuel -= 1;
-        Ok(())
-    }
-
-    #[inline(always)]
-    fn get(&self, code: &Code, fp: usize, s: Slot) -> Result<RtVal, ExecError> {
-        match self.regs[fp + s as usize] {
-            Some(v) => Ok(v),
-            None => Err(code.unset(s)),
-        }
-    }
-
-    #[inline(always)]
-    fn set(&mut self, fp: usize, s: Slot, v: RtVal) {
-        self.regs[fp + s as usize] = Some(v);
-    }
-
-    #[inline(always)]
-    fn int(&self, code: &Code, fp: usize, s: Slot) -> Result<i64, ExecError> {
-        match self.regs[fp + s as usize] {
-            Some(RtVal::Int(v)) => Ok(v),
-            _ => self.get(code, fp, s)?.as_int(),
-        }
-    }
-
-    #[inline(always)]
-    fn float(&self, code: &Code, fp: usize, s: Slot) -> Result<f64, ExecError> {
-        match self.regs[fp + s as usize] {
-            Some(RtVal::F64(v)) => Ok(v),
-            _ => self.get(code, fp, s)?.as_f64(),
-        }
-    }
-
-    #[inline(always)]
-    fn ptr(&self, code: &Code, fp: usize, s: Slot) -> Result<u64, ExecError> {
-        match self.regs[fp + s as usize] {
-            Some(RtVal::Ptr(p)) => Ok(p),
-            _ => self.get(code, fp, s)?.as_ptr(),
-        }
-    }
-
-    /// Both operands as integers: both are read before either's kind is
-    /// checked.
-    #[inline(always)]
-    fn ints(&self, code: &Code, fp: usize, a: Slot, b: Slot) -> Result<(i64, i64), ExecError> {
-        if let Some(RtVal::Int(x)) = self.regs[fp + a as usize] {
-            if let Some(RtVal::Int(y)) = self.regs[fp + b as usize] {
-                return Ok((x, y));
-            }
-        }
-        let (x, y) = (self.get(code, fp, a)?, self.get(code, fp, b)?);
-        Ok((x.as_int()?, y.as_int()?))
-    }
-
-    /// Both operands as floats, read like [`Vm::ints`].
-    #[inline(always)]
-    fn floats(&self, code: &Code, fp: usize, a: Slot, b: Slot) -> Result<(f64, f64), ExecError> {
-        if let Some(RtVal::F64(x)) = self.regs[fp + a as usize] {
-            if let Some(RtVal::F64(y)) = self.regs[fp + b as usize] {
-                return Ok((x, y));
-            }
-        }
-        let (x, y) = (self.get(code, fp, a)?, self.get(code, fp, b)?);
-        Ok((x.as_f64()?, y.as_f64()?))
-    }
-
-    /// `icmp`'s operands: two integers, or two pointers compared as
-    /// integers.
-    #[inline(always)]
-    fn compared(&self, code: &Code, fp: usize, a: Slot, b: Slot) -> Result<(i64, i64), ExecError> {
-        if let Some(RtVal::Int(x)) = self.regs[fp + a as usize] {
-            if let Some(RtVal::Int(y)) = self.regs[fp + b as usize] {
-                return Ok((x, y));
-            }
-        }
-        match (self.get(code, fp, a)?, self.get(code, fp, b)?) {
-            (RtVal::Ptr(p), RtVal::Ptr(q)) => Ok((p as i64, q as i64)),
-            (x, y) => Ok((x.as_int()?, y.as_int()?)),
-        }
-    }
-
-    /// Take edge `e`: evaluate every phi of its target, then assign them,
-    /// one cycle each. Returns the target's first op.
-    fn take_edge(&mut self, code: &Code, fp: usize, e: u32) -> Result<usize, ExecError> {
-        let edge = code.edges[e as usize];
-        let moves = &code.moves[edge.first as usize..(edge.first + edge.len) as usize];
-        if let [m] = moves {
-            let v = self.phi_source(code, fp, edge, *m)?;
-            self.regs[fp + m.dst as usize] = Some(v);
-            self.tick(1)?;
-        } else if !moves.is_empty() {
-            let mut vals = std::mem::take(&mut self.phi_scratch);
-            vals.clear();
-            for &m in moves {
-                vals.push(self.phi_source(code, fp, edge, m)?);
-            }
-            for (m, &v) in moves.iter().zip(&vals) {
-                self.regs[fp + m.dst as usize] = Some(v);
-                self.tick(1)?;
-            }
-            self.phi_scratch = vals;
-        }
-        Ok(edge.pc as usize)
-    }
-
-    #[inline(always)]
-    fn phi_source(&self, code: &Code, fp: usize, edge: Edge, m: Move) -> Result<RtVal, ExecError> {
-        if m.src == NO_SLOT {
-            return Err(ExecError(format!(
-                "phi {} missing incoming for {}",
-                InstId(m.dst),
-                edge.from
-            )));
-        }
-        self.get(code, fp, m.src)
-    }
-
-    /// Execute `code` in the frame at `fp` from its entry.
-    fn run(&mut self, code: &Code, fp: usize) -> Result<Option<RtVal>, ExecError> {
+    /// Execute `code` in the frame at `fp` from its entry, until the
+    /// frame stack is back at `base` callers and the function returns. A
+    /// call pushes its caller on the frame stack and a return pops it, so
+    /// IR recursion never recurses natively.
+    fn run(
+        &mut self,
+        mut code: Arc<Code>,
+        mut fp: usize,
+        base: usize,
+    ) -> Result<Option<RtVal>, ExecError> {
         let mut pc = code.entry as usize;
         loop {
-            let Op { kind, dst, cost } = code.ops[pc];
-            pc += 1;
-            match kind {
-                Kind::IntBin { op, ty, a, b } => {
-                    let (x, y) = self.ints(code, fp, a, b)?;
-                    let r = eval::int_bin(op, x, y, ty)?;
-                    self.tick(cost)?;
-                    self.set(fp, dst, RtVal::Int(r));
-                }
-                Kind::FloatBin { op, a, b } => {
-                    let (x, y) = self.floats(code, fp, a, b)?;
-                    let r = eval::float_bin(op, x, y)?;
-                    self.tick(cost)?;
-                    self.set(fp, dst, RtVal::F64(r));
-                }
-                Kind::VecBin { op, vt, a, b } => {
-                    let (x, y) = (self.get(code, fp, a)?, self.get(code, fp, b)?);
-                    let r = vec_bin(op, vt, x.as_vec()?, y.as_vec()?)?;
-                    self.tick(cost)?;
-                    self.set(fp, dst, RtVal::Vec(r));
-                }
-                Kind::ICmp { pred, a, b } => {
-                    let (x, y) = self.compared(code, fp, a, b)?;
-                    self.tick(cost)?;
-                    self.set(fp, dst, RtVal::Int(eval::icmp(pred, x, y) as i64));
-                }
-                Kind::FCmp { pred, a, b } => {
-                    let x = self.float(code, fp, a)?;
-                    let y = self.float(code, fp, b)?;
-                    self.tick(cost)?;
-                    self.set(fp, dst, RtVal::Int(eval::fcmp(pred, x, y) as i64));
-                }
-                Kind::Alloca { size } => {
-                    let addr = self.sp;
-                    self.sp += size;
-                    if self.sp >= STACK_TOP {
-                        return Err(ExecError("stack overflow".into()));
-                    }
-                    // Fresh allocas read as zero.
-                    self.mem.zero_stack(addr, self.sp);
-                    self.tick(cost)?;
-                    self.set(fp, dst, RtVal::Ptr(addr));
-                }
-                Kind::Load { ty, ptr, size } => {
-                    let addr = self.ptr(code, fp, ptr)?;
-                    self.bytes += size;
-                    self.tick(cost)?;
-                    let mem = &self.mem;
-                    let v = match ty {
-                        Type::F64 => RtVal::F64(f64::from_bits(mem.load_u64(addr)?)),
-                        Type::Ptr => RtVal::Ptr(mem.load_u64(addr)?),
-                        Type::I64 => RtVal::Int(mem.load_u64(addr)? as i64),
-                        Type::I32 => RtVal::Int(u32::from_le_bytes(mem.read(addr)?) as i32 as i64),
-                        Type::I8 | Type::I1 => RtVal::Int(mem.read::<1>(addr)?[0] as i8 as i64),
-                        Type::Vec(vt) => {
-                            let mut r = VecVal::zero(vt);
-                            for i in 0..r.lanes() {
-                                r.bits[i] = mem.load_u64(addr + 8 * i as u64)?;
-                            }
-                            RtVal::Vec(r)
-                        }
-                        Type::Void => unreachable!("void loads are lowered to a failure"),
-                    };
-                    self.set(fp, dst, v);
-                }
-                Kind::Store { ty, val, ptr, size } => {
-                    let addr = self.ptr(code, fp, ptr)?;
-                    let v = self.get(code, fp, val)?;
-                    self.bytes += size;
-                    self.tick(cost)?;
-                    let mem = &mut self.mem;
-                    match (ty, v) {
-                        (Type::Vec(_), RtVal::Vec(x)) => {
-                            for i in 0..x.lanes() {
-                                mem.store_u64(addr + 8 * i as u64, x.bits[i])?;
-                            }
-                        }
-                        (Type::F64, RtVal::F64(x)) => mem.store_u64(addr, x.to_bits())?,
-                        (Type::Ptr, RtVal::Ptr(p)) => mem.store_u64(addr, p)?,
-                        (Type::I64, RtVal::Int(x)) => mem.store_u64(addr, x as u64)?,
-                        (Type::I32, RtVal::Int(x)) => mem.write(addr, (x as u32).to_le_bytes())?,
-                        (Type::I8 | Type::I1, RtVal::Int(x)) => mem.write(addr, [x as u8])?,
-                        (t, v) => {
-                            return Err(ExecError(format!("store type mismatch: {t} vs {v:?}")))
-                        }
-                    }
-                }
-                Kind::Gep { ptr, first, len } => {
-                    let mut addr = self.ptr(code, fp, ptr)?;
-                    for &(s, stride) in &code.geps[first as usize..(first + len) as usize] {
-                        let i = self.int(code, fp, s)?;
-                        addr = addr.wrapping_add(stride.wrapping_mul(i) as u64);
-                    }
-                    self.tick(cost)?;
-                    self.set(fp, dst, RtVal::Ptr(addr));
-                }
-                Kind::Bitcast { src } => {
-                    let v = self.get(code, fp, src)?;
-                    self.tick(cost)?;
-                    self.set(fp, dst, v);
-                }
-                Kind::SiToFp { src } => {
-                    let v = self.get(code, fp, src)?;
-                    self.tick(cost)?;
-                    self.set(fp, dst, RtVal::F64(eval::int_to_float(v.as_int()?)));
-                }
-                Kind::FpToSi { ty, src } => {
-                    let v = self.get(code, fp, src)?;
-                    self.tick(cost)?;
-                    self.set(fp, dst, RtVal::Int(eval::float_to_int(v.as_f64()?, ty)));
-                }
-                Kind::IntCast { op, from, to, src } => {
-                    let v = self.get(code, fp, src)?;
-                    self.tick(cost)?;
-                    self.set(
-                        fp,
-                        dst,
-                        RtVal::Int(eval::int_cast(op, v.as_int()?, from, to)),
-                    );
-                }
-                Kind::VecCast { op, vt, src } => {
-                    let r = vec_cast(op, vt, self.get(code, fp, src)?.as_vec()?)?;
-                    self.tick(cost)?;
-                    self.set(fp, dst, RtVal::Vec(r));
-                }
-                Kind::Select {
-                    cond,
-                    then_val,
-                    else_val,
-                } => {
-                    let c = self.int(code, fp, cond)?;
-                    let r = self.get(code, fp, if c != 0 { then_val } else { else_val })?;
-                    self.tick(cost)?;
-                    self.set(fp, dst, r);
-                }
+            let (op, next) = self.exec(&code, pc, fp)?;
+            pc = next;
+            match op.kind {
                 Kind::Call { callee, first, len } => {
                     let args = &code.lists[first as usize..(first + len) as usize];
                     for &s in args {
-                        self.get(code, fp, s)?;
+                        reg(&code, &self.regs, fp, s)?;
                     }
-                    self.tick(cost)?;
-                    let r = self.invoke(callee, Args::Slots(fp, args))?;
-                    self.regs[fp + dst as usize] = r;
+                    self.meter.tick(op.cost)?;
+                    let callee_fp = self.regs.len();
+                    let callee = self.enter(callee, args.len())?;
+                    let params = callee_fp + callee.insts as usize;
+                    for (k, &s) in args.iter().enumerate() {
+                        let r = self.regs[fp + s as usize];
+                        copy(&mut self.regs, &mut self.lanes, r, params + k);
+                    }
+                    let entry = callee.entry as usize;
+                    self.callers.push(Caller {
+                        code: std::mem::replace(&mut code, callee),
+                        pc,
+                        fp,
+                        dst: op.dst,
+                        sp: self.sp,
+                    });
+                    (pc, fp) = (entry, callee_fp);
                 }
                 Kind::External { ext, first, len } => {
                     let mut vals = std::mem::take(&mut self.ext_args);
                     vals.clear();
                     for &s in &code.lists[first as usize..(first + len) as usize] {
-                        vals.push(self.get(code, fp, s)?);
+                        vals.push(get(&code, &self.regs, &self.lanes, fp, s)?);
                     }
-                    let r = self.external(ext, &mut vals, cost);
+                    let r = self.external(code.externals[ext as usize], &mut vals, op.cost);
                     self.ext_args = vals;
                     if let Some(v) = r? {
-                        self.set(fp, dst, v);
+                        put(&mut self.regs, &mut self.lanes, fp + op.dst as usize, v);
                     }
-                }
-                Kind::Splat { vt, src } => {
-                    let v = self.get(code, fp, src)?;
-                    let mut r = VecVal::zero(vt);
-                    for i in 0..r.lanes() {
-                        r.set_lane(i, v)?;
-                    }
-                    self.tick(cost)?;
-                    self.set(fp, dst, RtVal::Vec(r));
-                }
-                Kind::ExtractLane { lane, vec } => {
-                    let v = self.get(code, fp, vec)?.as_vec()?;
-                    if lane as usize >= v.lanes() {
-                        return Err(ExecError(format!("lane {lane} out of range")));
-                    }
-                    self.tick(cost)?;
-                    self.set(fp, dst, v.lane(lane as usize));
-                }
-                Kind::InsertLane { lane, vec, val } => {
-                    let mut v = self.get(code, fp, vec)?.as_vec()?;
-                    if lane as usize >= v.lanes() {
-                        return Err(ExecError(format!("lane {lane} out of range")));
-                    }
-                    let x = self.get(code, fp, val)?;
-                    v.set_lane(lane as usize, x)?;
-                    self.tick(cost)?;
-                    self.set(fp, dst, RtVal::Vec(v));
-                }
-                Kind::Reduce { op, acc, vec } => {
-                    let v = self.get(code, fp, vec)?.as_vec()?;
-                    let a = self.get(code, fp, acc)?;
-                    let r = reduce(op, a, v)?;
-                    self.tick(cost * v.lanes() as u64 / 2)?;
-                    self.set(fp, dst, r);
-                }
-                Kind::Br { edge } => {
-                    self.tick(cost)?;
-                    pc = self.take_edge(code, fp, edge)?;
-                }
-                Kind::CondBr {
-                    cond,
-                    then_edge,
-                    else_edge,
-                } => {
-                    self.tick(cost)?;
-                    let c = self.int(code, fp, cond)?;
-                    let edge = if c != 0 { then_edge } else { else_edge };
-                    pc = self.take_edge(code, fp, edge)?;
                 }
                 Kind::Ret { val } => {
-                    return match val {
-                        NO_SLOT => Ok(None),
-                        v => self.get(code, fp, v).map(Some),
+                    let r = match val {
+                        NO_SLOT => Reg::UNSET,
+                        v => reg(&code, &self.regs, fp, v)?,
                     };
+                    if self.callers.len() == base {
+                        return Ok((val != NO_SLOT).then(|| value(&self.lanes, r)));
+                    }
+                    let Some(caller) = self.callers.pop() else {
+                        unreachable!("a frame above the base has a caller")
+                    };
+                    let at = caller.fp + caller.dst as usize;
+                    copy(&mut self.regs, &mut self.lanes, r, at);
+                    self.regs.truncate(fp);
+                    self.sp = caller.sp;
+                    (code, pc, fp) = (caller.code, caller.pc, caller.fp);
                 }
-                Kind::Fail(failure) => {
-                    return Err(ExecError(match failure {
-                        Failure::Unreachable => "reached unreachable".into(),
-                        Failure::FellThrough(b) => format!("block {b} fell through"),
-                        Failure::PhiInEntry => "phi in entry block has no predecessor".into(),
-                        Failure::SplatToScalar => "splat to non-vector".into(),
-                        Failure::Malformed(what) => panic!("malformed IR: {what}"),
-                    }))
-                }
+                _ => unreachable!("only calls, externals and returns leave a frame"),
             }
         }
+    }
+
+    /// Execute `code`'s ops from `pc` in the frame at `fp` up to one that
+    /// leaves the frame: a call, an external call or a return. Returns
+    /// that op, not yet executed, and the pc after it.
+    fn exec(&mut self, code: &Code, pc: usize, fp: usize) -> Result<(Op, usize), ExecError> {
+        let mut x = Exec {
+            code,
+            fp,
+            regs: &mut self.regs,
+            lanes: &mut self.lanes,
+            mem: &mut self.mem,
+            phis: &mut self.phis,
+            meter: self.meter,
+            sp: self.sp,
+        };
+        let result = x.run(pc);
+        (self.meter, self.sp) = (x.meter, x.sp);
+        result
     }
 
     fn external(
@@ -1507,7 +1387,7 @@ impl<'m> Vm<'m> {
                     .ok_or_else(|| ExecError(format!("{name} needs an argument")))?
                     .as_f64()?;
                 let r = f(x);
-                self.tick(cost)?;
+                self.meter.tick(cost)?;
                 Ok(Some(RtVal::F64(r)))
             }
             External::Pow => {
@@ -1518,7 +1398,7 @@ impl<'m> Vm<'m> {
                     )));
                 };
                 let (x, y) = (x.as_f64()?, y.as_f64()?);
-                self.tick(cost)?;
+                self.meter.tick(cost)?;
                 Ok(Some(RtVal::F64(x.powf(y))))
             }
             External::Fork(region) => {
@@ -1530,7 +1410,7 @@ impl<'m> Vm<'m> {
                 Ok(None)
             }
             External::StaticFini | External::Barrier => {
-                self.tick(cost)?;
+                self.meter.tick(cost)?;
                 Ok(None)
             }
             External::Marker => Ok(None),
@@ -1559,27 +1439,27 @@ impl<'m> Vm<'m> {
             ));
         };
         let cores = self.config.cores.max(1);
-        let saved_cycles = self.cycles;
-        let saved_bytes = self.bytes;
+        let saved_cycles = self.meter.cycles;
+        let saved_bytes = self.meter.bytes;
         let mut max_thread = 0u64;
         let mut region_bytes = 0u64;
         self.in_parallel = true;
         for tid in 0..cores {
-            self.cycles = 0;
-            self.bytes = 0;
+            self.meter.cycles = 0;
+            self.meter.bytes = 0;
             vals[0] = RtVal::Int(tid as i64);
-            if let Err(e) = self.invoke(region, Args::Values(vals)) {
+            if let Err(e) = self.invoke(region, vals) {
                 self.in_parallel = false;
                 return Err(e);
             }
-            max_thread = max_thread.max(self.cycles);
-            region_bytes += self.bytes;
+            max_thread = max_thread.max(self.meter.cycles);
+            region_bytes += self.meter.bytes;
         }
         self.in_parallel = false;
         let bandwidth_floor = (region_bytes as f64 / self.config.mem_bandwidth) as u64;
         let region_time = max_thread.max(bandwidth_floor) + self.config.fork_overhead;
-        self.cycles = saved_cycles + region_time;
-        self.bytes = saved_bytes + region_bytes;
+        self.meter.cycles = saved_cycles + region_time;
+        self.meter.bytes = saved_bytes + region_bytes;
         Ok(())
     }
 
@@ -1619,8 +1499,539 @@ impl<'m> Vm<'m> {
         };
         self.mem.store_u64(p_lb, lb as u64)?;
         self.mem.store_u64(p_ub, ub as u64)?;
-        self.tick(cost)?;
+        self.meter.tick(cost)?;
         Ok(())
+    }
+}
+
+/// Phi values of the edge being taken: registers, with a vector's lanes
+/// copied out to `lanes` and its payload indexing them.
+#[derive(Default)]
+struct Phis {
+    regs: Vec<Reg>,
+    lanes: Vec<VecVal>,
+}
+
+/// The register at absolute index `fp + s`, which must be set.
+#[inline(always)]
+fn reg(code: &Code, regs: &[Reg], fp: usize, s: Slot) -> Result<Reg, ExecError> {
+    let r = regs[fp + s as usize];
+    if r.tag == Tag::Unset {
+        return Err(code.unset(s));
+    }
+    Ok(r)
+}
+
+/// The value a set register holds.
+#[inline(always)]
+fn value(lanes: &[VecVal], r: Reg) -> RtVal {
+    match r.tag {
+        Tag::Int => RtVal::Int(r.bits as i64),
+        Tag::F64 => RtVal::F64(f64::from_bits(r.bits)),
+        Tag::Ptr => RtVal::Ptr(r.bits),
+        Tag::Vec => RtVal::Vec(lanes[r.bits as usize]),
+        Tag::Unset => unreachable!("an unset register holds no value"),
+    }
+}
+
+#[inline(always)]
+fn get(
+    code: &Code,
+    regs: &[Reg],
+    lanes: &[VecVal],
+    fp: usize,
+    s: Slot,
+) -> Result<RtVal, ExecError> {
+    reg(code, regs, fp, s).map(|r| value(lanes, r))
+}
+
+/// Store `v` in the register at absolute index `at`.
+fn put(regs: &mut [Reg], lanes: &mut Vec<VecVal>, at: usize, v: RtVal) {
+    match v {
+        RtVal::Vec(x) => put_vec(regs, lanes, at, x),
+        v => regs[at] = Reg::scalar(v),
+    }
+}
+
+fn put_vec(regs: &mut [Reg], lanes: &mut Vec<VecVal>, at: usize, v: VecVal) {
+    if lanes.len() <= at {
+        lanes.resize(at + 1, v);
+    }
+    lanes[at] = v;
+    regs[at] = Reg {
+        bits: at as u64,
+        tag: Tag::Vec,
+    };
+}
+
+/// Copy the value `r` into the register at `at`, a vector's lanes
+/// included.
+#[inline(always)]
+fn copy(regs: &mut [Reg], lanes: &mut Vec<VecVal>, r: Reg, at: usize) {
+    if r.tag == Tag::Vec {
+        put_vec(regs, lanes, at, lanes[r.bits as usize]);
+    } else {
+        regs[at] = r;
+    }
+}
+
+/// What one frame's ops touch, borrowed apart from the rest of the VM:
+/// the registers as a slice, the lanes, memory and phi scratch, and the
+/// meter and stack pointer by value, written back when the ops stop.
+struct Exec<'a> {
+    code: &'a Code,
+    fp: usize,
+    regs: &'a mut [Reg],
+    lanes: &'a mut Vec<VecVal>,
+    mem: &'a mut Memory,
+    phis: &'a mut Phis,
+    meter: Meter,
+    sp: u64,
+}
+
+impl Exec<'_> {
+    #[inline(always)]
+    fn tick(&mut self, cost: u64) -> Result<(), ExecError> {
+        self.meter.tick(cost)
+    }
+
+    #[inline(always)]
+    fn reg(&self, s: Slot) -> Result<Reg, ExecError> {
+        reg(self.code, self.regs, self.fp, s)
+    }
+
+    #[inline(always)]
+    fn get(&self, s: Slot) -> Result<RtVal, ExecError> {
+        get(self.code, self.regs, self.lanes, self.fp, s)
+    }
+
+    #[inline(always)]
+    fn set(&mut self, s: Slot, tag: Tag, bits: u64) {
+        self.regs[self.fp + s as usize] = Reg { bits, tag };
+    }
+
+    #[inline(always)]
+    fn put(&mut self, s: Slot, v: RtVal) {
+        put(self.regs, self.lanes, self.fp + s as usize, v);
+    }
+
+    #[inline(always)]
+    fn put_vec(&mut self, s: Slot, v: VecVal) {
+        put_vec(self.regs, self.lanes, self.fp + s as usize, v);
+    }
+
+    #[inline(always)]
+    fn copy(&mut self, r: Reg, s: Slot) {
+        copy(self.regs, self.lanes, r, self.fp + s as usize);
+    }
+
+    /// Slot `s`'s payload if its tag is `tag`; else the unset-value
+    /// error or the error of a value of another kind.
+    #[inline(always)]
+    fn read(&self, s: Slot, tag: Tag) -> Result<u64, ExecError> {
+        let r = self.regs[self.fp + s as usize];
+        if r.tag == tag {
+            return Ok(r.bits);
+        }
+        Err(read_error(
+            self.code,
+            self.regs,
+            self.lanes,
+            self.fp,
+            &[s],
+            tag,
+        ))
+    }
+
+    #[inline(always)]
+    fn int(&self, s: Slot) -> Result<i64, ExecError> {
+        self.read(s, Tag::Int).map(|x| x as i64)
+    }
+
+    #[inline(always)]
+    fn float(&self, s: Slot) -> Result<f64, ExecError> {
+        self.read(s, Tag::F64).map(f64::from_bits)
+    }
+
+    #[inline(always)]
+    fn ptr(&self, s: Slot) -> Result<u64, ExecError> {
+        self.read(s, Tag::Ptr)
+    }
+
+    /// Both operands' payloads, read like [`Exec::read`]: both are read
+    /// before either's kind is checked.
+    #[inline(always)]
+    fn pair(&self, a: Slot, b: Slot, tag: Tag) -> Result<(u64, u64), ExecError> {
+        let (x, y) = (
+            self.regs[self.fp + a as usize],
+            self.regs[self.fp + b as usize],
+        );
+        if x.tag == tag && y.tag == tag {
+            return Ok((x.bits, y.bits));
+        }
+        Err(read_error(
+            self.code,
+            self.regs,
+            self.lanes,
+            self.fp,
+            &[a, b],
+            tag,
+        ))
+    }
+
+    /// `icmp`'s operands: two integers, or two pointers compared as
+    /// integers.
+    #[inline(always)]
+    fn compared(&self, a: Slot, b: Slot) -> Result<(u64, u64), ExecError> {
+        let (x, y) = (
+            self.regs[self.fp + a as usize],
+            self.regs[self.fp + b as usize],
+        );
+        if x.tag == y.tag && matches!(x.tag, Tag::Int | Tag::Ptr) {
+            return Ok((x.bits, y.bits));
+        }
+        Err(read_error(
+            self.code,
+            self.regs,
+            self.lanes,
+            self.fp,
+            &[a, b],
+            Tag::Int,
+        ))
+    }
+
+    /// The payload of `r`, a set register, if it holds a `tag`; else the
+    /// error of a value of another kind.
+    #[inline(always)]
+    fn payload(&self, r: Reg, tag: Tag) -> Result<u64, ExecError> {
+        if r.tag == tag {
+            return Ok(r.bits);
+        }
+        Err(kind_error(&[value(self.lanes, r)], tag))
+    }
+
+    /// Take edge `e`: evaluate every phi of its target, then assign them,
+    /// one cycle each. Returns the target's first op.
+    #[inline(always)]
+    fn take_edge(&mut self, e: u32) -> Result<usize, ExecError> {
+        let edge = self.code.edges[e as usize];
+        let moves = &self.code.moves[edge.first as usize..(edge.first + edge.len) as usize];
+        if let [m] = moves {
+            let r = self.phi_source(edge, *m)?;
+            self.copy(r, m.dst);
+            self.tick(1)?;
+        } else if !moves.is_empty() {
+            self.phis.regs.clear();
+            self.phis.lanes.clear();
+            for &m in moves {
+                let mut r = self.phi_source(edge, m)?;
+                if r.tag == Tag::Vec {
+                    self.phis.lanes.push(self.lanes[r.bits as usize]);
+                    r.bits = self.phis.lanes.len() as u64 - 1;
+                }
+                self.phis.regs.push(r);
+            }
+            for (k, m) in moves.iter().enumerate() {
+                let r = self.phis.regs[k];
+                if r.tag == Tag::Vec {
+                    self.put_vec(m.dst, self.phis.lanes[r.bits as usize]);
+                } else {
+                    self.regs[self.fp + m.dst as usize] = r;
+                }
+                self.tick(1)?;
+            }
+        }
+        Ok(edge.pc as usize)
+    }
+
+    #[inline(always)]
+    fn phi_source(&self, edge: Edge, m: Move) -> Result<Reg, ExecError> {
+        if m.src == NO_SLOT {
+            return Err(ExecError(format!(
+                "phi {} missing incoming for {}",
+                InstId(m.dst),
+                edge.from
+            )));
+        }
+        self.reg(m.src)
+    }
+
+    /// Execute ops from `pc` up to one that leaves the frame: a call, an
+    /// external call or a return. Returns that op, not yet executed, and
+    /// the pc after it.
+    fn run(&mut self, mut pc: usize) -> Result<(Op, usize), ExecError> {
+        let code = self.code;
+        loop {
+            let op = &code.ops[pc];
+            let (dst, cost) = (op.dst, op.cost);
+            pc += 1;
+            match op.kind {
+                Kind::IntBin { op, ty, a, b } => {
+                    let (x, y) = self.pair(a, b, Tag::Int)?;
+                    let r = eval::int_bin(op, x as i64, y as i64, ty)?;
+                    self.tick(cost)?;
+                    self.set(dst, Tag::Int, r as u64);
+                }
+                Kind::FloatBin { op, a, b } => {
+                    let (x, y) = self.pair(a, b, Tag::F64)?;
+                    let r = eval::float_bin(op, f64::from_bits(x), f64::from_bits(y))?;
+                    self.tick(cost)?;
+                    self.set(dst, Tag::F64, r.to_bits());
+                }
+                Kind::VecBin { op, vt, a, b } => {
+                    let (x, y) = (self.get(a)?, self.get(b)?);
+                    let r = vec_bin(op, vt, x.as_vec()?, y.as_vec()?)?;
+                    self.tick(cost)?;
+                    self.put_vec(dst, r);
+                }
+                Kind::ICmp { pred, a, b } => {
+                    let (x, y) = self.compared(a, b)?;
+                    self.tick(cost)?;
+                    self.set(dst, Tag::Int, eval::icmp(pred, x as i64, y as i64) as u64);
+                }
+                Kind::FCmp { pred, a, b } => {
+                    let x = self.float(a)?;
+                    let y = self.float(b)?;
+                    self.tick(cost)?;
+                    self.set(dst, Tag::Int, eval::fcmp(pred, x, y) as u64);
+                }
+                Kind::Alloca { size } => {
+                    let addr = self.sp;
+                    self.sp += u64::from(size);
+                    if self.sp >= STACK_TOP {
+                        return Err(ExecError("stack overflow".into()));
+                    }
+                    // Fresh allocas read as zero.
+                    self.mem.zero_stack(addr, self.sp);
+                    self.tick(cost)?;
+                    self.set(dst, Tag::Ptr, addr);
+                }
+                Kind::LoadWord { tag, ptr } => {
+                    let addr = self.ptr(ptr)?;
+                    self.meter.bytes += 8;
+                    self.tick(cost)?;
+                    let bits = self.mem.load_u64(addr)?;
+                    self.set(dst, tag, bits);
+                }
+                Kind::StoreWord { tag, val, ptr } => {
+                    let addr = self.ptr(ptr)?;
+                    let r = self.reg(val)?;
+                    self.meter.bytes += 8;
+                    self.tick(cost)?;
+                    if r.tag != tag {
+                        let t = match tag {
+                            Tag::F64 => Type::F64,
+                            Tag::Ptr => Type::Ptr,
+                            _ => Type::I64,
+                        };
+                        let v = value(self.lanes, r);
+                        return Err(ExecError(format!("store type mismatch: {t} vs {v:?}")));
+                    }
+                    self.mem.store_u64(addr, r.bits)?;
+                }
+                Kind::Load { ty, ptr, size } => {
+                    let addr = self.ptr(ptr)?;
+                    self.meter.bytes += u64::from(size);
+                    self.tick(cost)?;
+                    let mem = &self.mem;
+                    let (tag, bits) = match ty {
+                        Type::F64 => (Tag::F64, mem.load_u64(addr)?),
+                        Type::Ptr => (Tag::Ptr, mem.load_u64(addr)?),
+                        Type::I64 => (Tag::Int, mem.load_u64(addr)?),
+                        Type::I32 => {
+                            let x = u32::from_le_bytes(mem.read(addr)?);
+                            (Tag::Int, x as i32 as i64 as u64)
+                        }
+                        Type::I8 | Type::I1 => (Tag::Int, mem.read::<1>(addr)?[0] as i8 as u64),
+                        Type::Vec(vt) => {
+                            let mut r = VecVal::zero(vt);
+                            for i in 0..r.lanes() {
+                                r.bits[i] = mem.load_u64(addr + 8 * i as u64)?;
+                            }
+                            self.put_vec(dst, r);
+                            continue;
+                        }
+                        Type::Void => unreachable!("void loads are lowered to a failure"),
+                    };
+                    self.set(dst, tag, bits);
+                }
+                Kind::Store { ty, val, ptr, size } => {
+                    let addr = self.ptr(ptr)?;
+                    let r = self.reg(val)?;
+                    self.meter.bytes += u64::from(size);
+                    self.tick(cost)?;
+                    let mem = &mut self.mem;
+                    match (ty, r.tag) {
+                        (Type::Vec(_), Tag::Vec) => {
+                            let x = &self.lanes[r.bits as usize];
+                            for i in 0..x.lanes() {
+                                mem.store_u64(addr + 8 * i as u64, x.bits[i])?;
+                            }
+                        }
+                        (Type::F64, Tag::F64) | (Type::Ptr, Tag::Ptr) | (Type::I64, Tag::Int) => {
+                            mem.store_u64(addr, r.bits)?
+                        }
+                        (Type::I32, Tag::Int) => mem.write(addr, (r.bits as u32).to_le_bytes())?,
+                        (Type::I8 | Type::I1, Tag::Int) => mem.write(addr, [r.bits as u8])?,
+                        (t, _) => {
+                            let v = value(self.lanes, r);
+                            return Err(ExecError(format!("store type mismatch: {t} vs {v:?}")));
+                        }
+                    }
+                }
+                Kind::Gep { ptr, first, len } => {
+                    let mut addr = self.ptr(ptr)?;
+                    for &(s, stride) in &self.code.geps[first as usize..(first + len) as usize] {
+                        let i = self.int(s)?;
+                        addr = addr.wrapping_add(stride.wrapping_mul(i) as u64);
+                    }
+                    self.tick(cost)?;
+                    self.set(dst, Tag::Ptr, addr);
+                }
+                Kind::Bitcast { src } => {
+                    let r = self.reg(src)?;
+                    self.tick(cost)?;
+                    self.copy(r, dst);
+                }
+                Kind::SiToFp { src } => {
+                    let v = self.reg(src)?;
+                    self.tick(cost)?;
+                    let r = eval::int_to_float(self.payload(v, Tag::Int)? as i64);
+                    self.set(dst, Tag::F64, r.to_bits());
+                }
+                Kind::FpToSi { ty, src } => {
+                    let v = self.reg(src)?;
+                    self.tick(cost)?;
+                    let x = f64::from_bits(self.payload(v, Tag::F64)?);
+                    let r = eval::float_to_int(x, ty);
+                    self.set(dst, Tag::Int, r as u64);
+                }
+                Kind::IntCast { op, from, to, src } => {
+                    let v = self.reg(src)?;
+                    self.tick(cost)?;
+                    let x = self.payload(v, Tag::Int)? as i64;
+                    let r = eval::int_cast(op, x, from, to);
+                    self.set(dst, Tag::Int, r as u64);
+                }
+                Kind::VecCast { op, vt, src } => {
+                    let r = vec_cast(op, vt, self.get(src)?.as_vec()?)?;
+                    self.tick(cost)?;
+                    self.put_vec(dst, r);
+                }
+                Kind::Select {
+                    cond,
+                    then_val,
+                    else_val,
+                } => {
+                    let c = self.int(cond)?;
+                    let r = self.reg(if c != 0 { then_val } else { else_val })?;
+                    self.tick(cost)?;
+                    self.copy(r, dst);
+                }
+                Kind::Splat { vt, src } => {
+                    let v = self.get(src)?;
+                    let mut r = VecVal::zero(vt);
+                    for i in 0..r.lanes() {
+                        r.set_lane(i, v)?;
+                    }
+                    self.tick(cost)?;
+                    self.put_vec(dst, r);
+                }
+                Kind::ExtractLane { lane, vec } => {
+                    let v = self.get(vec)?.as_vec()?;
+                    if lane as usize >= v.lanes() {
+                        return Err(ExecError(format!("lane {lane} out of range")));
+                    }
+                    self.tick(cost)?;
+                    self.put(dst, v.lane(lane as usize));
+                }
+                Kind::InsertLane { lane, vec, val } => {
+                    let mut v = self.get(vec)?.as_vec()?;
+                    if lane as usize >= v.lanes() {
+                        return Err(ExecError(format!("lane {lane} out of range")));
+                    }
+                    let x = self.get(val)?;
+                    v.set_lane(lane as usize, x)?;
+                    self.tick(cost)?;
+                    self.put_vec(dst, v);
+                }
+                Kind::Reduce { op, acc, vec } => {
+                    let v = self.get(vec)?.as_vec()?;
+                    let a = self.get(acc)?;
+                    let r = reduce(op, a, v)?;
+                    self.tick(cost * v.lanes() as u64 / 2)?;
+                    self.put(dst, r);
+                }
+                Kind::Br { edge } => {
+                    self.tick(cost)?;
+                    pc = self.take_edge(edge)?;
+                }
+                Kind::CondBr {
+                    cond,
+                    then_edge,
+                    else_edge,
+                } => {
+                    self.tick(cost)?;
+                    let c = self.int(cond)?;
+                    let edge = if c != 0 { then_edge } else { else_edge };
+                    pc = self.take_edge(edge)?;
+                }
+                Kind::Call { .. } | Kind::External { .. } | Kind::Ret { .. } => {
+                    return Ok((*op, pc));
+                }
+                Kind::Fail(failure) => {
+                    return Err(ExecError(match failure {
+                        Failure::Unreachable => "reached unreachable".into(),
+                        Failure::FellThrough(b) => format!("block {b} fell through"),
+                        Failure::PhiInEntry => "phi in entry block has no predecessor".into(),
+                        Failure::SplatToScalar => "splat to non-vector".into(),
+                        Failure::MissingBlock => malformed("branch to a block that does not exist"),
+                        Failure::VoidLoad => malformed("load of void"),
+                        Failure::VoidStore => malformed("store of void"),
+                        Failure::ExtraGepIndex => malformed("more gep indices than strides"),
+                    }))
+                }
+            }
+        }
+    }
+}
+
+/// The error of reading `slots` (one or two) as values of kind `tag`,
+/// once a tag check failed: the first unset one's, else the first of
+/// another kind's.
+#[cold]
+#[inline(never)]
+fn read_error(
+    code: &Code,
+    regs: &[Reg],
+    lanes: &[VecVal],
+    fp: usize,
+    slots: &[Slot],
+    tag: Tag,
+) -> ExecError {
+    let mut vals = Vec::with_capacity(slots.len());
+    for &s in slots {
+        match get(code, regs, lanes, fp, s) {
+            Ok(v) => vals.push(v),
+            Err(e) => return e,
+        }
+    }
+    kind_error(&vals, tag)
+}
+
+/// The error of the first of `vals` that is not of kind `tag`.
+#[cold]
+#[inline(never)]
+fn kind_error(vals: &[RtVal], tag: Tag) -> ExecError {
+    let checked = vals.iter().try_for_each(|v| match tag {
+        Tag::Int => v.as_int().map(drop),
+        Tag::F64 => v.as_f64().map(drop),
+        Tag::Ptr => v.as_ptr().map(drop),
+        Tag::Vec | Tag::Unset => v.as_vec().map(drop),
+    });
+    match checked {
+        Err(e) => e,
+        Ok(()) => unreachable!("a value that failed its tag check is of another kind"),
     }
 }
 
@@ -1706,6 +2117,7 @@ mod tests {
     use super::*;
     use crate::machine::{CompilerProfile, MachineConfig};
     use splendid_cfront::{lower_program, parse_program, LowerOptions, OmpRuntime};
+    use splendid_ir::VecElem;
     use splendid_transforms::{optimize_module, O2Options};
 
     fn compile(src: &str) -> Module {
@@ -1971,6 +2383,125 @@ bb2 exit:
         let mut vm = Vm::new(&m, MachineConfig::default());
         let r = vm.call_by_name("f", &[RtVal::Int(4)]).unwrap();
         assert_eq!(r, Some(RtVal::Int(21)));
+    }
+
+    /// Vector values in every place a register can hand them on: phi
+    /// moves that swap two vectors, a phi and a select whose sources are
+    /// written again while they are live, a call's argument and result,
+    /// and lane inserts whose source is read again afterwards.
+    const VECTOR_REGS: &str = r#"
+module "vregs"
+
+func @swap($0:n i64) -> v4f64 {
+bb0 entry:
+  %0 = splat v4f64 f64 1.5
+  %1 = insertlane v4f64 %0, f64 -2.25, 2
+  %2 = splat v4f64 f64 0.125
+  br bb1
+bb1 loop:
+  %3 = phi v4f64 [bb0: %1] [bb1: %4]
+  %4 = phi v4f64 [bb0: %2] [bb1: %3]
+  %5 = phi i64 [bb0: i64 0] [bb1: %6]
+  %6 = add i64 %5, i64 1
+  %7 = icmp slt %6, $0
+  condbr %7, bb1, bb2
+bb2 exit:
+  %8 = fsub v4f64 %3, %4
+  ret %8
+}
+
+func @grow($0:c i64) -> v4f64 {
+bb0 entry:
+  %0 = splat v4f64 f64 1.0
+  %1 = icmp ne $0, i64 0
+  br bb1
+bb1 loop:
+  %2 = phi v4f64 [bb0: %0] [bb1: %4]
+  %3 = fadd v4f64 %2, %2
+  %4 = select v4f64 %1, %3, %2
+  %5 = extractlane f64 %3, 0
+  %6 = fcmp olt %5, f64 10.0
+  condbr %6, bb1, bb2
+bb2 exit:
+  %7 = fsub v4f64 %3, %2
+  ret %7
+}
+
+func @twice($0:v v4f64) -> v4f64 {
+bb0 entry:
+  %0 = fadd v4f64 $0, $0
+  ret %0
+}
+
+func @call($0:x f64) -> v4f64 {
+bb0 entry:
+  %0 = splat v4f64 $0
+  %1 = insertlane v4f64 %0, f64 3.0, 0
+  %2 = call v4f64 @twice(%1)
+  %3 = call v4f64 @twice(%0)
+  %4 = fsub v4f64 %2, %1
+  %5 = fadd v4f64 %4, %2
+  %6 = fsub v4f64 %5, %3
+  ret %6
+}
+
+func @pick($0:c i64) -> v4f64 {
+bb0 entry:
+  %0 = splat v4f64 f64 1.0
+  %1 = splat v4f64 f64 -4.0
+  %2 = icmp ne $0, i64 0
+  %3 = select v4f64 %2, %0, %1
+  %4 = fadd v4f64 %3, %0
+  ret %4
+}
+
+func @lanes($0:x f64) -> v4f64 {
+bb0 entry:
+  %0 = splat v4f64 $0
+  %1 = insertlane v4f64 %0, f64 7.0, 2
+  %2 = extractlane f64 %1, 2
+  %3 = extractlane f64 %0, 2
+  %4 = fadd f64 %2, %3
+  %5 = insertlane v4f64 %1, %4, 0
+  %6 = fsub v4f64 %5, %0
+  ret %6
+}
+"#;
+
+    #[test]
+    fn vector_registers_keep_their_own_lanes() {
+        let m = splendid_ir::parser::parse_module(VECTOR_REGS).unwrap();
+        splendid_ir::verify::verify_module(&m).unwrap();
+        let mut vm = Vm::new(&m, MachineConfig::default());
+        let mut lanes = |f: &str, arg: RtVal| match vm.call_by_name(f, &[arg]) {
+            Ok(Some(RtVal::Vec(v))) => {
+                assert_eq!(v.ty, VecTy::new(VecElem::F64, 4), "{f}");
+                v.bits.map(f64::from_bits)
+            }
+            other => panic!("{f}: {other:?}"),
+        };
+        let b_minus_a = [-1.375, -1.375, 2.375, -1.375];
+        let pad = |v: [f64; 4]| [v[0], v[1], v[2], v[3], 0.0, 0.0, 0.0, 0.0];
+        // One swap leaves the phis exchanged, two swaps restore them.
+        assert_eq!(lanes("swap", RtVal::Int(2)), pad(b_minus_a));
+        assert_eq!(lanes("swap", RtVal::Int(3)), pad(b_minus_a.map(|x| -x)));
+        // 1, 2, 4, 8 on entry to the loop; the last trip doubles 8.
+        assert_eq!(lanes("grow", RtVal::Int(1)), pad([8.0; 4]));
+        // 2v - v + 2v - 2w: v survives the call, and its result the
+        // next call.
+        assert_eq!(lanes("call", RtVal::F64(0.5)), pad([8.0, 0.5, 0.5, 0.5]));
+        assert_eq!(lanes("pick", RtVal::Int(1)), pad([2.0; 4]));
+        assert_eq!(lanes("pick", RtVal::Int(0)), pad([-3.0; 4]));
+        assert_eq!(lanes("lanes", RtVal::F64(0.25)), pad([7.0, 0.0, 6.75, 0.0]));
+        let v = VecVal {
+            bits: pad([1.0, -2.0, 0.5, 8.0]).map(f64::to_bits),
+            ty: VecTy::new(VecElem::F64, 4),
+        };
+        let twice = pad([2.0, -4.0, 1.0, 16.0]).map(f64::to_bits);
+        match vm.call_by_name("twice", &[RtVal::Vec(v)]) {
+            Ok(Some(RtVal::Vec(r))) => assert_eq!(r.bits, twice),
+            other => panic!("twice: {other:?}"),
+        }
     }
 
     #[test]

@@ -477,7 +477,7 @@ bb0 entry:
   ret void
 }
 "#,
-        "call to @sym0 with 0 args, expected 1",
+        "call to @g with 0 args, expected 1",
         20,
         1,
     ),

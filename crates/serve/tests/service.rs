@@ -382,3 +382,40 @@ fn devectorized_simd_loops_are_counted_in_stats() {
         "stats display must surface the simd line:\n{text}"
     );
 }
+
+/// A function whose only act is to call itself.
+const DOWN: &str = r#"module "down"
+
+func @down($0:x i64) -> i64 {
+bb0 entry:
+  %0 = call i64 @down($0)
+  ret %0
+}
+"#;
+
+#[test]
+fn unbounded_ir_recursion_is_unverified_on_a_default_worker_stack() {
+    // The interpreter runs IR calls on its own frame stack, bounded like
+    // the stack region, so the probes end in `stack overflow` instead of
+    // overflowing the worker thread's native stack.
+    let scheduler = Scheduler::new(ServeConfig {
+        workers: 1,
+        ..Default::default()
+    });
+    let request = JobRequest {
+        options: SplendidOptions {
+            validate: true,
+            ..Default::default()
+        },
+        ..JobRequest::from_text("down", DOWN)
+    };
+    let res = scheduler.submit(request).wait().unwrap();
+    assert_eq!((res.verified_functions, res.unverified_functions), (0, 1));
+    assert!(
+        res.output
+            .source
+            .contains("splendid: UNVERIFIED: inconclusive: probe 0: source side: execution error: stack overflow"),
+        "{}",
+        res.output.source
+    );
+}
