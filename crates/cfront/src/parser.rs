@@ -26,10 +26,11 @@ type Result<T> = std::result::Result<T, CParseError>;
 
 /// How deep statements and expressions may nest, counted as statements
 /// inside statements, prefix operators and casts, parenthesized and
-/// bracketed subexpressions and chained assignments. The parser, the
-/// checker and the lowering each recurse once per level, so past this
-/// depth a program is a parse error rather than a thread's stack
-/// overflow.
+/// bracketed subexpressions, chained assignments, and the binary and
+/// postfix operators folded over an operand (`x - x - x` nests its first
+/// `x` two levels below the statement's operand). The parser, the checker
+/// and the lowering each recurse once per level, so past this depth a
+/// program is a parse error rather than a thread's stack overflow.
 pub const MAX_NESTING: usize = 128;
 
 struct Parser {
@@ -38,6 +39,9 @@ struct Parser {
     defines: Vec<(String, i64)>,
     /// Levels of nesting open at `pos`.
     depth: usize,
+    /// The deepest level the operand being parsed reaches, counting the
+    /// operators folded over it so far.
+    peak: usize,
 }
 
 const TYPE_KEYWORDS: &[&str] = &["void", "int", "long", "uint64_t", "double"];
@@ -66,9 +70,21 @@ impl Parser {
             return self.err(format!("nesting deeper than {MAX_NESTING} levels"));
         }
         self.depth += 1;
+        self.peak = self.peak.max(self.depth);
         let r = f(self);
         self.depth -= 1;
         r
+    }
+
+    /// Wrap the operand parsed so far in one more node, which puts all of
+    /// it one level deeper, failing past [`MAX_NESTING`]. Operators folded
+    /// in a loop do not recurse in the parser, so this counts them.
+    fn fold(&mut self) -> Result<()> {
+        if self.peak >= MAX_NESTING {
+            return self.err(format!("nesting deeper than {MAX_NESTING} levels"));
+        }
+        self.peak += 1;
+        Ok(())
     }
 
     fn peek(&self) -> Option<&CToken> {
@@ -247,6 +263,7 @@ impl Parser {
     }
 
     fn parse_binary(&mut self, min_prec: u8) -> Result<CExpr> {
+        let outer = std::mem::replace(&mut self.peak, self.depth);
         let mut lhs = self.parse_unary()?;
         while let Some(op) = self
             .peek()
@@ -257,9 +274,12 @@ impl Parser {
             .filter(|op| op.precedence() >= min_prec)
         {
             self.pos += 1;
+            // Leaves `peak` at the deeper of `lhs` and `rhs`.
             let rhs = self.parse_binary(op.precedence() + 1)?;
+            self.fold()?;
             lhs = CExpr::bin(op, lhs, rhs);
         }
+        self.peak = self.peak.max(outer);
         Ok(lhs)
     }
 
@@ -288,8 +308,10 @@ impl Parser {
             });
         }
         if self.eat_punct("++") {
-            // ++i  =>  i = i + 1
+            // ++i  =>  i = i + 1, which nests `i` one level below the
+            // operand's own.
             let e = self.parse_unary()?;
+            self.fold()?;
             return Ok(CExpr::Assign {
                 lhs: Box::new(e.clone()),
                 op: None,
@@ -298,6 +320,7 @@ impl Parser {
         }
         if self.eat_punct("--") {
             let e = self.parse_unary()?;
+            self.fold()?;
             return Ok(CExpr::Assign {
                 lhs: Box::new(e.clone()),
                 op: None,
@@ -331,18 +354,24 @@ impl Parser {
                     indices.push(self.parse_expr()?);
                     self.expect_punct("]")?;
                 }
+                self.fold()?;
                 e = CExpr::Index {
                     base: Box::new(e),
                     indices,
                 };
             } else if self.eat_punct("++") {
-                // i++ => i = i + 1 (value unused in our subset)
+                // i++ => i = i + 1 (value unused in our subset), two
+                // levels above `i`.
+                self.fold()?;
+                self.fold()?;
                 e = CExpr::Assign {
                     lhs: Box::new(e.clone()),
                     op: None,
                     rhs: Box::new(CExpr::bin(CBinOp::Add, e, CExpr::Int(1))),
                 };
             } else if self.eat_punct("--") {
+                self.fold()?;
+                self.fold()?;
                 e = CExpr::Assign {
                     lhs: Box::new(e.clone()),
                     op: None,
@@ -719,6 +748,7 @@ pub fn parse_program(src: &str) -> Result<CProgram> {
         pos: 0,
         defines: Vec::new(),
         depth: 0,
+        peak: 0,
     };
     p.parse_program()
 }
@@ -897,6 +927,14 @@ void f(double x) {
         format!("double f(double x) {{ return {open}x{close}; }}")
     }
 
+    /// `return ((x - x - x) - x - x) - x - x;` for `groups` = 2 and
+    /// `terms` = 2: each chain is short, but each folds over the last.
+    fn nested_chains(groups: usize, terms: usize) -> String {
+        let (open, chain) = ("(".repeat(groups), " - x".repeat(terms));
+        let close = format!("{chain})").repeat(groups);
+        format!("double f(double x) {{ return {open}x{close}{chain}; }}")
+    }
+
     #[test]
     fn nesting_past_the_limit_is_a_parse_error_on_a_worker_sized_stack() {
         // The body's statement and `return`'s operand take one level each.
@@ -907,8 +945,11 @@ void f(double x) {
                 let too_deep = [
                     nested_return("(", ")", 10_000),
                     nested_return("-", "", 100_000),
+                    nested_return("", " - x", 100_000),
+                    nested_chains(20, 20),
                     nested_return("(", ")", deepest + 1),
                     nested_return("- ", "", deepest + 1),
+                    nested_return("", " - x", deepest + 1),
                 ];
                 for src in too_deep {
                     let e = parse_program(&src).unwrap_err();
@@ -917,6 +958,7 @@ void f(double x) {
                 for src in [
                     nested_return("(", ")", deepest),
                     nested_return("- ", "", deepest),
+                    nested_return("", " - x", deepest),
                 ] {
                     let prog = parse_program(&src).unwrap();
                     lower_program(&prog, "t", &LowerOptions::default()).unwrap();

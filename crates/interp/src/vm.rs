@@ -380,17 +380,20 @@ enum Kind {
         tag: Tag,
         ptr: Slot,
     },
+    /// Any other load: `i32`, `i8`, `i1` or a vector.
     Load {
         ty: Type,
         ptr: Slot,
         size: u32,
     },
-    /// An 8-byte scalar store of a value that must be tagged `tag`.
+    /// An 8-byte scalar store of a `ty` value, which must be tagged `tag`.
     StoreWord {
+        ty: Type,
         tag: Tag,
         val: Slot,
         ptr: Slot,
     },
+    /// Any other store: `i32`, `i8`, `i1`, a vector, or a void operand.
     Store {
         ty: Type,
         val: Slot,
@@ -824,7 +827,7 @@ impl<'a> Lowering<'a> {
                         ty.size_bytes() as u32
                     };
                     let store = match word_tag(ty) {
-                        Some(tag) => Kind::StoreWord { tag, val, ptr },
+                        Some(tag) => Kind::StoreWord { ty, tag, val, ptr },
                         None => Kind::Store { ty, val, ptr, size },
                     };
                     (store, mem_cost(prof, ty))
@@ -1042,7 +1045,8 @@ pub struct Vm<'m> {
     /// Every active frame's registers, innermost last.
     regs: Vec<Reg>,
     /// The lanes of a vector register, at the register's own index;
-    /// grown on the first vector stored that high, never shrunk.
+    /// grown on the first vector stored that high, cut back with the
+    /// register stack when a frame is popped.
     lanes: Vec<VecVal>,
     /// Every suspended caller, innermost last.
     callers: Vec<Caller>,
@@ -1250,12 +1254,14 @@ impl<'m> Vm<'m> {
         });
         self.callers.truncate(base);
         self.regs.truncate(fp);
+        self.lanes.truncate(fp);
         self.sp = sp;
         result
     }
 
     /// Push `fid`'s frame template on the register stack, for a call with
-    /// `args` arguments. The register stack and the frame stack together
+    /// `args` arguments. The register stack with the callee's frame, the
+    /// lanes of the vector registers below it and the frame stack together
     /// may hold as many bytes as the stack region, so unbounded IR
     /// recursion ends in `stack overflow` as a too-deep chain of allocas
     /// does.
@@ -1272,6 +1278,7 @@ impl<'m> Vm<'m> {
         let code = self.code(fid);
         let fp = self.regs.len();
         let bytes = (fp + code.frame.len()) * std::mem::size_of::<Reg>()
+            + self.lanes.len() * std::mem::size_of::<VecVal>()
             + self.callers.len() * std::mem::size_of::<Caller>();
         if bytes as u64 > STACK_SIZE {
             return Err(ExecError("stack overflow".into()));
@@ -1347,6 +1354,7 @@ impl<'m> Vm<'m> {
                     let at = caller.fp + caller.dst as usize;
                     copy(&mut self.regs, &mut self.lanes, r, at);
                     self.regs.truncate(fp);
+                    self.lanes.truncate(fp);
                     self.sp = caller.sp;
                     (code, pc, fp) = (caller.code, caller.pc, caller.fp);
                 }
@@ -1813,19 +1821,13 @@ impl Exec<'_> {
                     let bits = self.mem.load_u64(addr)?;
                     self.set(dst, tag, bits);
                 }
-                Kind::StoreWord { tag, val, ptr } => {
+                Kind::StoreWord { ty, tag, val, ptr } => {
                     let addr = self.ptr(ptr)?;
                     let r = self.reg(val)?;
                     self.meter.bytes += 8;
                     self.tick(cost)?;
                     if r.tag != tag {
-                        let t = match tag {
-                            Tag::F64 => Type::F64,
-                            Tag::Ptr => Type::Ptr,
-                            _ => Type::I64,
-                        };
-                        let v = value(self.lanes, r);
-                        return Err(ExecError(format!("store type mismatch: {t} vs {v:?}")));
+                        return Err(store_error(ty, value(self.lanes, r)));
                     }
                     self.mem.store_u64(addr, r.bits)?;
                 }
@@ -1835,9 +1837,6 @@ impl Exec<'_> {
                     self.tick(cost)?;
                     let mem = &self.mem;
                     let (tag, bits) = match ty {
-                        Type::F64 => (Tag::F64, mem.load_u64(addr)?),
-                        Type::Ptr => (Tag::Ptr, mem.load_u64(addr)?),
-                        Type::I64 => (Tag::Int, mem.load_u64(addr)?),
                         Type::I32 => {
                             let x = u32::from_le_bytes(mem.read(addr)?);
                             (Tag::Int, x as i32 as i64 as u64)
@@ -1851,7 +1850,9 @@ impl Exec<'_> {
                             self.put_vec(dst, r);
                             continue;
                         }
-                        Type::Void => unreachable!("void loads are lowered to a failure"),
+                        Type::F64 | Type::Ptr | Type::I64 | Type::Void => {
+                            unreachable!("8-byte scalar loads are `LoadWord`, void loads a failure")
+                        }
                     };
                     self.set(dst, tag, bits);
                 }
@@ -1868,15 +1869,9 @@ impl Exec<'_> {
                                 mem.store_u64(addr + 8 * i as u64, x.bits[i])?;
                             }
                         }
-                        (Type::F64, Tag::F64) | (Type::Ptr, Tag::Ptr) | (Type::I64, Tag::Int) => {
-                            mem.store_u64(addr, r.bits)?
-                        }
                         (Type::I32, Tag::Int) => mem.write(addr, (r.bits as u32).to_le_bytes())?,
                         (Type::I8 | Type::I1, Tag::Int) => mem.write(addr, [r.bits as u8])?,
-                        (t, _) => {
-                            let v = value(self.lanes, r);
-                            return Err(ExecError(format!("store type mismatch: {t} vs {v:?}")));
-                        }
+                        (t, _) => return Err(store_error(t, value(self.lanes, r))),
                     }
                 }
                 Kind::Gep { ptr, first, len } => {
@@ -2033,6 +2028,13 @@ fn kind_error(vals: &[RtVal], tag: Tag) -> ExecError {
         Err(e) => e,
         Ok(()) => unreachable!("a value that failed its tag check is of another kind"),
     }
+}
+
+/// The error of storing `v` as a `ty` value.
+#[cold]
+#[inline(never)]
+fn store_error(ty: Type, v: RtVal) -> ExecError {
+    ExecError(format!("store type mismatch: {ty} vs {v:?}"))
 }
 
 /// Lane-wise `x op y`; the opcode's kind must match the lanes'.
@@ -2502,6 +2504,40 @@ bb0 entry:
             Ok(Some(RtVal::Vec(r))) => assert_eq!(r.bits, twice),
             other => panic!("twice: {other:?}"),
         }
+    }
+
+    /// A self-call of one argument, `ty` (`i64` or `v4f64`).
+    fn self_call(ty: &str) -> Module {
+        let src = format!(
+            "module \"down\"\n\nfunc @down($0:x {ty}) -> {ty} {{\nbb0 entry:\n  \
+             %0 = call {ty} @down($0)\n  ret %0\n}}\n"
+        );
+        splendid_ir::parser::parse_module(&src).unwrap()
+    }
+
+    /// Levels of `@down` run before a call overflows the stack.
+    fn overflow_depth(vm: &mut Vm, arg: RtVal) -> u64 {
+        let before = vm.insts_executed();
+        let e = vm.call_by_name("down", &[arg]).unwrap_err();
+        assert_eq!(e.0, "stack overflow");
+        vm.insts_executed() - before
+    }
+
+    #[test]
+    fn vector_lanes_count_against_the_stack_region() {
+        let (scalar, vector) = (self_call("i64"), self_call("v4f64"));
+        let mut vm = Vm::new(&scalar, MachineConfig::default());
+        let shallow = overflow_depth(&mut vm, RtVal::Int(1));
+        let mut vm = Vm::new(&vector, MachineConfig::default());
+        let v = RtVal::Vec(VecVal::zero(VecTy::new(VecElem::F64, 4)));
+        let deep = overflow_depth(&mut vm, v);
+        // A level holds three 16-byte registers and a 40-byte caller; a
+        // vector's level adds 72 bytes of lanes per register it reaches.
+        assert_eq!(shallow, 95_326);
+        assert!(deep < shallow / 3, "{deep} vector levels, {shallow} scalar");
+        // Popping the frames pops their lanes, so a second run on the same
+        // VM goes as deep.
+        assert_eq!(overflow_depth(&mut vm, v), deep);
     }
 
     #[test]
