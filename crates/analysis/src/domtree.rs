@@ -167,6 +167,7 @@ pub fn dominates_naive(f: &Function, a: BlockId, b: BlockId) -> bool {
 mod tests {
     use super::*;
     use splendid_ir::builder::FuncBuilder;
+    use splendid_ir::rng::Rng;
     use splendid_ir::Module;
     use splendid_ir::{Type, Value};
 
@@ -260,15 +261,16 @@ mod tests {
         assert_eq!(entry_children.len(), 3);
     }
 
-    #[cfg(feature = "proptest")]
-    proptest::proptest! {
-        /// CHK dominance equals the naive oracle on random CFGs.
-        #[test]
-        fn prop_matches_naive(edges in proptest::collection::vec((0u32..8, 0u32..8), 0..20)) {
-            // Build adjacency with at most 2 successors per node over 8 nodes.
+    /// CHK dominance equals the naive oracle on seeded random CFGs.
+    #[test]
+    fn prop_matches_naive() {
+        for case in 0..256 {
+            let mut rng = Rng::for_case(0xD0A1, case);
+            // Up to 19 edges over 8 nodes, at most 2 successors per node.
             let mut adj: Vec<Vec<u32>> = vec![Vec::new(); 8];
-            for (a, b) in edges {
-                let v = &mut adj[a as usize];
+            for _ in 0..rng.below(20) {
+                let (a, b) = (rng.below(8) as usize, rng.below(8) as u32);
+                let v = &mut adj[a];
                 if v.len() < 2 && !v.contains(&b) {
                     v.push(b);
                 }
@@ -278,9 +280,10 @@ mod tests {
             let dt = DomTree::compute(&f);
             for a in 0..8u32 {
                 for b in 0..8u32 {
-                    proptest::prop_assert_eq!(
+                    assert_eq!(
                         dt.dominates(BlockId(a), BlockId(b)),
-                        dominates_naive(&f, BlockId(a), BlockId(b))
+                        dominates_naive(&f, BlockId(a), BlockId(b)),
+                        "case {case}: dominates({a},{b}) on {adj:?}"
                     );
                 }
             }

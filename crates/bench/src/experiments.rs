@@ -9,7 +9,6 @@ use splendid_polybench::{benchmarks, Benchmark, Harness};
 
 /// Row of Table 3.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct Table3Row {
     /// Benchmark name.
     pub benchmark: String,
@@ -80,7 +79,6 @@ pub fn table3() -> (Vec<Table3Row>, String) {
 
 /// Row of Table 4.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct Table4Row {
     /// Benchmark name.
     pub benchmark: String,
@@ -150,7 +148,6 @@ pub fn table4() -> (Vec<Table4Row>, String) {
 
 /// Row of Figure 6.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct Fig6Row {
     /// Benchmark name.
     pub benchmark: String,
@@ -249,7 +246,6 @@ pub fn fig6() -> (Vec<Fig6Row>, String) {
 
 /// Row of Figure 7.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct Fig7Row {
     /// Benchmark name.
     pub benchmark: String,
@@ -334,7 +330,6 @@ pub fn fig7() -> (Vec<Fig7Row>, String) {
 
 /// Row of Figure 8.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct Fig8Row {
     /// Benchmark name.
     pub benchmark: String,
@@ -364,7 +359,6 @@ pub fn fig8() -> (Vec<Fig8Row>, String) {
 
 /// Row of Figure 9.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct Fig9Row {
     /// Benchmark name.
     pub benchmark: String,

@@ -46,6 +46,19 @@ struct Parser {
 
 const TYPE_KEYWORDS: &[&str] = &["void", "int", "long", "uint64_t", "double"];
 
+/// Whether evaluating `e` can change state: it assigns or calls.
+fn has_side_effect(e: &CExpr) -> bool {
+    match e {
+        CExpr::Int(_) | CExpr::Float(_) | CExpr::Ident(_) => false,
+        CExpr::Assign { .. } | CExpr::Call { .. } => true,
+        CExpr::Index { base, indices } => {
+            has_side_effect(base) || indices.iter().any(has_side_effect)
+        }
+        CExpr::Unary { expr, .. } | CExpr::Cast { expr, .. } => has_side_effect(expr),
+        CExpr::Binary { lhs, rhs, .. } => has_side_effect(lhs) || has_side_effect(rhs),
+    }
+}
+
 impl Parser {
     fn line(&self) -> usize {
         // Report the line of the last consumed token: errors are detected
@@ -307,25 +320,14 @@ impl Parser {
                 expr: Box::new(e),
             });
         }
-        if self.eat_punct("++") {
-            // ++i  =>  i = i + 1, which nests `i` one level below the
-            // operand's own.
-            let e = self.parse_unary()?;
-            self.fold()?;
-            return Ok(CExpr::Assign {
-                lhs: Box::new(e.clone()),
-                op: None,
-                rhs: Box::new(CExpr::bin(CBinOp::Add, e, CExpr::Int(1))),
-            });
-        }
-        if self.eat_punct("--") {
-            let e = self.parse_unary()?;
-            self.fold()?;
-            return Ok(CExpr::Assign {
-                lhs: Box::new(e.clone()),
-                op: None,
-                rhs: Box::new(CExpr::bin(CBinOp::Sub, e, CExpr::Int(1))),
-            });
+        for (punct, op) in [("++", CBinOp::Add), ("--", CBinOp::Sub)] {
+            if self.eat_punct(punct) {
+                // ++i  =>  i = i + 1, which nests `i` one level below the
+                // operand's own.
+                let e = self.parse_unary()?;
+                self.fold()?;
+                return self.step(punct, op, e);
+            }
         }
         // Cast: '(' type-keyword ... ')'
         if matches!(self.peek(), Some(CToken::Punct(p)) if p == "(") {
@@ -359,29 +361,47 @@ impl Parser {
                     base: Box::new(e),
                     indices,
                 };
-            } else if self.eat_punct("++") {
+            } else if let Some((punct, op)) = [("++", CBinOp::Add), ("--", CBinOp::Sub)]
+                .into_iter()
+                .find(|(punct, _)| self.eat_punct(punct))
+            {
                 // i++ => i = i + 1 (value unused in our subset), two
                 // levels above `i`.
                 self.fold()?;
                 self.fold()?;
-                e = CExpr::Assign {
-                    lhs: Box::new(e.clone()),
-                    op: None,
-                    rhs: Box::new(CExpr::bin(CBinOp::Add, e, CExpr::Int(1))),
-                };
-            } else if self.eat_punct("--") {
-                self.fold()?;
-                self.fold()?;
-                e = CExpr::Assign {
-                    lhs: Box::new(e.clone()),
-                    op: None,
-                    rhs: Box::new(CExpr::bin(CBinOp::Sub, e, CExpr::Int(1))),
-                };
+                e = self.step(punct, op, e)?;
             } else {
                 break;
             }
         }
         Ok(e)
+    }
+
+    /// Desugar `++e`/`e++` (`op` = `Add`) or `--e`/`e--` (`Sub`) into
+    /// `e = e op 1`. The operand must be a variable or an array element
+    /// whose base and subscripts have no side effect: C forbids any other
+    /// operand, and the desugaring evaluates `e` twice, so a side effect
+    /// would run twice (and nested `-- -- x` would double the tree per
+    /// operator).
+    fn step(&self, punct: &str, op: CBinOp, e: CExpr) -> Result<CExpr> {
+        let assignable = match &e {
+            CExpr::Ident(_) => true,
+            CExpr::Index { base, indices } => {
+                !has_side_effect(base) && !indices.iter().any(has_side_effect)
+            }
+            _ => false,
+        };
+        if !assignable {
+            return self.err(format!(
+                "operand of `{punct}` must be a variable or an array element \
+                 without side effects"
+            ));
+        }
+        Ok(CExpr::Assign {
+            lhs: Box::new(e.clone()),
+            op: None,
+            rhs: Box::new(CExpr::bin(op, e, CExpr::Int(1))),
+        })
     }
 
     fn parse_primary(&mut self) -> Result<CExpr> {
@@ -895,6 +915,27 @@ void f(double x) {
             .filter(|s| matches!(s, CStmt::Expr(CExpr::Assign { .. })))
             .count();
         assert_eq!(assigns, 4);
+    }
+
+    #[test]
+    fn increments_of_non_lvalues_or_side_effects_are_parse_errors() {
+        // 24 minus signs are `-- -- ... x`: a decrement of a decrement,
+        // which C forbids.
+        let e = parse_program(&nested_return("-", "", 24)).unwrap_err();
+        assert_eq!(
+            e.msg,
+            "operand of `--` must be a variable or an array element without side effects"
+        );
+        for src in [
+            "void f() { int i; double a[4]; a[i++]++; }",
+            "void f() { int i; double a[4]; ++a[i = 1]; }",
+            "void f() { int i; i++ ++; }",
+        ] {
+            let e = parse_program(src).unwrap_err();
+            assert!(e.msg.starts_with("operand of `++`"), "{src}: {}", e.msg);
+        }
+        // Variables and plain array elements still step.
+        parse_program("void f() { int i; double a[4]; a[i + 1]++; --a[i]; i--; }").unwrap();
     }
 
     #[test]

@@ -14,9 +14,10 @@ pub fn synthetic_module(consts: &[f64]) -> Result<String, String> {
 
 /// [`synthetic_module`] with `tag` (a C-identifier fragment) spliced
 /// into every global and kernel name. Tagged modules have *distinct
-/// module contexts* — distinct admission tenants — where untagged ones
-/// all share one context fingerprint (globals and debug vars are the
-/// context; constants are not), for load from many tenants at once.
+/// module contexts*, so no two tags ever share a function cache key,
+/// where untagged ones all share one context fingerprint (globals and
+/// debug vars are the context; constants are not): load from many
+/// clients at once then misses the cache as separate programs would.
 pub fn synthetic_module_tagged(tag: &str, consts: &[f64]) -> Result<String, String> {
     use splendid_cfront::{lower_program, parse_program, LowerOptions};
     use splendid_parallel::{parallelize_module, ParallelizeOptions};

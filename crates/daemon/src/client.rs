@@ -1,10 +1,10 @@
 //! Blocking daemon client used by `splendid connect`, `splendid validate
-//! --addr`, the peer cache tier, perfbench, and the integration tests.
+//! --addr`, perfbench, and the integration tests.
 //!
 //! The client side of the protocol is strict: it trusts the daemon to
 //! frame correctly, so a desync from the server is an I/O error rather
 //! than something to survive. (The lenient direction — surviving garbage
-//! from peers — lives in the server's
+//! from clients — lives in the server's
 //! [`FrameAssembler`](crate::protocol::FrameAssembler).)
 
 use crate::protocol::{self, DecodeError, Request, Response};
@@ -188,26 +188,6 @@ impl DaemonClient {
         })? {
             r @ Response::Validated { .. } => Ok(r),
             other => Err(unexpected("VALIDATED", &other)),
-        }
-    }
-
-    /// CACHE_GET: look up a blob in the daemon's persistent tier.
-    pub fn cache_get(&mut self, key: u64) -> io::Result<Option<Vec<u8>>> {
-        match self.roundtrip(&Request::CacheGet { key })? {
-            Response::CacheValue { blob } => Ok(blob),
-            other => Err(unexpected("CACHE_VALUE", &other)),
-        }
-    }
-
-    /// CACHE_PUT: offer a record to the daemon's persistent tier;
-    /// returns whether the daemon accepted it.
-    pub fn cache_put(&mut self, key: u64, blob: &[u8]) -> io::Result<bool> {
-        match self.roundtrip(&Request::CachePut {
-            key,
-            blob: blob.to_vec(),
-        })? {
-            Response::CacheStored { stored } => Ok(stored),
-            other => Err(unexpected("CACHE_STORED", &other)),
         }
     }
 }

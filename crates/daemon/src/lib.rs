@@ -20,18 +20,16 @@
 //!   accept-queue backpressure, per-request deadlines via the serve
 //!   scheduler, idle-session eviction, and graceful drain;
 //! * [`client`] — the blocking client used by `splendid connect`,
-//!   `splendid validate --addr`, the peer cache tier, and the tests;
+//!   `splendid validate --addr`, and the tests;
 //! * [`mod@bench`] — synthetic inputs shared with perfbench and the tests.
 
 pub mod bench;
 pub mod client;
-pub mod peer;
 pub mod protocol;
 pub mod server;
 pub mod session;
 
 pub use client::DaemonClient;
-pub use peer::{PeerTier, DEFAULT_PEER_TIMEOUT};
 pub use protocol::{ErrorCode, FrameAssembler, FrameEvent, Request, Response};
 pub use server::{cache_tiers, Daemon, DaemonConfig, DaemonStats};
 pub use session::{DecompileReply, Session, SessionError};

@@ -36,7 +36,7 @@ pub const MAGIC: [u8; 4] = *b"SPLD";
 pub const VERSION: u8 = 1;
 /// Fixed frame-header size in bytes.
 pub const HEADER_LEN: usize = 10;
-/// Largest payload a peer may declare (16 MiB). Larger frames are
+/// Largest payload a frame may declare (16 MiB). Larger frames are
 /// skipped with [`ErrorCode::Oversized`].
 pub const MAX_PAYLOAD: u32 = 16 * 1024 * 1024;
 
@@ -54,11 +54,8 @@ pub mod kind {
     pub const CLOSE: u8 = 0x05;
     /// Liveness probe.
     pub const PING: u8 = 0x06;
-    /// Look up a blob in the daemon's persistent cache tier (peer
-    /// tiering: another daemon asks before decompiling itself).
-    pub const CACHE_GET: u8 = 0x07;
-    /// Offer a blob to the daemon's persistent cache tier.
-    pub const CACHE_PUT: u8 = 0x08;
+    // 0x07 and 0x08 (CACHE_GET, CACHE_PUT) are retired: they now get
+    // the UNKNOWN_KIND error any unknown kind gets.
     /// Stateless validated decompilation: decompile the supplied module
     /// with translation validation on, returning per-function verdicts.
     pub const VALIDATE: u8 = 0x09;
@@ -75,14 +72,11 @@ pub mod kind {
     pub const CLOSED: u8 = 0x85;
     /// Liveness reply.
     pub const PONG: u8 = 0x86;
-    /// Cache lookup answer (found flag + blob).
-    pub const CACHE_VALUE: u8 = 0x87;
-    /// Cache offer answer (stored flag).
-    pub const CACHE_STORED: u8 = 0x88;
+    // 0x87 and 0x88 (CACHE_VALUE, CACHE_STORED) are retired.
     /// Validated decompilation result (verdict tallies + source).
     pub const VALIDATED: u8 = 0x89;
-    /// The daemon shed the request at admission (overloaded or over
-    /// quota); carries a `retry_after_ms` hint. Not an error — the
+    /// The daemon shed the request at admission (queue full or deadline
+    /// doomed); carries a `retry_after_ms` hint. Not an error — the
     /// connection and session both survive.
     pub const BUSY: u8 = 0x8A;
     /// Typed error.
@@ -117,9 +111,8 @@ pub enum ErrorCode {
     Draining = 10,
     /// The session sat idle past the eviction timeout.
     IdleTimeout = 11,
-    /// CACHE_GET/CACHE_PUT on a daemon that has no persistent cache
-    /// tier configured (`--cache-dir`).
-    NoCache = 12,
+    // 12 (NO_CACHE) is retired, not reused: it decodes as `BadPayload`
+    // like any unknown code.
 }
 
 impl ErrorCode {
@@ -136,7 +129,6 @@ impl ErrorCode {
             9 => ErrorCode::Deadline,
             10 => ErrorCode::Draining,
             11 => ErrorCode::IdleTimeout,
-            12 => ErrorCode::NoCache,
             _ => ErrorCode::BadPayload,
         }
     }
@@ -155,7 +147,6 @@ impl ErrorCode {
             ErrorCode::Deadline => "deadline",
             ErrorCode::Draining => "draining",
             ErrorCode::IdleTimeout => "idle-timeout",
-            ErrorCode::NoCache => "no-cache",
         }
     }
 }
@@ -189,7 +180,7 @@ pub enum Request {
         /// budget. Relative rather than absolute so clock skew between
         /// client and daemon cannot distort it; the daemon converts it
         /// to an absolute deadline on arrival and propagates it through
-        /// admission, the scheduler, and the cache tiers.
+        /// admission and the scheduler.
         budget_ms: u32,
     },
     /// Stats dump; `daemon_wide` selects scope.
@@ -201,18 +192,6 @@ pub enum Request {
     Close,
     /// Liveness probe.
     Ping,
-    /// Look up a blob in the persistent cache tier by content key.
-    CacheGet {
-        /// Content-addressed FNV-64 key.
-        key: u64,
-    },
-    /// Offer an encoded result record to the persistent cache tier.
-    CachePut {
-        /// Content-addressed FNV-64 key.
-        key: u64,
-        /// Versioned record bytes (see `splendid_serve::codec`).
-        blob: Vec<u8>,
-    },
     /// Stateless validated decompilation: no session required, the
     /// module travels with the request.
     Validate {
@@ -275,17 +254,6 @@ pub enum Response {
     Closed,
     /// Liveness reply.
     Pong,
-    /// Cache lookup answer.
-    CacheValue {
-        /// The record bytes, when the key was present.
-        blob: Option<Vec<u8>>,
-    },
-    /// Cache offer answer.
-    CacheStored {
-        /// `false` when the daemon rejected the record (e.g. it failed
-        /// validation) without treating it as a wire error.
-        stored: bool,
-    },
     /// The request was shed at admission; the caller should back off.
     Busy {
         /// Suggested backoff before retrying, milliseconds.
@@ -366,14 +334,6 @@ impl Enc {
         self
     }
 
-    /// Append a length-prefixed byte blob (cache records are binary, not
-    /// UTF-8).
-    pub fn bytes(mut self, b: &[u8]) -> Enc {
-        self.0.extend_from_slice(&(b.len() as u32).to_le_bytes());
-        self.0.extend_from_slice(b);
-        self
-    }
-
     /// Final payload bytes.
     pub fn finish(self) -> Vec<u8> {
         self.0
@@ -437,12 +397,6 @@ impl<'a> Dec<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|e| DecodeError(format!("invalid UTF-8: {e}")))
     }
 
-    /// Read a length-prefixed byte blob.
-    pub fn bytes(&mut self) -> Result<Vec<u8>, DecodeError> {
-        let len = self.u32()? as usize;
-        Ok(self.take(len)?.to_vec())
-    }
-
     /// Fail unless every payload byte was consumed (catches frames that
     /// smuggle trailing garbage past a lenient decoder).
     pub fn expect_end(&self) -> Result<(), DecodeError> {
@@ -467,8 +421,6 @@ impl Request {
             Request::Stats { .. } => kind::STATS,
             Request::Close => kind::CLOSE,
             Request::Ping => kind::PING,
-            Request::CacheGet { .. } => kind::CACHE_GET,
-            Request::CachePut { .. } => kind::CACHE_PUT,
             Request::Validate { .. } => kind::VALIDATE,
         }
     }
@@ -488,8 +440,6 @@ impl Request {
             Request::Decompile { budget_ms } => Enc::new().u32(*budget_ms).finish(),
             Request::Close | Request::Ping => Vec::new(),
             Request::Stats { daemon_wide } => Enc::new().u8(u8::from(*daemon_wide)).finish(),
-            Request::CacheGet { key } => Enc::new().u64(*key).finish(),
-            Request::CachePut { key, blob } => Enc::new().u64(*key).bytes(blob).finish(),
             Request::Validate {
                 name,
                 variant,
@@ -535,17 +485,6 @@ impl Request {
             })(),
             kind::CLOSE => d.expect_end().map(|()| Request::Close),
             kind::PING => d.expect_end().map(|()| Request::Ping),
-            kind::CACHE_GET => (|| {
-                let key = d.u64()?;
-                d.expect_end()?;
-                Ok(Request::CacheGet { key })
-            })(),
-            kind::CACHE_PUT => (|| {
-                let key = d.u64()?;
-                let blob = d.bytes()?;
-                d.expect_end()?;
-                Ok(Request::CachePut { key, blob })
-            })(),
             kind::VALIDATE => (|| {
                 let variant = d.u8()?;
                 let name = d.str()?;
@@ -573,8 +512,6 @@ impl Response {
             Response::StatsText { .. } => kind::STATS_TEXT,
             Response::Closed => kind::CLOSED,
             Response::Pong => kind::PONG,
-            Response::CacheValue { .. } => kind::CACHE_VALUE,
-            Response::CacheStored { .. } => kind::CACHE_STORED,
             Response::Busy { .. } => kind::BUSY,
             Response::Validated { .. } => kind::VALIDATED,
             Response::Error { .. } => kind::ERROR,
@@ -617,11 +554,6 @@ impl Response {
                 .finish(),
             Response::StatsText { text } => Enc::new().str(text).finish(),
             Response::Closed | Response::Pong => Vec::new(),
-            Response::CacheValue { blob } => match blob {
-                Some(b) => Enc::new().u8(1).bytes(b).finish(),
-                None => Enc::new().u8(0).finish(),
-            },
-            Response::CacheStored { stored } => Enc::new().u8(u8::from(*stored)).finish(),
             Response::Busy { retry_after_ms } => Enc::new().u32(*retry_after_ms).finish(),
             Response::Validated {
                 functions,
@@ -690,17 +622,6 @@ impl Response {
             })(),
             kind::CLOSED => d.expect_end().map(|()| Response::Closed),
             kind::PONG => d.expect_end().map(|()| Response::Pong),
-            kind::CACHE_VALUE => (|| {
-                let found = d.u8()?;
-                let blob = if found != 0 { Some(d.bytes()?) } else { None };
-                d.expect_end()?;
-                Ok(Response::CacheValue { blob })
-            })(),
-            kind::CACHE_STORED => (|| {
-                let stored = d.u8()? != 0;
-                d.expect_end()?;
-                Ok(Response::CacheStored { stored })
-            })(),
             kind::BUSY => (|| {
                 let retry_after_ms = d.u32()?;
                 d.expect_end()?;
@@ -818,7 +739,7 @@ impl FrameAssembler {
         FrameAssembler::default()
     }
 
-    /// Append raw bytes received from the peer.
+    /// Append raw bytes received from the other end.
     pub fn push(&mut self, bytes: &[u8]) {
         if self.skip > 0 {
             let eat = (self.skip).min(bytes.len() as u64) as usize;
@@ -903,95 +824,149 @@ mod tests {
         events
     }
 
+    /// `frame` decodes through the assembler into one frame whose bytes
+    /// are exactly `pinned`.
+    fn pinned_frame(frame: Vec<u8>, pinned: &str) -> (u8, Vec<u8>) {
+        let hex: String = frame.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, pinned, "wire bytes changed");
+        match feed(&mut FrameAssembler::new(), &frame, 3).as_slice() {
+            [FrameEvent::Frame {
+                version: VERSION,
+                kind,
+                payload,
+            }] => (*kind, payload.clone()),
+            events => panic!("one frame expected: {events:?}"),
+        }
+    }
+
+    /// Every kept request kind encodes to the bytes every earlier release
+    /// sends, and decodes back.
     #[test]
-    fn roundtrip_request_encodings() {
-        let reqs = [
-            Request::Open {
-                name: "jacobi".into(),
-                variant: 3,
-                module_text: "module text".into(),
-            },
-            Request::Update {
-                module_text: "new text".into(),
-            },
-            Request::Decompile { budget_ms: 0 },
-            Request::Decompile { budget_ms: 250 },
-            Request::Stats { daemon_wide: true },
-            Request::Close,
-            Request::Ping,
-            Request::CacheGet {
-                key: 0xDEAD_BEEF_CAFE_F00D,
-            },
-            Request::CachePut {
-                key: 42,
-                blob: vec![0x00, 0xFF, 0x7F, 0x80],
-            },
-            Request::Validate {
-                name: "gemm".into(),
-                variant: 1,
-                module_text: "module text".into(),
-            },
+    fn request_frames_keep_their_bytes() {
+        let pinned = [
+            (
+                Request::Open {
+                    name: "jacobi".into(),
+                    variant: 3,
+                    module_text: "module text".into(),
+                },
+                "53504c4401011a00000003060000006a61636f62690b0000006d6f64756c652074657874",
+            ),
+            (
+                Request::Update {
+                    module_text: "new text".into(),
+                },
+                "53504c4401020c000000080000006e65772074657874",
+            ),
+            (Request::Decompile { budget_ms: 0 }, "53504c44010300000000"),
+            (
+                Request::Decompile { budget_ms: 250 },
+                "53504c44010304000000fa000000",
+            ),
+            (
+                Request::Stats { daemon_wide: true },
+                "53504c4401040100000001",
+            ),
+            (Request::Close, "53504c44010500000000"),
+            (Request::Ping, "53504c44010600000000"),
+            (
+                Request::Validate {
+                    name: "gemm".into(),
+                    variant: 1,
+                    module_text: "module text".into(),
+                },
+                "53504c44010918000000010400000067656d6d0b0000006d6f64756c652074657874",
+            ),
         ];
-        for req in reqs {
-            let payload = req.encode_payload();
-            let back = Request::decode(req.kind(), &payload).unwrap().unwrap();
-            assert_eq!(back, req);
+        for (req, hex) in pinned {
+            let (kind, payload) = pinned_frame(frame_bytes(req.kind(), &req.encode_payload()), hex);
+            assert_eq!(Request::decode(kind, &payload).unwrap().unwrap(), req);
+        }
+    }
+
+    /// Every kept response kind encodes to the bytes every earlier release
+    /// sends, and decodes back.
+    #[test]
+    fn response_frames_keep_their_bytes() {
+        let pinned = [
+            (
+                Response::Opened {
+                    session: 7,
+                    functions: 16,
+                },
+                "53504c440181080000000700000010000000",
+            ),
+            (
+                Response::Updated {
+                    dirty: 1,
+                    total: 16,
+                    fingerprint_nanos: 812_345,
+                    bookkeeping_nanos: 21_000,
+                },
+                "53504c44018218000000010000001000000039650c00000000000852000000000000",
+            ),
+            (
+                Response::Result {
+                    functions: 16,
+                    cached: 15,
+                    degraded: 0,
+                    dirty: 1,
+                    wall_micros: 1234,
+                    fast_path: false,
+                    source: "int main() {}\n".into(),
+                },
+                "53504c4401832b000000100000000f0000000000000001000000d204000000000000\
+                 000e000000696e74206d61696e2829207b7d0a",
+            ),
+            (
+                Response::StatsText {
+                    text: "daemon stats\n".into(),
+                },
+                "53504c440184110000000d0000006461656d6f6e2073746174730a",
+            ),
+            (Response::Closed, "53504c44018500000000"),
+            (Response::Pong, "53504c44018600000000"),
+            (
+                Response::Validated {
+                    functions: 3,
+                    verified: 2,
+                    unverified: 1,
+                    wall_micros: 5678,
+                    source: "/* splendid: verified */\n".into(),
+                },
+                "53504c440189310000000300000002000000010000002e16000000000000\
+                 190000002f2a2073706c656e6469643a207665726966696564202a2f0a",
+            ),
+            (
+                Response::Busy {
+                    retry_after_ms: 750,
+                },
+                "53504c44018a04000000ee020000",
+            ),
+            (
+                Response::Error {
+                    code: ErrorCode::NoSession,
+                    message: "open first".into(),
+                },
+                "53504c4401ee1000000006000a0000006f70656e206669727374",
+            ),
+        ];
+        for (resp, hex) in pinned {
+            let (kind, payload) =
+                pinned_frame(frame_bytes(resp.kind(), &resp.encode_payload()), hex);
+            assert_eq!(Response::decode(kind, &payload).unwrap().unwrap(), resp);
         }
     }
 
     #[test]
-    fn roundtrip_response_encodings() {
-        let resps = [
-            Response::Opened {
-                session: 7,
-                functions: 16,
-            },
-            Response::Updated {
-                dirty: 1,
-                total: 16,
-                fingerprint_nanos: 812_345,
-                bookkeeping_nanos: 21_000,
-            },
-            Response::Result {
-                functions: 16,
-                cached: 15,
-                degraded: 0,
-                dirty: 1,
-                wall_micros: 1234,
-                fast_path: false,
-                source: "int main() {}\n".into(),
-            },
-            Response::StatsText {
-                text: "daemon stats\n".into(),
-            },
-            Response::Closed,
-            Response::Pong,
-            Response::CacheValue {
-                blob: Some(vec![1, 2, 3, 0, 255]),
-            },
-            Response::CacheValue { blob: None },
-            Response::CacheStored { stored: true },
-            Response::CacheStored { stored: false },
-            Response::Busy {
-                retry_after_ms: 750,
-            },
-            Response::Validated {
-                functions: 3,
-                verified: 2,
-                unverified: 1,
-                wall_micros: 5678,
-                source: "/* splendid: verified */\n".into(),
-            },
-            Response::Error {
-                code: ErrorCode::NoSession,
-                message: "open first".into(),
-            },
-        ];
-        for resp in resps {
-            let payload = resp.encode_payload();
-            let back = Response::decode(resp.kind(), &payload).unwrap().unwrap();
-            assert_eq!(back, resp);
+    fn retired_cache_kinds_and_code_decode_as_unknown() {
+        for retired in [0x07, 0x08] {
+            assert!(Request::decode(retired, &[]).is_none());
         }
+        for retired in [0x87, 0x88] {
+            assert!(Response::decode(retired, &[0]).is_none());
+        }
+        assert_eq!(ErrorCode::from_u16(12), ErrorCode::BadPayload);
     }
 
     #[test]

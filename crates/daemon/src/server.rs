@@ -12,13 +12,11 @@
 //! is the backpressure: clients block in `connect`/first read instead of
 //! being torn down.
 
-use crate::peer::{PeerTier, DEFAULT_PEER_TIMEOUT};
 use crate::protocol::{self, kind, ErrorCode, FrameAssembler, FrameEvent, Request, Response};
 use crate::session::{variant_from_wire, Session, SessionError};
 use splendid_cachestore::StoreConfig;
 use splendid_serve::{
-    codec, BlobTiers, CacheTier, DiskTier, JobError, JobRequest, Scheduler, ServeConfig,
-    StatsSnapshot,
+    BlobTiers, CacheTier, DiskTier, JobError, JobRequest, Scheduler, ServeConfig, StatsSnapshot,
 };
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
@@ -55,13 +53,6 @@ pub struct DaemonConfig {
     pub cache_dir: Option<PathBuf>,
     /// Size budget for the disk tier in bytes (default 256 MiB).
     pub cache_budget_bytes: Option<u64>,
-    /// TCP address of a peer daemon whose persistent tier is consulted
-    /// (via `CACHE_GET`) behind the local tiers.
-    pub peer: Option<String>,
-    /// Per-operation socket timeout for the peer tier (connect, send,
-    /// receive each get this budget). The circuit breaker keys off
-    /// operations that exhaust it.
-    pub peer_timeout: Duration,
 }
 
 impl Default for DaemonConfig {
@@ -75,21 +66,15 @@ impl Default for DaemonConfig {
             serve: ServeConfig::default(),
             cache_dir: None,
             cache_budget_bytes: None,
-            peer: None,
-            peer_timeout: DEFAULT_PEER_TIMEOUT,
         }
     }
 }
 
 /// The blob-tier chain under the serve LRU: the disk store at `cache_dir`
-/// (budgeted to `budget_bytes`, default 256 MiB), then the peer daemon at
-/// `peer`, each only when given. Opening the disk store is the one step
-/// that can fail; the peer tier dials lazily and degrades to misses.
+/// (budgeted to `budget_bytes`, default 256 MiB) when given, else empty.
 pub fn cache_tiers(
     cache_dir: Option<&Path>,
     budget_bytes: Option<u64>,
-    peer: Option<&str>,
-    peer_timeout: Duration,
 ) -> std::io::Result<BlobTiers> {
     let mut tiers: Vec<Arc<dyn CacheTier>> = Vec::new();
     if let Some(dir) = cache_dir {
@@ -98,9 +83,6 @@ pub fn cache_tiers(
             store.budget_bytes = budget;
         }
         tiers.push(Arc::new(DiskTier::open(dir, store)?));
-    }
-    if let Some(peer) = peer {
-        tiers.push(Arc::new(PeerTier::with_timeout(peer, peer_timeout)));
     }
     Ok(BlobTiers::new(tiers))
 }
@@ -239,12 +221,7 @@ impl Daemon {
             None => None,
         };
 
-        let tiers = cache_tiers(
-            config.cache_dir.as_deref(),
-            config.cache_budget_bytes,
-            config.peer.as_deref(),
-            config.peer_timeout,
-        )?;
+        let tiers = cache_tiers(config.cache_dir.as_deref(), config.cache_budget_bytes)?;
         let shared = Arc::new(Shared {
             scheduler: Scheduler::new_with_tiers(config.serve.clone(), tiers),
             config,
@@ -473,7 +450,7 @@ fn handle_connection(mut conn: Conn, shared: &Arc<Shared>) {
 
     'conn: loop {
         match conn.read(&mut buf) {
-            Ok(0) => break 'conn, // peer hung up
+            Ok(0) => break 'conn, // client hung up
             Ok(n) => {
                 state.last_activity = Instant::now();
                 assembler.push(&buf[..n]);
@@ -597,8 +574,6 @@ fn kind_label(kind_byte: u8) -> &'static str {
         kind::STATS => "STATS",
         kind::CLOSE => "CLOSE",
         kind::PING => "PING",
-        kind::CACHE_GET => "CACHE_GET",
-        kind::CACHE_PUT => "CACHE_PUT",
         kind::VALIDATE => "VALIDATE",
         _ => "unknown",
     }
@@ -609,34 +584,6 @@ fn dispatch(shared: &Arc<Shared>, state: &mut ConnState, req: Request) -> Respon
     let draining = shared.draining.load(Ordering::Relaxed);
     match req {
         Request::Ping => Response::Pong,
-        // Cache-tier wire service. GETs answer exclusively from the
-        // *disk* tier (never this daemon's own peer tier — two daemons
-        // pointed at each other must not loop). PUTs validate the record
-        // envelope before anything touches the store; a bad record is a
-        // polite `stored: false`, not a wire error, because the sender
-        // may simply be newer than us.
-        Request::CacheGet { key } => {
-            if shared.scheduler.tiers().disk().is_none() {
-                return error(
-                    ErrorCode::NoCache,
-                    "this daemon has no persistent cache tier (start it with --cache-dir)",
-                );
-            }
-            Response::CacheValue {
-                blob: shared.scheduler.cache_blob_get(key),
-            }
-        }
-        Request::CachePut { key, blob } => {
-            if shared.scheduler.tiers().disk().is_none() {
-                return error(
-                    ErrorCode::NoCache,
-                    "this daemon has no persistent cache tier (start it with --cache-dir)",
-                );
-            }
-            let stored = codec::validate_record(&blob).is_ok()
-                && shared.scheduler.cache_blob_put(key, &blob);
-            Response::CacheStored { stored }
-        }
         Request::Stats { daemon_wide: true } => Response::StatsText {
             text: shared.stats_text(),
         },
@@ -795,10 +742,10 @@ fn dispatch(shared: &Arc<Shared>, state: &mut ConnState, req: Request) -> Respon
                 validate: true,
                 ..Default::default()
             };
-            // VALIDATE is stateless (no session, no tenant fingerprint
-            // yet) but still holds a worker, so it goes through the same
-            // admission gate as DECOMPILE.
-            let ticket = match shared.scheduler.admit(None, None) {
+            // VALIDATE is stateless (no session) but still holds a
+            // worker, so it goes through the same admission gate as
+            // DECOMPILE.
+            let ticket = match shared.scheduler.admit(None) {
                 Ok(t) => t,
                 Err(busy) => {
                     shared.stats.requests_shed.fetch_add(1, Ordering::Relaxed);

@@ -319,14 +319,6 @@ impl Session {
         Ok(())
     }
 
-    /// The session's tenant id for admission fairness: the prepared
-    /// module's context fingerprint (the `ModuleDigests` digest), so
-    /// "one tenant" means one module being worked on, however many
-    /// connections hammer it.
-    pub fn tenant(&self) -> u64 {
-        self.prepared.context_fingerprint()
-    }
-
     /// Decompile the current module incrementally through the shared
     /// scheduler (or from the retained result when nothing is dirty).
     pub fn decompile(&mut self, scheduler: &Scheduler) -> Result<DecompileReply, JobError> {
@@ -339,10 +331,9 @@ impl Session {
     }
 
     /// [`Session::decompile`] with overload protection: the request
-    /// passes through scheduler admission (keyed by this session's
-    /// tenant id) before any work happens, and `deadline` — the wire
-    /// budget, made absolute — rides the job through the scheduler and
-    /// cache tiers. The fast path is exempt from admission: answering
+    /// passes through scheduler admission before any work happens, and
+    /// `deadline` — the wire budget, made absolute — rides the job
+    /// through the scheduler. The fast path is exempt from admission: answering
     /// from the retained result costs nanoseconds and touches no queue.
     pub fn decompile_with(
         &mut self,
@@ -367,9 +358,7 @@ impl Session {
         // Admit before re-preparing: a to-be-shed request must not burn
         // CPU on parse/detransform first. The ticket holds the queue
         // slot through the prepare (dropped on the error path).
-        let ticket = scheduler
-            .admit(Some(self.tenant()), deadline)
-            .map_err(SessionError::Busy)?;
+        let ticket = scheduler.admit(deadline).map_err(SessionError::Busy)?;
         if self.prepared_stale {
             self.refresh_prepared()?;
         }

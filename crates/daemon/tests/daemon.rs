@@ -5,11 +5,12 @@
 mod common;
 
 use common::{connect, module_text};
-use splendid_daemon::bench::synthetic_module;
+use splendid_daemon::bench::{synthetic_module, synthetic_module_tagged};
 use splendid_daemon::protocol::{frame_bytes, kind};
-use splendid_daemon::{Daemon, DaemonClient, DaemonConfig, ErrorCode, Response};
+use splendid_daemon::{Daemon, DaemonClient, DaemonConfig, ErrorCode, Request, Response};
 use splendid_serve::ServeConfig;
-use std::time::Duration;
+use std::sync::OnceLock;
+use std::time::{Duration, Instant};
 
 fn start(config: DaemonConfig) -> Daemon {
     Daemon::start(config).expect("daemon binds on a loopback port")
@@ -194,7 +195,7 @@ fn mid_request_disconnect_leaves_daemon_healthy() {
         send_decompile(&mut client).unwrap();
     } // drop = close
 
-    // The handler notices the dead peer when its send fails and
+    // The handler notices the dead client when its send fails and
     // unregisters the session.
     let mut waited = 0;
     while daemon.open_sessions() > 0 && waited < 100 {
@@ -311,62 +312,122 @@ fn unix_socket_roundtrip() {
     assert!(!path.exists(), "drain removes the socket file");
 }
 
-/// A TCP listener that never accepts: connects succeed (the OS backlog
-/// takes them) but every read against it runs out the peer timeout — a
-/// deterministic dead peer, independent of machine speed.
-fn blackhole_addr() -> String {
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap().to_string();
-    std::mem::forget(listener); // held open for the rest of the test process
-    addr
-}
+/// How long the blocker's VALIDATE is sized to keep a one-worker daemon
+/// busy: past the idle window and the shed checks below, with room to
+/// spare.
+const BLOCKER_TARGET: Duration = Duration::from_millis(600);
 
-/// DaemonConfig with one worker, a one-slot admission queue, and a dead
-/// peer whose timeout stretches any cold decompile to a deterministic
-/// several hundred ms: the saturation fixture for the tests below.
-fn saturated_config() -> DaemonConfig {
+/// A daemon config with one worker: the blocker's kernels run one after
+/// another.
+fn one_worker() -> DaemonConfig {
     DaemonConfig {
-        peer: Some(blackhole_addr()),
-        peer_timeout: Duration::from_millis(300),
         serve: ServeConfig {
             workers: 1,
-            max_pending_jobs: 1,
             ..ServeConfig::default()
         },
         ..DaemonConfig::default()
     }
+}
+
+/// The text of a synthetic module whose VALIDATE on a one-worker daemon
+/// takes at least about [`BLOCKER_TARGET`] on this build and machine.
+/// Validation runs each kernel's loop nests in the interpreter, so a few
+/// kernels are enough and the module is cheap to build. A timed
+/// calibration VALIDATE of a one-kernel module, on a daemon of its own,
+/// measures what one kernel costs. Built once per test process; every
+/// test's daemon is fresh, so no verdict of the blocker is cached there.
+fn blocker_module() -> &'static str {
+    static TEXT: OnceLock<String> = OnceLock::new();
+    TEXT.get_or_init(|| {
+        let daemon = start(one_worker());
+        let mut probe = connect(&daemon);
+        let probe_text = synthetic_module_tagged("probe_", &[0.5]).unwrap();
+        let t = Instant::now();
+        match probe.validate("calibrate", 3, &probe_text).unwrap() {
+            Response::Validated { functions: 1, .. } => {}
+            other => panic!("expected VALIDATED for one kernel, got {other:?}"),
+        }
+        let per_kernel = t.elapsed();
+        drop(probe);
+        assert!(daemon.drain());
+        let kernels = BLOCKER_TARGET.as_nanos() / per_kernel.as_nanos().max(1) + 1;
+        let consts: Vec<f64> = (0..kernels.min(64))
+            .map(|k| 2.0 + k as f64 * 0.25)
+            .collect();
+        synthetic_module_tagged("blocker_", &consts).unwrap()
+    })
+}
+
+/// The blocker's VALIDATE request.
+fn blocker_request() -> Request {
+    Request::Validate {
+        name: "blocker".into(),
+        variant: 3,
+        module_text: blocker_module().into(),
+    }
+}
+
+/// DaemonConfig with one worker and a one-slot admission queue: with the
+/// blocker's VALIDATE in flight, the daemon is saturated.
+fn saturated_config() -> DaemonConfig {
+    let mut config = one_worker();
+    config.serve.max_pending_jobs = 1;
+    config
+}
+
+/// Send the blocker's VALIDATE on a connection of its own, admitted and
+/// in flight when this returns; the caller reads its answer with
+/// [`finish_blocker`].
+fn start_blocker(daemon: &Daemon) -> DaemonClient {
+    let request = blocker_request();
+    let mut blocker = connect(daemon);
+    blocker
+        .send_raw(&frame_bytes(request.kind(), &request.encode_payload()))
+        .unwrap();
+    std::thread::sleep(Duration::from_millis(100)); // admitted, in flight
+    blocker
+}
+
+/// Read the blocker's VALIDATED answer, and check the premise the test
+/// stood on: the daemon spent longer on it than [`start_blocker`] waited.
+fn finish_blocker(blocker: &mut DaemonClient) {
+    let wall = match blocker.read_response().unwrap() {
+        Response::Validated { wall_micros, .. } => Duration::from_micros(wall_micros),
+        other => panic!("the blocker's admitted job must complete, got {other:?}"),
+    };
+    assert!(
+        wall >= BLOCKER_TARGET / 4,
+        "premise: the blocker must hold the worker for at least {:?} (took {wall:?})",
+        BLOCKER_TARGET / 4
+    );
 }
 
 #[test]
 fn slow_request_does_not_count_as_idle() {
     // Regression test: a request whose *service time* exceeds the idle
     // timeout must not get its session evicted the moment the response
-    // goes out. The dead peer makes the cold decompile pay ~3 peer
-    // timeouts (get / put / get, then the breaker trips), far past the
-    // idle window, without depending on compute speed.
+    // goes out. The blocker's VALIDATE is sized past the idle window on
+    // whatever build and machine runs the test.
+    let request = blocker_request();
     let daemon = start(DaemonConfig {
         idle_timeout: Some(Duration::from_millis(250)),
-        peer: Some(blackhole_addr()),
-        peer_timeout: Duration::from_millis(200),
-        serve: ServeConfig {
-            workers: 1,
-            ..ServeConfig::default()
-        },
-        ..DaemonConfig::default()
+        ..one_worker()
     });
     let mut client = connect(&daemon);
-    client
-        .open("slow", 3, &module_text(&[0.1, 0.2, 0.3, 0.4]))
-        .unwrap();
+    client.open("slow", 3, &module_text(&[0.1, 0.2])).unwrap();
+    assert!(matches!(
+        client.decompile().unwrap(),
+        Response::Result { .. }
+    ));
 
-    let t = std::time::Instant::now();
-    match client.decompile().unwrap() {
-        Response::Result { functions, .. } => assert_eq!(functions, 4),
-        other => panic!("expected RESULT, got {other:?}"),
+    let t = Instant::now();
+    match client.roundtrip(&request).unwrap() {
+        Response::Validated { .. } => {}
+        other => panic!("expected VALIDATED, got {other:?}"),
     }
     assert!(
         t.elapsed() >= Duration::from_millis(250),
-        "premise: the dead peer must stretch this request past the idle \
+        "premise: the blocker must stretch this request past the idle \
          window (took {:?})",
         t.elapsed()
     );
@@ -397,14 +458,9 @@ fn slow_request_does_not_count_as_idle() {
 fn saturated_daemon_sheds_busy_and_recovers() {
     let daemon = start(saturated_config());
 
-    // Blocker occupies the single worker with a dead-peer-stretched job
-    // and holds the one admission slot.
-    let mut blocker = connect(&daemon);
-    blocker
-        .open("blocker", 3, &module_text(&[1.0, 2.0, 3.0]))
-        .unwrap();
-    send_decompile(&mut blocker).unwrap();
-    std::thread::sleep(Duration::from_millis(100)); // admitted, in flight
+    // Blocker occupies the single worker with a long VALIDATE and holds
+    // the one admission slot.
+    let mut blocker = start_blocker(&daemon);
 
     // A second session's DECOMPILE finds the queue full: typed BUSY
     // with a retry hint, not an error, and the connection survives.
@@ -412,7 +468,7 @@ fn saturated_daemon_sheds_busy_and_recovers() {
     shed.open("shed", 3, &module_text(&[4.0])).unwrap();
     let retry_after_ms = match shed.decompile_with_budget(0).unwrap() {
         Response::Busy { retry_after_ms } => retry_after_ms,
-        other => panic!("expected BUSY from a saturated daemon, got {other:?}"),
+        other => panic!("premise: expected BUSY from a saturated daemon, got {other:?}"),
     };
     assert!(retry_after_ms > 0, "BUSY must carry a retry hint");
 
@@ -433,10 +489,7 @@ fn saturated_daemon_sheds_busy_and_recovers() {
             other => panic!("expected RESULT or BUSY, got {other:?}"),
         }
     }
-    match blocker.read_response().unwrap() {
-        Response::Result { functions, .. } => assert_eq!(functions, 3),
-        other => panic!("blocker's admitted job must complete, got {other:?}"),
-    }
+    finish_blocker(&mut blocker);
 
     // Both ledgers saw the shed: the scheduler's queue-full counter and
     // the daemon's BUSY-responses counter.
@@ -456,13 +509,7 @@ fn saturated_daemon_sheds_busy_and_recovers() {
 #[test]
 fn drain_under_saturation_completes_admitted_work() {
     let daemon = start(saturated_config());
-
-    let mut blocker = connect(&daemon);
-    blocker
-        .open("blocker", 3, &module_text(&[5.0, 6.0, 7.0]))
-        .unwrap();
-    send_decompile(&mut blocker).unwrap();
-    std::thread::sleep(Duration::from_millis(100)); // admitted, in flight
+    let mut blocker = start_blocker(&daemon);
 
     // Saturation is real before the drain starts: a second session is
     // shed with BUSY.
@@ -470,7 +517,7 @@ fn drain_under_saturation_completes_admitted_work() {
     late.open("late", 3, &module_text(&[8.0])).unwrap();
     match late.decompile_with_budget(0).unwrap() {
         Response::Busy { .. } => {}
-        other => panic!("expected BUSY before drain, got {other:?}"),
+        other => panic!("premise: expected BUSY before drain, got {other:?}"),
     }
     assert!(
         daemon
@@ -484,15 +531,12 @@ fn drain_under_saturation_completes_admitted_work() {
 
     // The admitted in-flight job completes with a real result even
     // though the drain began mid-request.
-    match blocker.read_response().unwrap() {
-        Response::Result { functions, .. } => assert_eq!(functions, 3),
-        other => panic!("admitted decompile must finish during drain, got {other:?}"),
-    }
+    finish_blocker(&mut blocker);
 
     // Work arriving after the drain began is refused — either with the
     // typed DRAINING error or, if the handler already observed the drain
     // on an idle tick, by winding the connection down.
-    match late.roundtrip(&splendid_daemon::protocol::Request::Decompile { budget_ms: 0 }) {
+    match late.roundtrip(&Request::Decompile { budget_ms: 0 }) {
         Ok(Response::Error { code, .. }) => assert_eq!(code, ErrorCode::Draining),
         Ok(other) => panic!("draining daemon must refuse new work, got {other:?}"),
         Err(_) => {} // connection already closed by the drain: also a refusal
@@ -529,7 +573,6 @@ fn validate_request_is_stateless_and_annotates() {
     assert!(source.contains("splendid: verified"), "{source}");
 
     // Garbage module text is a typed error, not a dropped connection.
-    use splendid_daemon::protocol::Request;
     match client
         .roundtrip(&Request::Validate {
             name: "g".into(),

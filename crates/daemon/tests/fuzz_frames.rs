@@ -83,100 +83,6 @@ fn assembler_recovers_every_valid_frame_from_noise() {
     }
 }
 
-/// Seeded fuzz over the CACHE_GET/CACHE_PUT surface of a daemon that
-/// *does* have a persistent tier: every frame — valid-but-missing keys,
-/// garbage blobs, truncated keys, blob lengths overrunning the payload —
-/// earns exactly one typed answer, and nothing kills the connection.
-#[test]
-fn cache_frames_earn_typed_answers_under_fuzz() {
-    let dir = std::env::temp_dir().join(format!("splendid-fuzz-cache-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let daemon = Daemon::start(DaemonConfig {
-        cache_dir: Some(dir.clone()),
-        ..Default::default()
-    })
-    .unwrap();
-
-    for seed in 300..316u64 {
-        let mut rng = Rng::for_case(seed, 0);
-        let mut client = DaemonClient::connect_tcp(daemon.local_addr()).unwrap();
-        client
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        for round in 0..16 {
-            let ctx = format!("seed {seed} round {round}");
-            match rng.below(4) {
-                0 => {
-                    // Well-formed GET for a random key: the store holds
-                    // nothing (garbage puts below are all rejected), so
-                    // this must be a clean miss, not an error.
-                    let payload = rng.next_u64().to_le_bytes();
-                    client
-                        .send_raw(&frame_bytes(kind::CACHE_GET, &payload))
-                        .unwrap();
-                    match client.read_response().unwrap() {
-                        Response::CacheValue { blob } => assert!(blob.is_none(), "{ctx}"),
-                        other => panic!("{ctx}: expected CACHE_VALUE, got {other:?}"),
-                    }
-                }
-                1 => {
-                    // Well-formed PUT carrying a garbage blob: record
-                    // validation must reject it politely (stored=false).
-                    // `garbage` scrubs the leading 'S', so a blob can
-                    // never alias a real record envelope by chance.
-                    let len = rng.below(128) as usize;
-                    let mut payload = Vec::new();
-                    payload.extend_from_slice(&rng.next_u64().to_le_bytes());
-                    payload.extend_from_slice(&(len as u32).to_le_bytes());
-                    payload.extend_from_slice(&garbage(&mut rng, len));
-                    client
-                        .send_raw(&frame_bytes(kind::CACHE_PUT, &payload))
-                        .unwrap();
-                    match client.read_response().unwrap() {
-                        Response::CacheStored { stored } => assert!(!stored, "{ctx}"),
-                        other => panic!("{ctx}: expected CACHE_STORED, got {other:?}"),
-                    }
-                }
-                2 => {
-                    // GET with a truncated key (0-7 bytes): BadPayload.
-                    let cut = rng.below(8) as usize;
-                    client
-                        .send_raw(&frame_bytes(kind::CACHE_GET, &vec![0xAB; cut]))
-                        .unwrap();
-                    match client.read_response().unwrap() {
-                        Response::Error { code, .. } => {
-                            assert_eq!(code, splendid_daemon::ErrorCode::BadPayload, "{ctx}")
-                        }
-                        other => panic!("{ctx}: expected ERROR, got {other:?}"),
-                    }
-                }
-                _ => {
-                    // PUT whose declared blob length overruns the actual
-                    // payload: BadPayload, never a hang waiting for more.
-                    let mut payload = Vec::new();
-                    payload.extend_from_slice(&rng.next_u64().to_le_bytes());
-                    payload.extend_from_slice(&1024u32.to_le_bytes());
-                    payload.extend_from_slice(&garbage(&mut rng, 8));
-                    client
-                        .send_raw(&frame_bytes(kind::CACHE_PUT, &payload))
-                        .unwrap();
-                    match client.read_response().unwrap() {
-                        Response::Error { code, .. } => {
-                            assert_eq!(code, splendid_daemon::ErrorCode::BadPayload, "{ctx}")
-                        }
-                        other => panic!("{ctx}: expected ERROR, got {other:?}"),
-                    }
-                }
-            }
-        }
-        // The connection survived all of it.
-        client.ping().unwrap();
-    }
-
-    assert!(daemon.drain());
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// Seeded fuzz over the DECOMPILE-budget and BUSY surfaces: random
 /// budgets on sessionless DECOMPILEs (decode fine, then NoSession),
 /// truncated budget payloads (BadPayload), and BUSY frames sent *to*

@@ -13,7 +13,8 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 /// Connect, open a module of `functions` kernels tagged with `id` (its own
-/// tenant), decompile it once, and build every round's edit up front: the
+/// module context, so no client's edit hits another's cache entry),
+/// decompile it once, and build every round's edit up front: the
 /// C pipeline behind each edit is client work, not load on the daemon.
 fn setup(
     addr: &str,
@@ -201,10 +202,7 @@ fn overload_sheds_and_keeps_goodput() {
     );
     let serve = daemon.serve_stats();
     assert_eq!(serve.jobs_timed_out, 0, "an admitted request timed out");
-    assert!(
-        serve.jobs_shed_queue + serve.jobs_shed_quota + serve.jobs_shed_deadline > 0,
-        "admission shed nothing at 4x load"
-    );
+    assert!(serve.jobs_shed() > 0, "admission shed nothing at 4x load");
     let stats = daemon.stats();
     assert!(stats.requests_shed.load(Relaxed) > 0, "no BUSY was sent");
     assert_eq!(stats.desyncs.load(Relaxed), 0, "overload desynced a stream");

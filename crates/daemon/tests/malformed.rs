@@ -90,14 +90,12 @@ fn corpus_never_kills_the_daemon() {
             "decompile-budget-no-session" => {
                 assert_eq!(codes, vec![ErrorCode::NoSession], "{name}")
             }
-            "cache-get-no-cache" => assert_eq!(
+            // The retired cache kinds get what any unknown kind gets.
+            "cache-get-no-cache" | "cache-put-truncated-blob" => assert_eq!(
                 codes,
-                vec![ErrorCode::NoCache],
-                "{name}: this daemon runs without --cache-dir"
+                vec![ErrorCode::UnknownKind],
+                "{name}: a retired kind is an unknown kind"
             ),
-            "cache-put-truncated-blob" => {
-                assert_eq!(codes, vec![ErrorCode::BadPayload], "{name}")
-            }
             "cache-put-oversized" => assert_eq!(codes, vec![ErrorCode::Oversized], "{name}"),
             // Truncations produce no response at all: the assembler is
             // still waiting for the rest of the frame.

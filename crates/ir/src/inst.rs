@@ -4,7 +4,6 @@ use crate::{BlockId, FuncId, MemType, Symbol, Type, Value, VarId};
 
 /// Integer and floating-point binary opcodes.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum BinOp {
     /// Integer addition.
     Add,
@@ -100,7 +99,6 @@ impl BinOp {
 
 /// Signed integer comparison predicates.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum IPred {
     /// Equal.
     Eq,
@@ -169,7 +167,6 @@ impl IPred {
 
 /// Floating-point comparison predicates (ordered forms only).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum FPred {
     /// Ordered equal.
     Oeq,
@@ -214,7 +211,6 @@ impl FPred {
 
 /// Conversion opcodes.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum CastOp {
     /// Sign-extend an integer to a wider integer type.
     Sext,
@@ -259,7 +255,6 @@ impl CastOp {
 
 /// Horizontal reduction operators for [`InstKind::Reduce`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ReduceOp {
     /// Sum of lanes (wrapping for integers, IEEE for floats).
     Add,
@@ -302,7 +297,6 @@ impl ReduceOp {
 
 /// Callee of a [`InstKind::Call`].
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Callee {
     /// Direct call to a function in the same module.
     Func(FuncId),
@@ -325,7 +319,6 @@ impl Callee {
 
 /// Instruction payload.
 #[derive(Clone, PartialEq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum InstKind {
     /// Binary arithmetic / bitwise operation.
     Bin {
@@ -649,7 +642,6 @@ impl InstKind {
 /// An instruction: payload, result type, optional register-name hint, and an
 /// optional source line for debug locations.
 #[derive(Clone, PartialEq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Inst {
     /// Payload.
     pub kind: InstKind,

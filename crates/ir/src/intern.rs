@@ -18,7 +18,6 @@ use crate::hash::fnv64;
 /// Interned string handle, valid within the [`SymbolTable`] that produced
 /// it. Equality of symbols from the *same* table is equality of strings.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Symbol(pub u32);
 
 impl Symbol {
@@ -37,7 +36,6 @@ impl std::fmt::Display for Symbol {
 /// Deduplicating string arena. All interned bytes live in one contiguous
 /// buffer; each [`Symbol`] indexes a `(start, len)` span.
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SymbolTable {
     /// Contiguous UTF-8 bytes of every distinct interned string.
     bytes: String,
@@ -45,7 +43,6 @@ pub struct SymbolTable {
     spans: Vec<(u32, u32)>,
     /// Open-addressing hash index: slot holds `symbol_index + 1`, 0 = empty.
     /// Rebuilt on growth; not part of equality.
-    #[cfg_attr(feature = "serde", serde(skip))]
     slots: Vec<u32>,
 }
 

@@ -13,7 +13,6 @@ use std::collections::HashMap;
 
 /// A function parameter.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Param {
     /// Source-level name of the parameter (interned).
     pub name: Symbol,
@@ -24,7 +23,6 @@ pub struct Param {
 /// A basic block: a label plus an ordered list of instructions ending in a
 /// terminator.
 #[derive(Clone, PartialEq, Debug, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Block {
     /// Label, unique within the function (interned).
     pub name: Symbol,
@@ -40,7 +38,6 @@ pub struct Block {
 /// reference them by id, so passes can splice, delete (via
 /// [`InstKind::Nop`]), and move instructions without invalidating ids.
 #[derive(Clone, PartialEq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Function {
     /// Symbol name (interned in the owning module).
     pub name: Symbol,
@@ -244,7 +241,6 @@ impl Function {
 
 /// Initializer for a global.
 #[derive(Clone, PartialEq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum GlobalInit {
     /// Zero-initialized.
     Zero,
@@ -254,7 +250,6 @@ pub enum GlobalInit {
 
 /// A module-level global memory object.
 #[derive(Clone, PartialEq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Global {
     /// Symbol name (interned).
     pub name: Symbol,
@@ -267,7 +262,6 @@ pub struct Global {
 /// A source-level variable described by debug metadata, the analogue of
 /// LLVM's `DILocalVariable`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DiVariable {
     /// Source name (`"i"`, `"A"`, ...), interned.
     pub name: Symbol,
@@ -278,7 +272,6 @@ pub struct DiVariable {
 /// A translation unit: functions, globals, debug variables, and the symbol
 /// table that owns every identifier in them.
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Module {
     /// Module name (source file stem).
     pub name: String,

@@ -9,7 +9,6 @@
 /// what the paper's kernels (double arrays, i64 induction arithmetic)
 /// produce, and it keeps every lane exactly one memory word.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum VecElem {
     /// 64-bit integer lanes.
     I64,
@@ -38,7 +37,6 @@ impl VecElem {
 /// single-identifier textual name (`v4f64`) the zero-copy lexer can treat
 /// like any other type keyword.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VecTy {
     /// Lane element type.
     pub elem: VecElem,
@@ -59,7 +57,6 @@ impl VecTy {
 
 /// Scalar first-class type of an SSA value.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Type {
     /// No value (result type of stores, branches, `ret void`...).
     Void,
@@ -203,7 +200,6 @@ impl std::fmt::Display for Type {
 /// Shape of a memory object: a scalar or a (possibly multi-dimensional)
 /// array of scalars.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum MemType {
     /// A single scalar slot.
     Scalar(Type),

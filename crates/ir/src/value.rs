@@ -8,7 +8,6 @@ use crate::{FuncId, GlobalId, InstId, Type};
 /// `Value` is small and `Copy`; float constants store raw IEEE-754 bits so
 /// the type can implement `Eq` and `Hash` (NaN payloads compare bitwise).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Value {
     /// Result of an instruction in the current function.
     Inst(InstId),

@@ -1,10 +1,9 @@
-#![cfg(feature = "proptest")]
+//! Property test: printing and re-parsing seeded random modules is the
+//! identity (up to dense id renumbering, which the builder already
+//! guarantees).
 
-//! Property test: printing and re-parsing random modules is the identity
-//! (up to dense id renumbering, which the builder already guarantees).
-
-use proptest::prelude::*;
 use splendid_ir::builder::FuncBuilder;
+use splendid_ir::rng::Rng;
 use splendid_ir::{
     parser::parse_module, printer::module_str, BinOp, IPred, MemType, Module, Type, Value,
 };
@@ -17,29 +16,24 @@ enum Op {
     Mem,
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (
-            prop_oneof![
-                Just(BinOp::Add),
-                Just(BinOp::Sub),
-                Just(BinOp::Mul),
-                Just(BinOp::And),
-                Just(BinOp::Xor)
-            ],
-            any::<i32>()
-        )
-            .prop_map(|(o, c)| Op::Int(o, c as i64)),
-        any::<f64>()
-            .prop_filter("finite", |x| x.is_finite())
-            .prop_map(Op::Float),
-        (
-            prop_oneof![Just(IPred::Slt), Just(IPred::Eq), Just(IPred::Sge)],
-            any::<i16>()
-        )
-            .prop_map(|(p, c)| Op::Cmp(p, c as i64)),
-        Just(Op::Mem),
-    ]
+fn random_op(rng: &mut Rng) -> Op {
+    match rng.below(4) {
+        0 => {
+            let op = *rng.pick(&[BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::And, BinOp::Xor]);
+            Op::Int(op, i64::from(rng.next_u64() as i32))
+        }
+        1 => loop {
+            let x = f64::from_bits(rng.next_u64());
+            if x.is_finite() {
+                break Op::Float(x);
+            }
+        },
+        2 => {
+            let pred = *rng.pick(&[IPred::Slt, IPred::Eq, IPred::Sge]);
+            Op::Cmp(pred, i64::from(rng.next_u64() as i16))
+        }
+        _ => Op::Mem,
+    }
 }
 
 fn build(ops: &[Op]) -> Module {
@@ -75,18 +69,17 @@ fn build(ops: &[Op]) -> Module {
     m
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn print_parse_roundtrip(ops in prop::collection::vec(op_strategy(), 0..24)) {
+#[test]
+fn print_parse_roundtrip() {
+    for case in 0..128 {
+        let mut rng = Rng::for_case(0x2047, case);
+        let ops: Vec<Op> = (0..rng.below(24)).map(|_| random_op(&mut rng)).collect();
         let m = build(&ops);
         splendid_ir::verify::verify_module(&m).unwrap();
         let text = module_str(&m);
-        let m2 = parse_module(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
-        prop_assert_eq!(&m, &m2, "round-trip mismatch:\n{}", text);
+        let m2 = parse_module(&text).unwrap_or_else(|e| panic!("case {case}: {e}\n{text}"));
+        assert_eq!(m, m2, "case {case}: round-trip mismatch:\n{text}");
         // And the round-trip is a fixpoint.
-        let text2 = module_str(&m2);
-        prop_assert_eq!(text, text2);
+        assert_eq!(text, module_str(&m2), "case {case}");
     }
 }

@@ -71,6 +71,7 @@ pub fn bleu4(candidate_src: &str, reference_src: &str) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use splendid_ir::rng::Rng;
 
     fn toks(s: &str) -> Vec<String> {
         s.split_whitespace().map(|t| t.to_string()).collect()
@@ -166,18 +167,22 @@ void forked_function(long arg1, long arg2, double* A, double* B, long lb, long u
         assert!(s_rt < s_id, "{s_rt}");
     }
 
-    #[cfg(feature = "proptest")]
-    proptest::proptest! {
-        /// BLEU is always within [0, 1] and identity scores 1.
-        #[test]
-        fn prop_bounds(cand in proptest::collection::vec("[a-f]", 1..40),
-                       refr in proptest::collection::vec("[a-f]", 1..40)) {
-            let c: Vec<String> = cand;
-            let r: Vec<String> = refr;
+    /// BLEU is always within [0, 1] and identity scores 1, on seeded
+    /// random token strings of 1 to 39 tokens over `a`..`f`.
+    #[test]
+    fn prop_bounds() {
+        fn tokens(rng: &mut Rng) -> Vec<String> {
+            (0..1 + rng.below(39))
+                .map(|_| char::from(b'a' + rng.below(6) as u8).to_string())
+                .collect()
+        }
+        let mut rng = Rng::for_case(0xB1E0, 0);
+        for _ in 0..256 {
+            let (c, r) = (tokens(&mut rng), tokens(&mut rng));
             let s = bleu4_tokens(&c, &r);
-            proptest::prop_assert!((0.0..=1.0 + 1e-12).contains(&s));
+            assert!((0.0..=1.0 + 1e-12).contains(&s), "{s} for {c:?} vs {r:?}");
             let ident = bleu4_tokens(&c, &c);
-            proptest::prop_assert!(ident > 0.99 || c.len() < 4);
+            assert!(ident > 0.99 || c.len() < 4, "{ident} for {c:?}");
         }
     }
 }

@@ -14,9 +14,8 @@
 //! `Mutex`; the critical sections are a handful of pointer updates, so
 //! contention stays negligible next to decompilation work.
 //!
-//! Below the LRU sits a chain of *blob tiers* (see [`CacheTier`]): the
-//! persistent disk store from `splendid-cachestore`, and optionally a
-//! peer daemon reached over the SPLD `CACHE_GET`/`CACHE_PUT` frames.
+//! Below the LRU sits a chain of *blob tiers* (see [`CacheTier`]); the
+//! daemon's is the persistent disk store from `splendid-cachestore`.
 //! Lookups read through the chain (a hit in a lower tier back-fills the
 //! tiers above it); fills write through to every tier, with the disk
 //! write happening *behind* the request on a dedicated thread so a cold
@@ -244,7 +243,7 @@ impl<V: Clone> LruCache<V> {
 /// Per-tier hit/miss/fill counters, snapshotted into the stats surface.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TierCounters {
-    /// Tier label (`"disk"`, `"peer"`, ...).
+    /// Tier label (`"disk"`, ...).
     pub name: String,
     /// Lookups answered by this tier.
     pub hits: u64,
@@ -257,13 +256,6 @@ pub struct TierCounters {
     /// write-behind messages). Errors degrade to misses, never to
     /// request failures.
     pub errors: u64,
-    /// Circuit-breaker trips (closed/half-open → open transitions).
-    /// Always 0 for tiers without a breaker.
-    pub breaker_trips: u64,
-    /// Operations refused instantly because the breaker was open.
-    pub breaker_fast_fails: u64,
-    /// Whether the breaker is open right now.
-    pub breaker_open: bool,
 }
 
 impl TierCounters {
@@ -277,9 +269,8 @@ impl TierCounters {
 ///
 /// Tiers speak *encoded blobs* (see [`crate::codec`]), not decoded
 /// values, so the same chain carries function, module and certificate
-/// records, and a network tier can forward payloads without
-/// understanding them. Implementations must be infallible at the
-/// signature level: errors are counted and reported as misses.
+/// records. Implementations must be infallible at the signature level:
+/// errors are counted and reported as misses.
 pub trait CacheTier: Send + Sync {
     /// Tier label for stats attribution.
     fn name(&self) -> &'static str;
@@ -291,13 +282,6 @@ pub trait CacheTier: Send + Sync {
     fn counters(&self) -> TierCounters;
     /// Block until queued writes are durable. Default: nothing queued.
     fn flush(&self) {}
-    /// Worst-case cost of one `get` against this tier right now. Local
-    /// tiers answer in microseconds (zero); a network tier reports its
-    /// configured timeout (or near-zero while its breaker is open) so
-    /// deadline-aware readers can skip it instead of waiting it out.
-    fn cost_hint(&self) -> std::time::Duration {
-        std::time::Duration::ZERO
-    }
 }
 
 /// Write-behind queue depth for the disk tier. Deep enough that a burst
@@ -407,7 +391,6 @@ impl CacheTier for DiskTier {
             misses: self.misses.load(Ordering::Relaxed),
             fills: self.fills.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
-            ..TierCounters::default()
         }
     }
 
@@ -451,32 +434,10 @@ impl BlobTiers {
         self.tiers.is_empty()
     }
 
-    /// First tier in the chain when it is the disk tier — the daemon
-    /// serves peer `CACHE_GET`s from it (and only it, so two daemons
-    /// pointed at each other cannot forward a lookup in a loop).
-    pub fn disk(&self) -> Option<&Arc<dyn CacheTier>> {
-        self.tiers.first().filter(|t| t.name() == "disk")
-    }
-
     /// Read through the chain. A hit in tier N back-fills tiers 0..N so
     /// the next lookup stops sooner.
     pub fn get(&self, key: u64) -> Option<Vec<u8>> {
-        self.get_before(key, None)
-    }
-
-    /// Deadline-aware read through the chain: a tier whose worst-case
-    /// cost ([`CacheTier::cost_hint`]) would not fit inside the
-    /// remaining budget is skipped — a near-deadline request must not
-    /// spend its last milliseconds waiting on a peer round-trip when
-    /// decompiling locally could still make it.
-    pub fn get_before(&self, key: u64, deadline: Option<std::time::Instant>) -> Option<Vec<u8>> {
         for (i, tier) in self.tiers.iter().enumerate() {
-            if let Some(d) = deadline {
-                let budget = d.saturating_duration_since(std::time::Instant::now());
-                if tier.cost_hint() > budget {
-                    continue;
-                }
-            }
             if let Some(blob) = tier.get(key) {
                 for nearer in &self.tiers[..i] {
                     nearer.put(key, &blob);
@@ -494,15 +455,10 @@ impl BlobTiers {
         }
     }
 
-    /// Fetch and decode a function record, under an optional deadline
-    /// (see [`BlobTiers::get_before`]). Undecodable blobs count as tier
-    /// errors-as-misses by contract.
-    pub fn get_function_before(
-        &self,
-        key: u64,
-        deadline: Option<std::time::Instant>,
-    ) -> Option<FunctionOutput> {
-        codec::decode_function_record(&self.get_before(key, deadline)?).ok()
+    /// Fetch and decode a function record. Undecodable blobs count as
+    /// tier errors-as-misses by contract.
+    pub fn get_function(&self, key: u64) -> Option<FunctionOutput> {
+        codec::decode_function_record(&self.get(key)?).ok()
     }
 
     /// Encode and write through a function record.
@@ -597,8 +553,6 @@ mod tests {
         hits: AtomicU64,
         misses: AtomicU64,
         fills: AtomicU64,
-        /// Advertised worst-case lookup cost (a "network timeout").
-        cost: Mutex<std::time::Duration>,
     }
 
     impl MockTier {
@@ -609,7 +563,6 @@ mod tests {
                 hits: AtomicU64::new(0),
                 misses: AtomicU64::new(0),
                 fills: AtomicU64::new(0),
-                cost: Mutex::new(std::time::Duration::ZERO),
             }
         }
     }
@@ -639,9 +592,6 @@ mod tests {
                 ..TierCounters::default()
             }
         }
-        fn cost_hint(&self) -> std::time::Duration {
-            self.cost.lock().map(|c| *c).unwrap_or_default()
-        }
     }
 
     #[test]
@@ -664,8 +614,8 @@ mod tests {
 
     #[test]
     fn chain_promotes_hits_toward_the_front() {
-        let near = Arc::new(MockTier::new("disk"));
-        let far = Arc::new(MockTier::new("peer"));
+        let near = Arc::new(MockTier::new("near"));
+        let far = Arc::new(MockTier::new("far"));
         far.put(42, b"from-afar");
         far.fills.store(0, Ordering::Relaxed); // reset test setup noise
         let chain = BlobTiers::new(vec![
@@ -682,8 +632,8 @@ mod tests {
 
     #[test]
     fn chain_writes_through_every_tier() {
-        let a = Arc::new(MockTier::new("disk"));
-        let b = Arc::new(MockTier::new("peer"));
+        let a = Arc::new(MockTier::new("near"));
+        let b = Arc::new(MockTier::new("far"));
         let chain = BlobTiers::new(vec![
             Arc::clone(&a) as Arc<dyn CacheTier>,
             Arc::clone(&b) as Arc<dyn CacheTier>,
@@ -694,37 +644,10 @@ mod tests {
     }
 
     #[test]
-    fn disk_accessor_requires_disk_first() {
-        let peer_only = BlobTiers::new(vec![Arc::new(MockTier::new("peer")) as Arc<dyn CacheTier>]);
-        assert!(peer_only.disk().is_none());
-        let disk_first =
-            BlobTiers::new(vec![Arc::new(MockTier::new("disk")) as Arc<dyn CacheTier>]);
-        assert!(disk_first.disk().is_some());
-    }
-
-    #[test]
-    fn deadline_skips_tiers_too_expensive_to_answer_in_time() {
-        let slow = Arc::new(MockTier::new("peer"));
-        slow.put(9, b"remote-record");
-        slow.fills.store(0, Ordering::Relaxed);
-        *slow.cost.lock().unwrap() = std::time::Duration::from_secs(2);
-        let chain = BlobTiers::new(vec![Arc::clone(&slow) as Arc<dyn CacheTier>]);
-        // 10 ms of budget cannot fit a 2 s worst case: the tier is
-        // skipped outright — no lookup, no counter movement.
-        let soon = std::time::Instant::now() + std::time::Duration::from_millis(10);
-        assert!(chain.get_before(9, Some(soon)).is_none());
-        assert_eq!(slow.counters().hits + slow.counters().misses, 0);
-        // A generous (or absent) deadline reads through as usual.
-        let ample = std::time::Instant::now() + std::time::Duration::from_secs(60);
-        assert!(chain.get_before(9, Some(ample)).is_some());
-        assert!(chain.get_before(9, None).is_some());
-    }
-
-    #[test]
     fn undecodable_blob_is_a_miss_not_an_error() {
         let tier = Arc::new(MockTier::new("disk"));
         tier.put(5, b"garbage, not a record");
         let chain = BlobTiers::new(vec![tier as Arc<dyn CacheTier>]);
-        assert!(chain.get_function_before(5, None).is_none());
+        assert!(chain.get_function(5).is_none());
     }
 }

@@ -1,6 +1,6 @@
 //! Binary codec for persisted cache records.
 //!
-//! The disk and peer cache tiers carry opaque byte blobs; this module
+//! The disk cache tier carries opaque byte blobs; this module
 //! defines what's inside them. Three record kinds share a 6-byte header
 //! (`magic "SPCV" · format version · kind`):
 //!
@@ -27,9 +27,7 @@
 //! another format version simply miss and are rewritten. Every length is
 //! checked against the bytes actually left before anything is allocated,
 //! every discriminant is checked, and text must be valid UTF-8, so a
-//! corrupted blob — or a peer's `CACHE_PUT` payload, which the daemon
-//! runs through [`validate_record`] — cannot decode into out-of-range
-//! values.
+//! corrupted blob cannot decode into out-of-range values.
 
 use splendid_core::detransform::RegionReport;
 use splendid_core::{DecompileOutput, FidelityTier, FunctionOutput, NamingStats};
@@ -348,19 +346,6 @@ pub fn decode_cert_record(blob: &[u8]) -> R<crate::validate::Certificate> {
     Ok(cert)
 }
 
-/// Structurally validate a blob of any known kind without keeping the
-/// decoded value — what the daemon runs on `CACHE_PUT` payloads before
-/// letting a peer's bytes anywhere near the disk tier.
-pub fn validate_record(blob: &[u8]) -> R<()> {
-    match blob.get(5) {
-        Some(&KIND_FUNCTION) => decode_function_record(blob).map(|_| ()),
-        Some(&KIND_MODULE) => decode_module_record_with_counts(blob).map(|_| ()),
-        Some(&KIND_CERT) => decode_cert_record(blob).map(|_| ()),
-        Some(_) => err("unknown record kind"),
-        None => err("blob shorter than header"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -455,7 +440,6 @@ mod tests {
     fn kind_confusion_is_rejected() {
         let blobs = every_kind();
         for (i, (blob, _)) in blobs.iter().enumerate() {
-            assert!(validate_record(blob).is_ok());
             for (j, (_, decode)) in blobs.iter().enumerate() {
                 assert_eq!(decode(blob).is_ok(), i == j, "blob {i} decoder {j}");
             }
@@ -467,7 +451,7 @@ mod tests {
         for (blob, decode) in every_kind() {
             for n in 0..blob.len() {
                 assert!(
-                    decode(&blob[..n]).is_err() && validate_record(&blob[..n]).is_err(),
+                    decode(&blob[..n]).is_err(),
                     "prefix of {n} bytes must not decode"
                 );
             }
@@ -479,7 +463,6 @@ mod tests {
         for (mut blob, decode) in every_kind() {
             blob.push(0);
             assert!(decode(&blob).is_err());
-            assert!(validate_record(&blob).is_err());
         }
     }
 
@@ -490,7 +473,6 @@ mod tests {
             for version in [CODEC_VERSION - 1, CODEC_VERSION + 1] {
                 blob[4] = version;
                 assert!(decode(&blob).is_err());
-                assert!(validate_record(&blob).is_err());
             }
         }
     }
@@ -504,7 +486,6 @@ mod tests {
             decode_function_record(&blob).unwrap_err().0,
             "invalid UTF-8"
         );
-        assert!(validate_record(&blob).is_err());
     }
 
     #[test]
@@ -518,7 +499,6 @@ mod tests {
                 let mut m = blob.clone();
                 m[i] = 0xFF;
                 let _ = decode(&m);
-                let _ = validate_record(&m);
             }
             let mut rng = Rng::for_case(0xC0DEC, kind as u64);
             for _ in 0..2000 {
@@ -528,7 +508,6 @@ mod tests {
                     m[at] = rng.next_u64() as u8;
                 }
                 let _ = decode(&m);
-                let _ = validate_record(&m);
             }
         }
     }

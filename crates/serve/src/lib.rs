@@ -17,9 +17,8 @@
 //!   printed function IR, options fingerprint), so re-decompiling
 //!   unchanged functions is a lookup;
 //! * [`admission`] — overload protection in front of the scheduler:
-//!   bounded admission, per-tenant fairness/quotas, and the
-//!   admit → degrade → shed ladder with typed [`admission::Busy`]
-//!   refusals;
+//!   bounded admission and the admit → degrade → shed ladder with
+//!   typed [`admission::Busy`] refusals;
 //! * [`stats`] — service observability: per-stage wall time, queue
 //!   depth, cache hit rate, job counts, snapshotable and pretty-printable.
 //!

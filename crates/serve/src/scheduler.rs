@@ -59,10 +59,6 @@ pub struct ServeConfig {
     /// the `Quick` fidelity tier instead of running at full fidelity
     /// (the middle rung of the admission ladder). 0 disables.
     pub degrade_pending_jobs: usize,
-    /// Per-tenant token-bucket burst; 0 disables quotas.
-    pub quota_burst: u32,
-    /// Per-tenant token-bucket refill rate, requests/second.
-    pub quota_per_sec: u32,
 }
 
 impl Default for ServeConfig {
@@ -73,8 +69,6 @@ impl Default for ServeConfig {
             job_timeout: None,
             max_pending_jobs: 0,
             degrade_pending_jobs: 0,
-            quota_burst: 0,
-            quota_per_sec: 0,
         }
     }
 }
@@ -258,8 +252,8 @@ pub(crate) struct JobState {
     /// output on its way out.
     module_key: std::sync::OnceLock<u64>,
     /// Admission lease, released on completion so the pending gauge
-    /// (and the tenant's in-flight share) frees exactly when the job's
-    /// capacity does — not when the handle is dropped.
+    /// frees exactly when the job's capacity does — not when the handle
+    /// is dropped.
     lease: Mutex<Option<AdmissionLease>>,
 }
 
@@ -296,8 +290,8 @@ impl JobState {
                 Err(_) => self.stats.add(|s| &s.jobs_failed, 1),
             };
             // Free the admission slot BEFORE publishing the result: the
-            // waiter's very next request must not be refused by tenant
-            // fairness because this finished job still holds its lease.
+            // waiter's very next request must not be refused by the queue
+            // bound because this finished job still holds its lease.
             lock(&self.lease).take();
             *done = Some(result);
             self.cv.notify_all();
@@ -406,7 +400,7 @@ const PREPARE_BACKOFF: [Duration; 2] = [Duration::from_millis(1), Duration::from
 
 /// The cache layers every function result and certificate goes
 /// through: the in-memory function LRU, the certificate LRU, and the
-/// blob-tier chain (disk store, peer daemon, ...) under both. One per
+/// blob-tier chain (the disk store) under both. One per
 /// scheduler, shared by all of its jobs.
 pub(crate) struct Caches {
     pub(crate) functions: FunctionCache,
@@ -431,9 +425,7 @@ impl Caches {
     /// One function through the cache layers: the LRU, then the blob
     /// tiers, then the fidelity ladder, whose success fills the LRU and
     /// the tiers. `key` is `None` for results that must not be cached.
-    /// With a `job`, its deadline rides along: a tier whose worst-case
-    /// cost (e.g. a peer round-trip timeout) would overrun it is skipped,
-    /// not waited on, and an expired job never starts the ladder.
+    /// With a `job`, an expired job never starts the ladder.
     pub(crate) fn fetch_function(
         &self,
         prepared: &PreparedModule,
@@ -444,8 +436,7 @@ impl Caches {
         stats: &StatsSink,
     ) -> Fetched {
         if let Some(k) = key {
-            let deadline = job.and_then(|j| j.deadline);
-            let tiers = || self.tiers.get_function_before(k, deadline).map(Arc::new);
+            let tiers = || self.tiers.get_function(k).map(Arc::new);
             if let Some(hit) = self.functions.read_through(k, tiers) {
                 stats.add(|s| &s.functions_from_cache, 1);
                 return Fetched::Cached((*hit).clone());
@@ -500,8 +491,8 @@ impl Scheduler {
         Scheduler::new_with_tiers(config, BlobTiers::default())
     }
 
-    /// Start a service with a blob-tier chain under the LRU (disk
-    /// store, peer daemon, ...). Tier construction — and its error
+    /// Start a service with a blob-tier chain under the LRU (the disk
+    /// store). Tier construction — and its error
     /// handling — stays with the caller; a default chain is empty.
     pub fn new_with_tiers(config: ServeConfig, tiers: BlobTiers) -> Scheduler {
         let workers = if config.workers == 0 {
@@ -520,8 +511,6 @@ impl Scheduler {
             admission: Arc::new(AdmissionController::new(
                 config.max_pending_jobs,
                 config.degrade_pending_jobs,
-                config.quota_burst,
-                config.quota_per_sec,
                 workers,
             )),
             config,
@@ -536,8 +525,8 @@ impl Scheduler {
     /// Accept a job; returns immediately with a waitable handle.
     ///
     /// This path bypasses the admission *checks* (batch/CLI callers have
-    /// no tenant and no wire deadline) but still occupies the pending
-    /// gauge, so the daemon's admission decisions see batch load too.
+    /// no wire deadline) but still occupies the pending gauge, so the
+    /// daemon's admission decisions see batch load too.
     pub fn submit(&self, request: JobRequest) -> JobHandle {
         self.submit_inner(self.admission.bypass_ticket(), request, None)
     }
@@ -555,9 +544,8 @@ impl Scheduler {
     }
 
     /// Walk the admission ladder for one prospective request (see
-    /// `crate::admission`). `tenant` is the caller's fairness key — the
-    /// daemon passes the session's module-context digest — and
-    /// `deadline` the request's absolute budget, if it carries one.
+    /// `crate::admission`). `deadline` is the request's absolute budget,
+    /// if it carries one.
     ///
     /// On success the returned ticket *reserves* queue capacity; pass it
     /// to [`Scheduler::submit_ticketed`] (or drop it to release the
@@ -565,12 +553,8 @@ impl Scheduler {
     /// `retry_after_ms` hint sized from the current queue and observed
     /// job service times. Sheds and degradations are counted in the
     /// scheduler-wide stats by reason.
-    pub fn admit(
-        &self,
-        tenant: Option<u64>,
-        deadline: Option<Instant>,
-    ) -> Result<AdmissionTicket, Busy> {
-        match self.admission.admit(tenant, deadline, self.avg_job_ms()) {
+    pub fn admit(&self, deadline: Option<Instant>) -> Result<AdmissionTicket, Busy> {
+        match self.admission.admit(deadline, self.avg_job_ms()) {
             Ok(ticket) => {
                 if ticket.degraded() {
                     self.stats
@@ -582,7 +566,6 @@ impl Scheduler {
             Err(busy) => {
                 let counter = match busy.reason {
                     ShedReason::QueueFull => &self.stats.jobs_shed_queue,
-                    ShedReason::QuotaExhausted => &self.stats.jobs_shed_quota,
                     ShedReason::DeadlineDoomed => &self.stats.jobs_shed_deadline,
                 };
                 counter.fetch_add(1, Ordering::Relaxed);
@@ -691,31 +674,6 @@ impl Scheduler {
         snap.tiers = self.caches.tiers.counters();
         snap.admission_pending = self.admission.pending();
         snap
-    }
-
-    /// The blob-tier chain under the LRU (empty when none configured).
-    pub fn tiers(&self) -> &BlobTiers {
-        &self.caches.tiers
-    }
-
-    /// Serve a raw record blob from the *disk tier only* — the daemon's
-    /// `CACHE_GET` handler. Never consults peer tiers, so two daemons
-    /// feeding each other cannot loop a lookup.
-    pub fn cache_blob_get(&self, key: u64) -> Option<Vec<u8>> {
-        self.caches.tiers.disk().and_then(|d| d.get(key))
-    }
-
-    /// Accept a raw record blob into the disk tier — the daemon's
-    /// `CACHE_PUT` handler (after the daemon validates that the blob
-    /// decodes). Returns false when no disk tier is configured.
-    pub fn cache_blob_put(&self, key: u64, blob: &[u8]) -> bool {
-        match self.caches.tiers.disk() {
-            Some(d) => {
-                d.put(key, blob);
-                true
-            }
-            None => false,
-        }
     }
 
     /// Flush every blob tier (drain write-behind queues, make the disk
@@ -1049,7 +1007,7 @@ fn finish(state: &JobState, prepared: &PreparedModule, output: DecompileOutput) 
         unverified: state.unverified.load(Ordering::Relaxed),
     };
     // Fault-free Text jobs persist the assembled unit and its counts as a
-    // module record, so the next process (or a peer) answers the
+    // module record, so the next process answers the
     // identical request without parsing. Write-behind: the put enqueues
     // and the job completes immediately.
     if let Some(&key) = state.module_key.get() {

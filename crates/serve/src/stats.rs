@@ -23,8 +23,6 @@ pub struct ServeStats {
     pub jobs_timed_out: AtomicU64,
     /// Requests shed at admission because the pending-job queue was full.
     pub jobs_shed_queue: AtomicU64,
-    /// Requests shed at admission by per-tenant fairness or quota.
-    pub jobs_shed_quota: AtomicU64,
     /// Requests shed at admission because the estimated queue wait
     /// already exceeded their deadline (doomed work, never started).
     pub jobs_shed_deadline: AtomicU64,
@@ -123,7 +121,6 @@ impl ServeStats {
             jobs_failed: get(&self.jobs_failed),
             jobs_timed_out: get(&self.jobs_timed_out),
             jobs_shed_queue: get(&self.jobs_shed_queue),
-            jobs_shed_quota: get(&self.jobs_shed_quota),
             jobs_shed_deadline: get(&self.jobs_shed_deadline),
             jobs_degraded_admission: get(&self.jobs_degraded_admission),
             admission_pending: 0,
@@ -175,8 +172,6 @@ pub struct StatsSnapshot {
     pub jobs_timed_out: u64,
     /// Requests shed at admission: queue bound.
     pub jobs_shed_queue: u64,
-    /// Requests shed at admission: tenant fairness/quota.
-    pub jobs_shed_quota: u64,
     /// Requests shed at admission: doomed deadline.
     pub jobs_shed_deadline: u64,
     /// Requests admitted at the `Quick` tier under pressure.
@@ -228,7 +223,7 @@ pub struct StatsSnapshot {
     pub emit: Duration,
     /// Cache counters.
     pub cache: CacheCounters,
-    /// Blob-tier counters (disk, peer, ...), nearest tier first. Empty
+    /// Blob-tier counters (disk, ...), nearest tier first. Empty
     /// when no persistent tier is configured. Populated by
     /// [`crate::scheduler::Scheduler::stats`].
     pub tiers: Vec<TierCounters>,
@@ -242,7 +237,7 @@ impl StatsSnapshot {
 
     /// Total requests shed at admission, across all reasons.
     pub fn jobs_shed(&self) -> u64 {
-        self.jobs_shed_queue + self.jobs_shed_quota + self.jobs_shed_deadline
+        self.jobs_shed_queue + self.jobs_shed_deadline
     }
 }
 
@@ -261,11 +256,10 @@ impl std::fmt::Display for StatsSnapshot {
         )?;
         writeln!(
             f,
-            "  admission  {} pending, {} shed ({} queue-full / {} quota / {} doomed), {} degraded to quick",
+            "  admission  {} pending, {} shed ({} queue-full / {} doomed), {} degraded to quick",
             self.admission_pending,
             self.jobs_shed(),
             self.jobs_shed_queue,
-            self.jobs_shed_quota,
             self.jobs_shed_deadline,
             self.jobs_degraded_admission
         )?;
@@ -310,7 +304,7 @@ impl std::fmt::Display for StatsSnapshot {
             self.validate_quarantined
         )?;
         for tier in &self.tiers {
-            write!(
+            writeln!(
                 f,
                 "  tier:{:<5} {} hits / {} misses / {} fills / {} errors ({:.1}% hit rate)",
                 tier.name,
@@ -320,17 +314,6 @@ impl std::fmt::Display for StatsSnapshot {
                 tier.errors,
                 100.0 * tier.hit_rate()
             )?;
-            // Breaker state only appears for tiers that have one (peer).
-            if tier.breaker_trips > 0 || tier.breaker_fast_fails > 0 || tier.breaker_open {
-                write!(
-                    f,
-                    " [breaker {}, {} trips, {} fast-fails]",
-                    if tier.breaker_open { "open" } else { "closed" },
-                    tier.breaker_trips,
-                    tier.breaker_fast_fails
-                )?;
-            }
-            writeln!(f)?;
         }
         writeln!(
             f,

@@ -114,8 +114,7 @@ pub(crate) fn run_validation(
         // Fault-injected runs still validate (the annotations are the
         // whole point of seeing a degraded run's verdicts) but have no
         // key, so they never read or write certificates: a verdict
-        // observed under injection must not outlive the process, let
-        // alone reach a peer.
+        // observed under injection must not outlive the process.
         let ckey = cache_key(prepared, fid, options)
             .and_then(Result::ok)
             .map(cert_cache_key);

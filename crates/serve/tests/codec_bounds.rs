@@ -1,6 +1,6 @@
 //! A record whose length field claims `u32::MAX` bytes or elements must
-//! be refused before anything is allocated for it: peers send records
-//! over the wire, and a forged length must cost nothing.
+//! be refused before anything is allocated for it: a corrupted length
+//! read back from the disk store must cost nothing.
 //!
 //! The test lives in its own integration-test binary so the recording
 //! `#[global_allocator]` sees only this test's allocations.
@@ -8,8 +8,9 @@
 use splendid_core::detransform::RegionReport;
 use splendid_core::{DecompileOutput, FidelityTier, FunctionOutput, NamingStats};
 use splendid_serve::codec::{
-    encode_cert_record, encode_function_record, encode_module_record, validate_record,
-    ModuleCounts, CODEC_HEADER_LEN,
+    decode_cert_record, decode_function_record, decode_module_record_with_counts,
+    encode_cert_record, encode_function_record, encode_module_record, CodecError, ModuleCounts,
+    CODEC_HEADER_LEN,
 };
 use splendid_serve::Certificate;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -63,21 +64,25 @@ fn u32_max_length_fields_fail_without_allocating() {
         mismatch: true,
         reason: "mismatch".into(),
     });
-    // (record, offset of one of its u32 length fields)
+    type Decode = fn(&[u8]) -> Result<(), CodecError>;
+    let function_kind: Decode = |b| decode_function_record(b).map(|_| ());
+    let module_kind: Decode = |b| decode_module_record_with_counts(b).map(|_| ());
+    let cert_kind: Decode = |b| decode_cert_record(b).map(|_| ());
+    // (record, offset of one of its u32 length fields, its kind's decoder)
     let fields = [
-        (&function, CODEC_HEADER_LEN),
-        (&module, CODEC_HEADER_LEN),
+        (&function, CODEC_HEADER_LEN, function_kind),
+        (&module, CODEC_HEADER_LEN, module_kind),
         // The region count follows the source and the two naming counts.
-        (&module, CODEC_HEADER_LEN + 4 + text.len() + 16),
+        (&module, CODEC_HEADER_LEN + 4 + text.len() + 16, module_kind),
         // The reason follows the verified, tier and mismatch bytes.
-        (&cert, CODEC_HEADER_LEN + 3),
+        (&cert, CODEC_HEADER_LEN + 3, cert_kind),
     ];
-    for (blob, at) in fields {
-        assert!(validate_record(blob).is_ok());
+    for (blob, at, decode) in fields {
+        assert!(decode(blob).is_ok());
         let mut forged = blob.clone();
         forged[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         LARGEST.store(0, Ordering::Relaxed);
-        let decoded = validate_record(&forged);
+        let decoded = decode(&forged);
         let largest = LARGEST.load(Ordering::Relaxed);
         assert!(decoded.is_err(), "length field at {at} must not decode");
         assert!(

@@ -300,7 +300,7 @@ fn request_deadline_times_out_without_a_job_timeout() {
         ..Default::default()
     });
     let ticket = scheduler
-        .admit(None, Some(Instant::now() + Duration::from_millis(1)))
+        .admit(Some(Instant::now() + Duration::from_millis(1)))
         .expect("an idle scheduler admits a 1 ms budget");
     std::thread::sleep(Duration::from_millis(5));
     let (name, module) = golden_suite().remove(0);

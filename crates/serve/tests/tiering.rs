@@ -354,7 +354,7 @@ fn replayed_certificate_serves_the_output_it_proved() {
     // mismatching.
     use splendid_core::{decompile_function, prepare_module, print_unit, StageTimings};
     use splendid_serve::codec::encode_cert_record;
-    use splendid_serve::{cert_cache_key, function_cache_key, Certificate};
+    use splendid_serve::{cert_cache_key, function_cache_key, CacheTier, Certificate};
 
     let dir = temp_dir("cert-replay");
     let b = splendid_polybench::kernels::benchmark("gemm").unwrap();
@@ -369,7 +369,14 @@ fn replayed_certificate_serves_the_output_it_proved() {
     };
     let prepared = prepare_module(&module, &opts, &mut StageTimings::default()).unwrap();
 
-    let scheduler = scheduler_with_disk(&dir, 2);
+    let disk = Arc::new(DiskTier::open(&dir, StoreConfig::default()).expect("open disk tier"));
+    let scheduler = Scheduler::new_with_tiers(
+        ServeConfig {
+            workers: 2,
+            ..Default::default()
+        },
+        BlobTiers::new(vec![Arc::clone(&disk) as Arc<dyn CacheTier>]),
+    );
     let cert = Certificate {
         verified: true,
         tier: FidelityTier::Structured,
@@ -379,7 +386,7 @@ fn replayed_certificate_serves_the_output_it_proved() {
     let mut expected = Vec::new();
     for fid in prepared.module.func_ids() {
         let key = cert_cache_key(function_cache_key(&prepared, fid, &opts));
-        assert!(scheduler.cache_blob_put(key, &encode_cert_record(&cert)));
+        disk.put(key, &encode_cert_record(&cert));
         let mut out =
             decompile_function(&prepared, fid, &structured, &mut StageTimings::default()).unwrap();
         assert_eq!(out.tier, FidelityTier::Structured);

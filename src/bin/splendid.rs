@@ -13,7 +13,7 @@
 use splendid_cachestore::{CacheStore, StoreConfig};
 use splendid_cfront::{lower_program, parse_program, LowerOptions};
 use splendid_core::{FidelityTier, SplendidOptions, Variant};
-use splendid_daemon::{Daemon, DaemonClient, DaemonConfig, DEFAULT_PEER_TIMEOUT};
+use splendid_daemon::{Daemon, DaemonClient, DaemonConfig};
 use splendid_ir::{printer::module_str, Module};
 use splendid_parallel::{parallelize_module, ParallelizeOptions};
 use splendid_polybench::Harness;
@@ -46,8 +46,7 @@ const COMMANDS: &[Command] = &[
         "daemon",
         cmd_daemon,
         "--addr --unix --jobs --max-connections --idle-timeout --deadline --cache-dir \
-         --cache-budget-mb --peer --peer-timeout-ms --max-pending --degrade-pending \
-         --quota-burst --quota-rps",
+         --cache-budget-mb --max-pending --degrade-pending",
     ),
     Command(
         "connect",
@@ -86,7 +85,6 @@ enum Kind {
     Text,
     Variant,
     Uint,
-    U32,
 }
 
 /// One flag: its spelling, its value's kind, its placeholder in the usage
@@ -122,12 +120,8 @@ const FLAGS: &[Flag] = &[
     Flag("--malformed", Kind::Text, "<dir>", ""),
     Flag("--cache-dir", Kind::Text, "DIR", ""),
     Flag("--cache-budget-mb", Kind::Uint, "N", ""),
-    Flag("--peer", Kind::Text, "ADDR", ""),
-    Flag("--peer-timeout-ms", Kind::Uint, "MS", " (0 = default 2000)"),
     Flag("--max-pending", Kind::Uint, "N", " (0 = unbounded)"),
     Flag("--degrade-pending", Kind::Uint, "N", " (0 = off)"),
-    Flag("--quota-burst", Kind::U32, "N", " (0 = no quotas)"),
-    Flag("--quota-rps", Kind::U32, "N", " (0 = no quotas)"),
 ];
 
 fn find_flag(name: &str) -> Option<&'static Flag> {
@@ -147,7 +141,6 @@ impl Flag {
                 true
             }
             Kind::Uint => value.parse::<u64>().is_ok(),
-            Kind::U32 => value.parse::<u32>().is_ok(),
         };
         if !ok {
             self.not_a_number();
@@ -651,19 +644,12 @@ fn cmd_daemon(cli: Cli) {
             job_timeout: secs("--deadline", 30),
             max_pending_jobs: cli.num("--max-pending", 0),
             degrade_pending_jobs: cli.num("--degrade-pending", 0),
-            quota_burst: cli.num("--quota-burst", 0),
-            quota_per_sec: cli.num("--quota-rps", 0),
             ..Default::default()
         },
         cache_dir: cli.text("--cache-dir").map(PathBuf::from),
         cache_budget_bytes: match cli.num("--cache-budget-mb", 0u64) {
             0 => None,
             mb => Some(mb * 1024 * 1024),
-        },
-        peer: cli.text("--peer"),
-        peer_timeout: match cli.num("--peer-timeout-ms", 0) {
-            0 => DEFAULT_PEER_TIMEOUT,
-            ms => Duration::from_millis(ms),
         },
     };
     let daemon = Daemon::start(config.clone()).unwrap_or_else(|e| fail(&format!("daemon: {e}")));
